@@ -1,12 +1,10 @@
 /**
  * @file
  * Scaling bench for the performance layer: sweeps the thread-pool
- * width over (a) a 32-node cluster cap-trace replay and (b) a
- * corpus-sized ALS fit, and measures the surface cache, emitting one
- * JSON document on stdout:
+ * width over a 32-node cluster cap-trace replay and measures the
+ * surface cache, emitting one JSON document on stdout:
  *
  *   cluster: node-steps/second per width (and speedup vs. width 1)
- *   als:     fit milliseconds per width (and speedup vs. width 1)
  *   cache:   hit rate, cold vs. cache-hit estimate cost, warm-start
  *            sweep reduction
  *
@@ -81,6 +79,10 @@ clusterReplayAt(unsigned width, int servers, std::size_t intervals,
     cluster::ClusterConfig cfg;
     cfg.policy = cluster::ClusterPolicy::EqualOurs;
     cfg.servers = servers;
+    // Small shards, so that even the --quick 16-node replay spans
+    // several shards: with the default 64 a cluster this size is one
+    // shard, which NodePool::runAll steps inline at every width.
+    cfg.shardSize = 4;
     cluster::ClusterManager cm(cfg);
     cm.populateDefault();
 
@@ -96,29 +98,6 @@ clusterReplayAt(unsigned width, int servers, std::size_t intervals,
     p.wallSeconds = wallSeconds([&] { cm.replay(caps); });
     p.stepsPerSec = static_cast<double>(servers) *
                     static_cast<double>(intervals) / p.wallSeconds;
-    return p;
-}
-
-struct AlsPoint
-{
-    unsigned threads = 0;
-    double fitMs = 0.0;
-};
-
-/** One corpus-sized estimate (leave-nothing-out corpus, 10% mask). */
-AlsPoint
-alsFitAt(unsigned width, const cf::UtilityEstimator &est,
-         const std::vector<cf::Measurement> &samples)
-{
-    util::ThreadPool::configureGlobal(width);
-    AlsPoint p;
-    p.threads = width;
-    // Best of three: the fit is short enough to jitter.
-    for (int rep = 0; rep < 3; ++rep) {
-        double s = wallSeconds([&] { est.estimate(samples); });
-        if (p.fitMs == 0.0 || s * 1000.0 < p.fitMs)
-            p.fitMs = s * 1000.0;
-    }
     return p;
 }
 
@@ -204,7 +183,7 @@ main(int argc, char **argv)
             break; // speedup clause is vacuous on one core
     }
 
-    // --- corpus-sized ALS fit sweep --------------------------------
+    // --- corpus-sized estimator for the cache probe ----------------
     const auto &plat = power::defaultPlatform();
     cf::UtilityEstimator est(plat);
     {
@@ -229,12 +208,6 @@ main(int argc, char **argv)
     auto samples = prof.measure(model, cols, mrng);
     auto grown = prof.measure(model, grown_cols, mrng);
 
-    std::vector<AlsPoint> als_pts;
-    if (!check) {
-        for (unsigned w : sweepWidths())
-            als_pts.push_back(alsFitAt(w, est, samples));
-    }
-
     // --- surface cache ---------------------------------------------
     util::ThreadPool::configureGlobal(0);
     CacheReport cache = measureCache(est, samples, grown);
@@ -255,17 +228,10 @@ main(int argc, char **argv)
                   << "}";
     }
     std::cout << "]},";
-    std::cout << "\"als\":{\"corpus_rows\":" << est.corpusSize()
+    std::cout << "\"cache\":{\"corpus_rows\":" << est.corpusSize()
               << ",\"columns\":" << est.columnCount()
-              << ",\"sampled\":" << cols.size() << ",\"sweep\":[";
-    for (std::size_t i = 0; i < als_pts.size(); ++i) {
-        const AlsPoint &p = als_pts[i];
-        std::cout << (i ? "," : "") << "{\"threads\":" << p.threads
-                  << ",\"fit_ms\":" << p.fitMs << ",\"speedup\":"
-                  << als_pts[0].fitMs / p.fitMs << "}";
-    }
-    std::cout << "]},";
-    std::cout << "\"cache\":{\"calls\":" << cache.calls
+              << ",\"sampled\":" << cols.size()
+              << ",\"calls\":" << cache.calls
               << ",\"hits\":" << cache.hits << ",\"hit_rate\":"
               << static_cast<double>(cache.hits) /
                      static_cast<double>(cache.calls)

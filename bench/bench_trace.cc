@@ -1,38 +1,26 @@
 /**
  * @file
- * Telemetry publish/merge microbench and the trace-rework tripwire.
+ * Telemetry publish/merge microbench and the replay tripwire.
  *
- * Measures the three paths the binary-tracing rework touched:
+ * Reports two numbers for the trace-backed Telemetry bus:
  *
- *  - publish: ns/op for typed-id publishes on the trace backend vs
- *    the same stream through registered string names (lookup + route)
- *    vs the legacy string-keyed std::map backend;
- *  - merge: folding a TelemetryShards sweep into one bus — a dense
- *    O(#events) array add on the trace backend vs an O(n log n)
- *    string-map fold on the legacy one;
+ *  - publish: ns/op for typed-id count/observe publishes;
+ *  - merge: ms to fold one TelemetryShards sweep (every registered
+ *    event touched per shard) into one bus — a dense O(#events) array
+ *    add per shard.
  *
- * `--check` turns the bench into a regression tripwire:
- *
- *  1. equivalence — an identical mixed publish stream (typed ids,
- *     registered names, overflow names, decision records) must
- *     aggregate to identical counter/timer/decision views on both
- *     backends, including across a cross-backend merge;
- *  2. replay determinism — a scripted ServeEngine capture must replay
- *     bit-exactly (digest + surface-epoch sum) at thread widths 1
- *     and 4;
- *  3. publish perf — the typed trace publish path must not regress
- *     past 1.2x the legacy string publish baseline (it is normally
- *     several times faster; >20% slower than the path it replaced
- *     fails the build).
+ * Both are reported, not gated.  `--check` adds the replay
+ * determinism clause: a scripted ServeEngine capture must replay
+ * bit-exactly (digest + surface-epoch sum) at thread widths 1 and 4.
  */
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <functional>
 #include <iostream>
 #include <string>
-#include <vector>
 
 #include "core/telemetry.hh"
 #include "serve/engine.hh"
@@ -45,7 +33,6 @@ namespace
 {
 
 using namespace psm;
-using core::DecisionRecord;
 using core::Telemetry;
 using core::TelemetryShards;
 
@@ -73,17 +60,8 @@ bestSeconds(const std::function<void()> &fn)
 
 struct PublishReport
 {
-    double traceTypedNs = 0.0;  ///< count/observe by EventId, Trace
-    double traceStringNs = 0.0; ///< registered names, Trace (routed)
-    double legacyStringNs = 0.0; ///< registered names, Legacy (maps)
-    std::uint64_t checksum = 0; ///< keeps the loops observable
-
-    double
-    speedup() const
-    {
-        return traceTypedNs > 0.0 ? legacyStringNs / traceTypedNs
-                                  : 0.0;
-    }
+    double typedNs = 0.0;       ///< count/observe by EventId
+    std::uint64_t checksum = 0; ///< keeps the loop observable
 };
 
 PublishReport
@@ -94,64 +72,20 @@ timePublish(std::size_t iters)
     // observation — the mix every control-loop poll produces.
     const double ops = static_cast<double>(iters) * 2.0;
 
-    {
-        Telemetry bus(Telemetry::Backend::Trace);
-        rep.traceTypedNs =
-            bestSeconds([&] {
-                for (std::size_t i = 0; i < iters; ++i) {
-                    bus.count(trace::EventId::AllocatorAllocate);
-                    bus.observe(trace::EventId::AllocatorSpatial,
-                                static_cast<Tick>(i & 0xff));
-                }
-            }) *
-            1e9 / ops;
-        rep.checksum +=
-            bus.counter(trace::EventId::AllocatorAllocate);
-    }
-    {
-        Telemetry bus(Telemetry::Backend::Trace);
-        rep.traceStringNs =
-            bestSeconds([&] {
-                for (std::size_t i = 0; i < iters; ++i) {
-                    bus.count("allocator.allocate");
-                    bus.observe("allocator.spatial",
-                                static_cast<Tick>(i & 0xff));
-                }
-            }) *
-            1e9 / ops;
-        rep.checksum += bus.counter("allocator.allocate");
-    }
-    {
-        Telemetry bus(Telemetry::Backend::Legacy);
-        rep.legacyStringNs =
-            bestSeconds([&] {
-                for (std::size_t i = 0; i < iters; ++i) {
-                    bus.count("allocator.allocate");
-                    bus.observe("allocator.spatial",
-                                static_cast<Tick>(i & 0xff));
-                }
-            }) *
-            1e9 / ops;
-        rep.checksum += bus.counter("allocator.allocate");
-    }
+    Telemetry bus;
+    double secs = bestSeconds([&] {
+        for (std::size_t i = 0; i < iters; ++i) {
+            bus.count(trace::EventId::AllocatorAllocate);
+            bus.observe(trace::EventId::AllocatorSpatial,
+                        static_cast<Tick>(i & 0xff));
+        }
+    });
+    rep.typedNs = secs * 1e9 / ops;
+    rep.checksum = bus.counter(trace::EventId::AllocatorAllocate);
     return rep;
 }
 
 // --- merge path -----------------------------------------------------
-
-struct MergeReport
-{
-    std::size_t shards = 0;
-    std::size_t rounds = 0;
-    double traceMs = 0.0;  ///< one full shard sweep, trace backend
-    double legacyMs = 0.0; ///< same sweep, legacy backend
-
-    double
-    speedup() const
-    {
-        return traceMs > 0.0 ? legacyMs / traceMs : 0.0;
-    }
-};
 
 /** Touch every registered event on @p bus (per its kind). */
 void
@@ -173,115 +107,31 @@ publishFullRegistry(Telemetry &bus, std::size_t salt)
     }
 }
 
-MergeReport
-timeMerge(Telemetry::Backend backend, std::size_t shards,
-          std::size_t rounds)
+/** Milliseconds to merge one full @p shards sweep into a fresh bus. */
+double
+timeMerge(std::size_t shards, std::size_t rounds)
 {
-    MergeReport rep;
-    rep.shards = shards;
-    rep.rounds = rounds;
-
-    Telemetry::Backend saved = Telemetry::processDefault();
-    Telemetry::setProcessDefault(backend);
     TelemetryShards sweep(shards);
-    Telemetry::setProcessDefault(saved);
-
     for (std::size_t s = 0; s < shards; ++s)
         publishFullRegistry(sweep.shard(s), s);
 
     double total = bestSeconds([&] {
         for (std::size_t r = 0; r < rounds; ++r) {
-            Telemetry target(backend);
+            Telemetry target;
             sweep.mergeInto(target);
         }
     });
-    double perSweepMs = total * 1e3 / static_cast<double>(rounds);
-    if (backend == Telemetry::Backend::Trace)
-        rep.traceMs = perSweepMs;
-    else
-        rep.legacyMs = perSweepMs;
-    return rep;
+    return total * 1e3 / static_cast<double>(rounds);
 }
 
 // --- checks ---------------------------------------------------------
 
 struct CheckReport
 {
-    bool equivalenceOk = false;
-    std::size_t equivalenceKeys = 0;
     bool replayOk = false;
     std::size_t replayCommits = 0;
     std::string firstFailure;
 };
-
-/** The mixed stream both backends must aggregate identically. */
-void
-publishMixed(Telemetry &bus)
-{
-    for (std::size_t i = 0; i < 5000; ++i) {
-        bus.count(trace::EventId::ControlPolls);
-        bus.count("selector.idle", i % 3);
-        bus.count("overflow.adhoc_key", 2);
-        bus.observe(trace::EventId::ManagerReallocate,
-                    static_cast<Tick>(i % 13));
-        bus.observe("overflow.adhoc_timer",
-                    static_cast<Tick>(i % 5));
-        bus.gauge(trace::EventId::PoolQueueDepth, i);
-    }
-    DecisionRecord rec;
-    rec.when = 42;
-    rec.trigger = "bench";
-    rec.policy = "p";
-    rec.plan = "q";
-    rec.mode = "m";
-    bus.record(rec);
-}
-
-bool
-checkEquivalence(CheckReport &rep)
-{
-    Telemetry trace_bus(Telemetry::Backend::Trace);
-    Telemetry legacy_bus(Telemetry::Backend::Legacy);
-    publishMixed(trace_bus);
-    publishMixed(legacy_bus);
-
-    if (trace_bus.counters() != legacy_bus.counters()) {
-        rep.firstFailure = "counter views differ across backends";
-        return false;
-    }
-    const auto &tt = trace_bus.timers();
-    const auto &lt = legacy_bus.timers();
-    if (tt.size() != lt.size()) {
-        rep.firstFailure = "timer key sets differ across backends";
-        return false;
-    }
-    for (const auto &[name, stat] : tt) {
-        auto it = lt.find(name);
-        if (it == lt.end() || stat.count != it->second.count ||
-            stat.total != it->second.total ||
-            stat.max != it->second.max) {
-            rep.firstFailure = "timer '" + name +
-                               "' aggregates differ across backends";
-            return false;
-        }
-    }
-    if (trace_bus.decisions().size() != legacy_bus.decisions().size()) {
-        rep.firstFailure = "decision logs differ across backends";
-        return false;
-    }
-
-    // Cross-backend merge must bridge through the name registry.
-    Telemetry combined(Telemetry::Backend::Trace);
-    combined.merge(trace_bus);
-    combined.merge(legacy_bus);
-    if (combined.counter("control.polls") !=
-        2 * trace_bus.counter("control.polls")) {
-        rep.firstFailure = "cross-backend merge lost counter mass";
-        return false;
-    }
-    rep.equivalenceKeys = trace_bus.counters().size() + tt.size();
-    return true;
-}
 
 bool
 checkReplay(CheckReport &rep)
@@ -368,57 +218,30 @@ main(int argc, char **argv)
     const std::size_t rounds = quick ? 50 : 200;
 
     PublishReport publish = timePublish(iters);
-    MergeReport trace_merge =
-        timeMerge(Telemetry::Backend::Trace, shards, rounds);
-    MergeReport legacy_merge =
-        timeMerge(Telemetry::Backend::Legacy, shards, rounds);
+    double merge_ms = timeMerge(shards, rounds);
 
     CheckReport checks;
-    bool perfOk = true;
-    if (check) {
-        checks.equivalenceOk = checkEquivalence(checks);
-        if (checks.equivalenceOk)
-            checks.replayOk = checkReplay(checks);
-        perfOk = publish.traceTypedNs <=
-                 1.2 * publish.legacyStringNs;
-        if (!perfOk && checks.firstFailure.empty())
-            checks.firstFailure =
-                "typed trace publish regressed past 1.2x the legacy "
-                "string baseline";
-    }
+    if (check)
+        checks.replayOk = checkReplay(checks);
 
     // --- JSON ------------------------------------------------------
     std::cout << "{\"bench\":\"trace\",\"events\":"
               << trace::kEventCount << ",";
     std::cout << "\"publish\":{\"iters\":" << iters
-              << ",\"trace_typed_ns\":" << publish.traceTypedNs
-              << ",\"trace_string_ns\":" << publish.traceStringNs
-              << ",\"legacy_string_ns\":" << publish.legacyStringNs
-              << ",\"speedup\":" << publish.speedup()
+              << ",\"typed_ns\":" << publish.typedNs
               << ",\"checksum\":" << publish.checksum << "},";
     std::cout << "\"merge\":{\"shards\":" << shards
               << ",\"rounds\":" << rounds
-              << ",\"trace_ms\":" << trace_merge.traceMs
-              << ",\"legacy_ms\":" << legacy_merge.legacyMs
-              << ",\"speedup\":"
-              << (trace_merge.traceMs > 0.0
-                      ? legacy_merge.legacyMs / trace_merge.traceMs
-                      : 0.0)
-              << "}";
+              << ",\"sweep_ms\":" << merge_ms << "}";
     if (check) {
-        std::cout << ",\"check\":{\"equivalence\":"
-                  << (checks.equivalenceOk ? "true" : "false")
-                  << ",\"equivalence_keys\":"
-                  << checks.equivalenceKeys << ",\"replay\":"
+        std::cout << ",\"check\":{\"replay\":"
                   << (checks.replayOk ? "true" : "false")
                   << ",\"replay_commits\":" << checks.replayCommits
-                  << ",\"publish_perf\":"
-                  << (perfOk ? "true" : "false") << "}";
+                  << "}";
     }
     std::cout << "}\n";
 
-    if (check &&
-        (!checks.equivalenceOk || !checks.replayOk || !perfOk)) {
+    if (check && !checks.replayOk) {
         std::cerr << "CHECK FAILED: " << checks.firstFailure << "\n";
         return 1;
     }

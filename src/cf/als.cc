@@ -5,7 +5,6 @@
 #include <random>
 
 #include "util/logging.hh"
-#include "util/thread_pool.hh"
 
 namespace psm::cf
 {
@@ -129,43 +128,34 @@ AlsModel::fit(const MaskedMatrix &data, const AlsWarmStart *warm)
         return data.at(r, c) - (mu + row_bias[r] + col_bias[c] + dot);
     };
 
-    // Every sub-pass below updates index i from state the pass holds
-    // fixed (row biases read column biases of the *previous* pass and
-    // vice versa; factor solves read the opposite side's factors), so
-    // the per-index solves of one pass are independent and run on the
-    // pool.  Each index writes only its own bias/factor slice, which
-    // makes the result bit-identical to the serial sweep at any
-    // worker count.
-    util::ThreadPool &pool = util::ThreadPool::global();
-
     sweeps_run = warmed ? cfg.warmIterations : cfg.iterations;
     for (std::size_t iter = 0; iter < sweeps_run; ++iter) {
         // Bias updates (closed form ridge estimates).
-        pool.parallelFor(n_rows, [&](std::size_t r) {
+        for (std::size_t r = 0; r < n_rows; ++r) {
             if (row_obs[r].empty())
-                return;
+                continue;
             double sum = 0.0;
             for (std::size_t c : row_obs[r])
                 sum += residual(r, c) + row_bias[r];
             row_bias[r] =
                 sum / (static_cast<double>(row_obs[r].size()) +
                        cfg.lambda);
-        });
-        pool.parallelFor(n_cols, [&](std::size_t c) {
+        }
+        for (std::size_t c = 0; c < n_cols; ++c) {
             if (col_obs[c].empty())
-                return;
+                continue;
             double sum = 0.0;
             for (std::size_t r : col_obs[c])
                 sum += residual(r, c) + col_bias[c];
             col_bias[c] =
                 sum / (static_cast<double>(col_obs[c].size()) +
                        cfg.lambda);
-        });
+        }
 
         // Row factors: ridge regression against fixed column factors.
-        pool.parallelFor(n_rows, [&](std::size_t r) {
+        for (std::size_t r = 0; r < n_rows; ++r) {
             if (row_obs[r].empty())
-                return;
+                continue;
             std::vector<double> a(k * k, 0.0);
             std::vector<double> b(k, 0.0);
             for (std::size_t c : row_obs[r]) {
@@ -185,12 +175,12 @@ AlsModel::fit(const MaskedMatrix &data, const AlsWarmStart *warm)
             auto x = solveSpd(std::move(a), std::move(b), k);
             std::copy(x.begin(), x.end(), u.begin() +
                       static_cast<long>(r * k));
-        });
+        }
 
         // Column factors symmetrically.
-        pool.parallelFor(n_cols, [&](std::size_t c) {
+        for (std::size_t c = 0; c < n_cols; ++c) {
             if (col_obs[c].empty())
-                return;
+                continue;
             std::vector<double> a(k * k, 0.0);
             std::vector<double> b(k, 0.0);
             for (std::size_t r : col_obs[c]) {
@@ -210,7 +200,7 @@ AlsModel::fit(const MaskedMatrix &data, const AlsWarmStart *warm)
             auto x = solveSpd(std::move(a), std::move(b), k);
             std::copy(x.begin(), x.end(), v.begin() +
                       static_cast<long>(c * k));
-        });
+        }
     }
 }
 

@@ -89,9 +89,7 @@ class AlsModel
      * @param warm Optional factors from a previous fit of the same
      *        matrix shape; when they match, initialization is taken
      *        from them (instead of the seeded random draw) and only
-     *        config.warmIterations sweeps run.  Per-row/column solves
-     *        inside each sweep run on the global thread pool; results
-     *        are bit-identical to a serial fit at any pool width.
+     *        config.warmIterations sweeps run.
      */
     AlsModel(const MaskedMatrix &data, AlsConfig config = {},
              const AlsWarmStart *warm = nullptr);

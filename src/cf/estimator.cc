@@ -3,10 +3,8 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <memory>
 
 #include "util/logging.hh"
-#include "util/thread_pool.hh"
 
 namespace psm::cf
 {
@@ -153,20 +151,11 @@ UtilityEstimator::estimate(const std::vector<Measurement> &samples,
                      std::log(std::max(s.hbRate, hbFloor)));
     }
 
-    // The two factorizations share nothing; fit them concurrently.
     auto fit_start = std::chrono::steady_clock::now();
-    std::unique_ptr<AlsModel> power_model;
-    std::unique_ptr<AlsModel> hb_model;
-    util::ThreadPool::global().invoke(
-        [&] {
-            power_model = std::make_unique<AlsModel>(
-                power_m, als_config,
-                warm ? &state->powerWarm : nullptr);
-        },
-        [&] {
-            hb_model = std::make_unique<AlsModel>(
-                hb_m, als_config, warm ? &state->hbWarm : nullptr);
-        });
+    AlsModel power_model(power_m, als_config,
+                         warm ? &state->powerWarm : nullptr);
+    AlsModel hb_model(hb_m, als_config,
+                      warm ? &state->hbWarm : nullptr);
     double fit_seconds =
         std::chrono::duration<double>(
             std::chrono::steady_clock::now() - fit_start)
@@ -181,9 +170,9 @@ UtilityEstimator::estimate(const std::vector<Measurement> &samples,
             surface.power[c] = power_m.at(new_row, c);
             surface.hbRate[c] = std::exp(hb_m.at(new_row, c));
         } else {
-            surface.power[c] = power_model->predict(new_row, c);
+            surface.power[c] = power_model.predict(new_row, c);
             surface.hbRate[c] =
-                std::exp(hb_model->predict(new_row, c));
+                std::exp(hb_model.predict(new_row, c));
         }
     }
 
@@ -191,7 +180,7 @@ UtilityEstimator::estimate(const std::vector<Measurement> &samples,
         outcome->cacheHit = false;
         outcome->warmStarted = warm;
         outcome->sweeps =
-            power_model->sweepsRun() + hb_model->sweepsRun();
+            power_model.sweepsRun() + hb_model.sweepsRun();
         outcome->fitSeconds = fit_seconds;
     }
     if (state) {
@@ -200,8 +189,8 @@ UtilityEstimator::estimate(const std::vector<Measurement> &samples,
         state->maskHash = mask_hash;
         state->corpusRows = fit_rows;
         state->surface = surface;
-        state->powerWarm = power_model->warmStart();
-        state->hbWarm = hb_model->warmStart();
+        state->powerWarm = power_model.warmStart();
+        state->hbWarm = hb_model.warmStart();
     }
     return surface;
 }

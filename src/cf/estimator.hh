@@ -108,9 +108,6 @@ class UtilityEstimator
      * Estimate the full surface of a new application from sparse
      * measurements.  Measured columns keep their measured values.
      *
-     * The power and heartbeat factorizations are independent and fit
-     * concurrently on the global thread pool.
-     *
      * @param state Optional per-app memo: identical mask (and corpus)
      *        => cached surface, zero sweeps; grown mask => warm-
      *        started refit.  Updated in place with this fit.

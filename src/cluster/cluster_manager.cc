@@ -224,7 +224,8 @@ ClusterManager::accountManagedReplay(ClusterResult &result) const
     result.aggregatePerf = perf / static_cast<double>(ledger.size());
     result.perfPerKw =
         result.aggregatePerf / (result.avgClusterPower / 1000.0);
-    core::TimerStat spatial = pool->aggregateTimer("allocator.spatial");
+    core::TimerStat spatial =
+        pool->aggregateTimer(trace::EventId::AllocatorSpatial);
     result.allocatorCalls = spatial.count;
     result.allocatorSeconds = toSeconds(spatial.total);
 }

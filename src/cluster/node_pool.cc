@@ -168,8 +168,8 @@ NodePool::runAll(Tick duration, core::Telemetry *driver_tel)
         });
     // Isolation/fault counters must survive even when the driver does
     // not collect telemetry: fall back to the pool's own bus (merged
-    // into aggregateTelemetry()).  Trace-backend shard merges are
-    // dense O(#events) array folds.
+    // into aggregateTelemetry()).  Shard merges are dense O(#events)
+    // array folds.
     core::Telemetry &sink = driver_tel ? *driver_tel : pool_tel;
     shards.mergeInto(sink);
     double secs = std::chrono::duration<double>(
@@ -199,55 +199,19 @@ NodePool::aggregateTelemetry() const
     return cluster;
 }
 
-std::uint64_t
-NodePool::aggregateCounter(const std::string &key) const
-{
-    // Registered names: resolve the string to its dense id once,
-    // then the whole fold is O(nodes) array reads.  Unregistered
-    // (overflow) names keep the historical per-node string-map walk.
-    trace::EventId id;
-    if (trace::lookupEvent(key, id)) {
-        std::uint64_t total = pool_tel.counter(id);
-        for (const Node &node : node_list) {
-            if (node.manager)
-                total += node.manager->telemetry().counter(id);
-        }
-        return total;
-    }
-    std::uint64_t total = pool_tel.counter(key);
-    for (const Node &node : node_list) {
-        if (node.manager)
-            total += node.manager->telemetry().counter(key);
-    }
-    return total;
-}
-
 core::TimerStat
-NodePool::aggregateTimer(const std::string &key) const
+NodePool::aggregateTimer(trace::EventId id) const
 {
-    auto fold = [this](auto read) {
-        core::TimerStat agg = read(pool_tel);
-        for (const Node &node : node_list) {
-            if (!node.manager)
-                continue;
-            core::TimerStat t = read(node.manager->telemetry());
-            agg.count += t.count;
-            agg.total += t.total;
-            agg.max = std::max(agg.max, t.max);
-        }
-        return agg;
-    };
-    // Same dense-lookup rule as aggregateCounter().
-    trace::EventId id;
-    if (trace::lookupEvent(key, id) &&
-        trace::eventKind(id) == trace::EventKind::Timer) {
-        return fold([id](const core::Telemetry &tel) {
-            return tel.timer(id);
-        });
+    core::TimerStat agg = pool_tel.timer(id);
+    for (const Node &node : node_list) {
+        if (!node.manager)
+            continue;
+        core::TimerStat t = node.manager->telemetry().timer(id);
+        agg.count += t.count;
+        agg.total += t.total;
+        agg.max = std::max(agg.max, t.max);
     }
-    return fold([&key](const core::Telemetry &tel) {
-        return tel.timer(key);
-    });
+    return agg;
 }
 
 void

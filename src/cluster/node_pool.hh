@@ -152,23 +152,15 @@ class NodePool
      */
     core::Telemetry aggregateTelemetry() const;
 
-    /** Cluster-wide sum of one counter across the pool bus and every
+    /** Cluster-wide fold of one timer across the pool bus and every
      * managed node — cheaper than folding whole buses when a driver
-     * only wants a single rollup (e.g. allocator cache hit counts).
-     * Registered names resolve to their dense trace::EventId once and
-     * fold as O(nodes) array reads; unregistered (overflow) names
-     * fall back to the per-node string maps. */
-    std::uint64_t aggregateCounter(const std::string &key) const;
-
-    /** Cluster-wide fold of one timer, same scope and dense-lookup
-     * rules as aggregateCounter(). */
-    core::TimerStat aggregateTimer(const std::string &key) const;
+     * only wants a single rollup: O(nodes) dense array reads. */
+    core::TimerStat aggregateTimer(trace::EventId id) const;
 
     /**
      * Fold the pool bus plus every managed node's registered
-     * aggregates into one dense trace sink — O(nodes × #events), no
-     * string maps.  The serving layer builds its STATS snapshot from
-     * this.
+     * aggregates into one dense trace sink — O(nodes × #events).
+     * The serving layer builds its STATS snapshot from this.
      */
     void foldTrace(trace::TraceSink &out) const;
 

@@ -1,9 +1,7 @@
 #include "telemetry.hh"
 
-#include <atomic>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <ostream>
 
 namespace psm::core
@@ -69,142 +67,40 @@ jsonNumber(std::ostream &os, double v)
         os << "null";
 }
 
-Telemetry::Backend
-envDefaultBackend()
-{
-    const char *env = std::getenv("PSM_TELEMETRY_LEGACY");
-    if (env && *env && *env != '0')
-        return Telemetry::Backend::Legacy;
-    return Telemetry::Backend::Trace;
-}
-
-std::atomic<Telemetry::Backend> &
-processBackend()
-{
-    static std::atomic<Telemetry::Backend> backend{envDefaultBackend()};
-    return backend;
-}
-
 } // namespace
 
-Telemetry::Backend
-Telemetry::processDefault()
-{
-    return processBackend().load(std::memory_order_relaxed);
-}
-
-void
-Telemetry::setProcessDefault(Backend backend)
-{
-    processBackend().store(backend, std::memory_order_relaxed);
-}
-
-// --- legacy string-keyed publish paths -----------------------------
-
-void
-Telemetry::legacyCount(trace::EventId id, std::uint64_t delta)
-{
-    counter_map[std::string(trace::eventName(id))] += delta;
-}
-
-void
-Telemetry::legacyObserve(trace::EventId id, Tick elapsed)
-{
-    TimerStat &t = timer_map[std::string(trace::eventName(id))];
-    ++t.count;
-    t.total += elapsed;
-    if (elapsed > t.max)
-        t.max = elapsed;
-}
-
-void
-Telemetry::legacyGauge(trace::EventId id, std::uint64_t value)
-{
-    counter_map[std::string(trace::eventName(id))] = value;
-}
-
-// --- string façade -------------------------------------------------
-
-void
-Telemetry::count(const std::string &name, std::uint64_t delta)
-{
-    if (mode == Backend::Trace) {
-        trace::EventId id;
-        if (trace::lookupEvent(name, id) &&
-            trace::eventKind(id) == trace::EventKind::Counter) {
-            trace_sink.count(id, delta);
-            return;
-        }
-        ++overflow_gen;
-    }
-    counter_map[name] += delta;
-}
-
-void
-Telemetry::observe(const std::string &name, Tick elapsed)
-{
-    if (mode == Backend::Trace) {
-        trace::EventId id;
-        if (trace::lookupEvent(name, id) &&
-            trace::eventKind(id) == trace::EventKind::Timer) {
-            trace_sink.observe(id, elapsed);
-            return;
-        }
-        ++overflow_gen;
-    }
-    TimerStat &t = timer_map[name];
-    ++t.count;
-    t.total += elapsed;
-    if (elapsed > t.max)
-        t.max = elapsed;
-}
+// --- reads ----------------------------------------------------------
 
 std::uint64_t
 Telemetry::counter(const std::string &name) const
 {
-    if (mode == Backend::Trace) {
-        trace::EventId id;
-        if (trace::lookupEvent(name, id) &&
-            trace::eventKind(id) != trace::EventKind::Timer)
-            return trace_sink.counterValue(id);
-    }
-    auto it = counter_map.find(name);
-    return it == counter_map.end() ? 0 : it->second;
+    trace::EventId id;
+    if (!trace::lookupEvent(name, id) ||
+        trace::eventKind(id) == trace::EventKind::Timer)
+        return 0;
+    return counter(id);
 }
 
 std::uint64_t
 Telemetry::counter(trace::EventId id) const
 {
-    if (mode == Backend::Trace)
-        return trace_sink.counterValue(id);
-    auto it = counter_map.find(std::string(trace::eventName(id)));
-    return it == counter_map.end() ? 0 : it->second;
+    return trace_sink.counterValue(id);
 }
 
 TimerStat
 Telemetry::timer(const std::string &name) const
 {
-    if (mode == Backend::Trace) {
-        trace::EventId id;
-        if (trace::lookupEvent(name, id) &&
-            trace::eventKind(id) == trace::EventKind::Timer) {
-            trace::TimerAgg agg = trace_sink.timerValue(id);
-            return TimerStat{agg.count, agg.total, agg.max};
-        }
-    }
-    auto it = timer_map.find(name);
-    return it == timer_map.end() ? TimerStat{} : it->second;
+    trace::EventId id;
+    if (!trace::lookupEvent(name, id) ||
+        trace::eventKind(id) != trace::EventKind::Timer)
+        return {};
+    return timer(id);
 }
 
 TimerStat
 Telemetry::timer(trace::EventId id) const
 {
-    if (mode == Backend::Trace) {
-        trace::TimerAgg agg = trace_sink.timerValue(id);
-        return TimerStat{agg.count, agg.total, agg.max};
-    }
-    auto it = timer_map.find(std::string(trace::eventName(id)));
-    return it == timer_map.end() ? TimerStat{} : it->second;
+    return trace_sink.timerValue(id);
 }
 
 // --- decision records ----------------------------------------------
@@ -222,52 +118,35 @@ Telemetry::intern(const std::string &s)
 }
 
 void
-Telemetry::record(DecisionRecord rec)
+Telemetry::pushPacked(const PackedDecision &d)
 {
-    if (mode == Backend::Trace) {
-        PackedDecision d;
-        d.when = rec.when;
-        d.latency = rec.latency;
-        d.objective = rec.objective;
-        d.budget = rec.budget;
-        d.apps = rec.apps;
-        d.trigger = intern(rec.trigger);
-        d.policy = intern(rec.policy);
-        d.plan = intern(rec.plan);
-        d.mode_name = intern(rec.mode);
-        packed_log.push_back(d);
-        while (packed_log.size() > maxDecisions)
-            packed_log.pop_front();
-        ++decision_gen;
-        return;
-    }
-    decision_log.push_back(std::move(rec));
-    while (decision_log.size() > maxDecisions)
-        decision_log.pop_front();
-}
-
-void
-Telemetry::pushPacked(const PackedDecision &d, const Telemetry &src)
-{
-    PackedDecision mine = d;
-    mine.trigger = intern(src.intern_table[d.trigger]);
-    mine.policy = intern(src.intern_table[d.policy]);
-    mine.plan = intern(src.intern_table[d.plan]);
-    mine.mode_name = intern(src.intern_table[d.mode_name]);
-    packed_log.push_back(mine);
+    packed_log.push_back(d);
     while (packed_log.size() > maxDecisions)
         packed_log.pop_front();
     ++decision_gen;
 }
 
+void
+Telemetry::record(DecisionRecord rec)
+{
+    PackedDecision d;
+    d.when = rec.when;
+    d.latency = rec.latency;
+    d.objective = rec.objective;
+    d.budget = rec.budget;
+    d.apps = rec.apps;
+    d.trigger = intern(rec.trigger);
+    d.policy = intern(rec.policy);
+    d.plan = intern(rec.plan);
+    d.mode_name = intern(rec.mode);
+    pushPacked(d);
+}
+
 const std::deque<DecisionRecord> &
 Telemetry::decisions() const
 {
-    if (mode == Backend::Legacy)
-        return decision_log;
     if (decision_view_gen != decision_gen) {
-        auto &view = const_cast<Telemetry *>(this)->decision_log;
-        view.clear();
+        decision_view.clear();
         for (const PackedDecision &d : packed_log) {
             DecisionRecord rec;
             rec.when = d.when;
@@ -279,65 +158,42 @@ Telemetry::decisions() const
             rec.budget = d.budget;
             rec.apps = static_cast<std::size_t>(d.apps);
             rec.latency = d.latency;
-            view.push_back(std::move(rec));
+            decision_view.push_back(std::move(rec));
         }
         decision_view_gen = decision_gen;
     }
-    return decision_log;
+    return decision_view;
 }
 
 // --- aggregate views -----------------------------------------------
 
-void
-Telemetry::refreshCounterView() const
-{
-    if (counter_view_seq == trace_sink.publishSeq() &&
-        counter_view_overflow == overflow_gen)
-        return;
-    counter_view = counter_map; // overflow names
-    trace_sink.forEachTouched([&](trace::EventId id) {
-        if (trace::eventKind(id) != trace::EventKind::Timer) {
-            counter_view[std::string(trace::eventName(id))] =
-                trace_sink.counterValue(id);
-        }
-    });
-    counter_view_seq = trace_sink.publishSeq();
-    counter_view_overflow = overflow_gen;
-}
-
-void
-Telemetry::refreshTimerView() const
-{
-    if (timer_view_seq == trace_sink.publishSeq() &&
-        timer_view_overflow == overflow_gen)
-        return;
-    timer_view = timer_map; // overflow names
-    trace_sink.forEachTouched([&](trace::EventId id) {
-        if (trace::eventKind(id) == trace::EventKind::Timer) {
-            trace::TimerAgg agg = trace_sink.timerValue(id);
-            timer_view[std::string(trace::eventName(id))] =
-                TimerStat{agg.count, agg.total, agg.max};
-        }
-    });
-    timer_view_seq = trace_sink.publishSeq();
-    timer_view_overflow = overflow_gen;
-}
-
 const std::map<std::string, std::uint64_t> &
 Telemetry::counters() const
 {
-    if (mode == Backend::Legacy)
-        return counter_map;
-    refreshCounterView();
+    if (counter_view_seq != trace_sink.publishSeq()) {
+        counter_view.clear();
+        trace_sink.forEachTouched([&](trace::EventId id) {
+            if (trace::eventKind(id) != trace::EventKind::Timer) {
+                counter_view[std::string(trace::eventName(id))] =
+                    trace_sink.counterValue(id);
+            }
+        });
+        counter_view_seq = trace_sink.publishSeq();
+    }
     return counter_view;
 }
 
 const std::map<std::string, TimerStat> &
 Telemetry::timers() const
 {
-    if (mode == Backend::Legacy)
-        return timer_map;
-    refreshTimerView();
+    if (timer_view_seq != trace_sink.publishSeq()) {
+        timer_view.clear();
+        trace_sink.forEachTouched([&](trace::EventId id) {
+            if (trace::eventKind(id) == trace::EventKind::Timer)
+                timer_view[std::string(trace::eventName(id))] = timer(id);
+        });
+        timer_view_seq = trace_sink.publishSeq();
+    }
     return timer_view;
 }
 
@@ -346,110 +202,32 @@ Telemetry::timers() const
 void
 Telemetry::merge(const Telemetry &other)
 {
-    if (mode == Backend::Trace && other.mode == Backend::Trace) {
-        trace_sink.mergeFrom(other.trace_sink);
-        if (!other.counter_map.empty() || !other.timer_map.empty()) {
-            for (const auto &[name, value] : other.counter_map)
-                counter_map[name] += value;
-            for (const auto &[name, stat] : other.timer_map) {
-                TimerStat &t = timer_map[name];
-                t.count += stat.count;
-                t.total += stat.total;
-                if (stat.max > t.max)
-                    t.max = stat.max;
-            }
-            ++overflow_gen;
-        }
-        for (const PackedDecision &d : other.packed_log)
-            pushPacked(d, other);
-        return;
+    trace_sink.mergeFrom(other.trace_sink);
+    for (PackedDecision d : other.packed_log) {
+        d.trigger = intern(other.intern_table[d.trigger]);
+        d.policy = intern(other.intern_table[d.policy]);
+        d.plan = intern(other.intern_table[d.plan]);
+        d.mode_name = intern(other.intern_table[d.mode_name]);
+        pushPacked(d);
     }
-
-    // Mixed or legacy: bridge through the name-keyed views so either
-    // storage shape folds correctly.
-    for (const auto &[name, value] : other.counters()) {
-        trace::EventId id;
-        bool registered = trace::lookupEvent(name, id);
-        bool is_gauge = registered && trace::eventKind(id) ==
-                                          trace::EventKind::Gauge;
-        if (mode == Backend::Trace && registered &&
-            trace::eventKind(id) != trace::EventKind::Timer) {
-            if (is_gauge)
-                trace_sink.gauge(id, value);
-            else
-                trace_sink.count(id, value);
-        } else if (is_gauge) {
-            counter_map[name] = value;
-            ++overflow_gen;
-        } else {
-            counter_map[name] += value;
-            ++overflow_gen;
-        }
-    }
-    for (const auto &[name, stat] : other.timers()) {
-        trace::EventId id;
-        if (mode == Backend::Trace && trace::lookupEvent(name, id) &&
-            trace::eventKind(id) == trace::EventKind::Timer) {
-            trace_sink.addTimer(
-                id, trace::TimerAgg{stat.count, stat.total, stat.max});
-        } else {
-            TimerStat &t = timer_map[name];
-            t.count += stat.count;
-            t.total += stat.total;
-            if (stat.max > t.max)
-                t.max = stat.max;
-            ++overflow_gen;
-        }
-    }
-    for (const auto &rec : other.decisions())
-        record(rec);
 }
 
 void
 Telemetry::foldInto(trace::TraceSink &out) const
 {
-    if (mode == Backend::Trace) {
-        out.mergeFrom(trace_sink);
-        return;
-    }
-    for (const auto &[name, value] : counter_map) {
-        trace::EventId id;
-        if (!trace::lookupEvent(name, id))
-            continue;
-        switch (trace::eventKind(id)) {
-          case trace::EventKind::Counter:
-            out.count(id, value);
-            break;
-          case trace::EventKind::Gauge:
-            out.gauge(id, value);
-            break;
-          case trace::EventKind::Timer:
-            break;
-        }
-    }
-    for (const auto &[name, stat] : timer_map) {
-        trace::EventId id;
-        if (trace::lookupEvent(name, id) &&
-            trace::eventKind(id) == trace::EventKind::Timer) {
-            out.addTimer(
-                id, trace::TimerAgg{stat.count, stat.total, stat.max});
-        }
-    }
+    out.mergeFrom(trace_sink);
 }
 
 void
 Telemetry::reset()
 {
     trace_sink.reset();
-    counter_map.clear();
-    timer_map.clear();
     packed_log.clear();
     intern_table.clear();
     intern_ids.clear();
-    decision_log.clear();
+    decision_view.clear();
     counter_view.clear();
     timer_view.clear();
-    ++overflow_gen;
     ++decision_gen;
     counter_view_seq = ~0ULL;
     timer_view_seq = ~0ULL;

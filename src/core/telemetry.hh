@@ -7,28 +7,22 @@
  * allocator, coordinator, control loop and the cluster substrate —
  * publishes into one of three primitives:
  *
- *  - counters: monotonically increasing named event tallies
- *    (plan choices, accountant events, guard trips, mode transitions);
- *  - timers: named duration observations with count/total/max;
+ *  - counters: monotonically increasing event tallies (plan choices,
+ *    accountant events, guard trips, mode transitions), plus last-value
+ *    gauges;
+ *  - timers: duration observations with count/total/max;
  *  - decision records: one structured record per allocation decision
  *    (trigger, policy, selected plan, resulting coordination mode,
  *    objective, budget, latency).
  *
- * Since the binary-tracing rework the bus is a thin façade over the
- * trace core (src/trace): publishers use compile-time event ids
- * (trace::EventId) and each publish appends one fixed-size binary
- * TraceRecord to a private ring buffer — no allocation, no string
- * hashing — with aggregation folded post hoc.  The historical
- * string-keyed API is kept verbatim on top: registered names route to
- * their dense id, unregistered names (tests, ad-hoc keys) land on an
- * overflow map with the old std::map semantics.
- *
- * The string-keyed storage backend itself also survives, behind
- * Backend::Legacy — the A/B escape hatch (like the allocator's
- * denseDp): construct Telemetry(Backend::Legacy), or set
- * PSM_TELEMETRY_LEGACY=1 to flip the process default, and every
- * publish goes through the original maps.  bench_trace --check
- * asserts both backends aggregate identically.
+ * The bus is a thin façade over the trace core (src/trace): publishers
+ * name events by compile-time id (trace::EventId) and each publish
+ * appends one fixed-size binary TraceRecord to a private ring buffer —
+ * no allocation, no string hashing — with aggregation folded post hoc.
+ * Reads may still name an event by its registry string: counter(name),
+ * timer(name) and the name-ordered counters()/timers() views resolve
+ * through trace::lookupEvent(), and a name outside the registry reads
+ * as zero.
  *
  * The bus is passive and allocation-light: publishing never influences
  * control decisions, so a manager with and without telemetry attached
@@ -67,13 +61,8 @@ struct DecisionRecord
     Tick latency = 0;       ///< allocation latency (calibration+decision)
 };
 
-/** Aggregate of one named timer. */
-struct TimerStat
-{
-    std::uint64_t count = 0;
-    Tick total = 0;
-    Tick max = 0;
-};
+/** Aggregate of one timer: observation count, total and max ticks. */
+using TimerStat = trace::TimerAgg;
 
 /**
  * The bus itself.  Not thread-safe (the simulator is single-threaded;
@@ -83,115 +72,73 @@ struct TimerStat
 class Telemetry
 {
   public:
-    /** Which publish path this bus runs. */
-    enum class Backend
-    {
-        Trace,  ///< binary TraceRecords in a ring, dense aggregates
-        Legacy, ///< the original string-keyed std::map storage
-    };
-
-    /** A bus on the process-default backend (see setProcessDefault). */
-    Telemetry() : Telemetry(processDefault()) {}
-
-    explicit Telemetry(Backend backend) : mode(backend) {}
-
-    Backend backend() const { return mode; }
-
-    /**
-     * The backend new default-constructed buses use: Trace, unless
-     * PSM_TELEMETRY_LEGACY is set in the environment or a bench
-     * flipped it here (the A/B escape hatch, like denseDp).
-     */
-    static Backend processDefault();
-    static void setProcessDefault(Backend backend);
-
     // --- publishing ---------------------------------------------------
 
-    /** Bump a counter by compile-time id (the hot path). */
+    /** Bump a counter. */
     void
     count(trace::EventId id, std::uint64_t delta = 1)
     {
-        if (mode == Backend::Trace)
-            trace_sink.count(id, delta);
-        else
-            legacyCount(id, delta);
+        trace_sink.count(id, delta);
     }
 
-    /** Observe one duration by compile-time id (the hot path). */
+    /** Observe one duration. */
     void
     observe(trace::EventId id, Tick elapsed)
     {
-        if (mode == Backend::Trace)
-            trace_sink.observe(id, elapsed);
-        else
-            legacyObserve(id, elapsed);
+        trace_sink.observe(id, elapsed);
     }
 
-    /** Sample a last-value gauge by compile-time id. */
+    /** Sample a last-value gauge. */
     void
     gauge(trace::EventId id, std::uint64_t value)
     {
-        if (mode == Backend::Trace)
-            trace_sink.gauge(id, value);
-        else
-            legacyGauge(id, value);
+        trace_sink.gauge(id, value);
     }
-
-    /** Bump a named counter (registered names route to their dense
-     * id; unknown names keep the old map semantics). */
-    void count(const std::string &name, std::uint64_t delta = 1);
-
-    /** Observe one duration under a named timer. */
-    void observe(const std::string &name, Tick elapsed);
 
     /** Publish one allocation decision record. */
     void record(DecisionRecord rec);
 
     // --- reading ------------------------------------------------------
 
-    /** Read a counter (0 when never bumped). */
+    /** Read a counter (or gauge) by registry name (0 when never
+     * bumped or not a registered counter/gauge). */
     std::uint64_t counter(const std::string &name) const;
 
     /** Read a counter (or gauge) by id. */
     std::uint64_t counter(trace::EventId id) const;
 
-    /** Read a timer's aggregate (zeroes when never observed). */
+    /** Read a timer's aggregate by registry name (zeroes when never
+     * observed or not a registered timer). */
     TimerStat timer(const std::string &name) const;
 
     /** Read a timer's aggregate by id. */
     TimerStat timer(trace::EventId id) const;
 
-    /** All decision records, oldest first (bounded ring).  On the
-     * trace backend this materializes from the packed binary log; the
-     * reference stays valid until the next publish or merge. */
+    /** All decision records, oldest first (bounded ring), materialized
+     * from the packed log; the reference stays valid until the next
+     * publish or merge. */
     const std::deque<DecisionRecord> &decisions() const;
 
-    /** All counters (and gauges), name-ordered.  Same view rules as
-     * decisions(). */
+    /** Every touched counter and gauge, name-ordered.  Same view rules
+     * as decisions(). */
     const std::map<std::string, std::uint64_t> &counters() const;
 
-    /** All timers, name-ordered.  Same view rules as decisions(). */
+    /** Every touched timer, name-ordered.  Same view rules as
+     * decisions(). */
     const std::map<std::string, TimerStat> &timers() const;
 
     /**
      * Fold another bus into this one: counters and timers add up,
      * gauges keep the incoming sample, decision records append
      * (oldest dropped once past maxDecisions).  Used to aggregate
-     * per-node telemetry at cluster scope.  Trace-to-trace merges are
-     * dense O(#events) array folds; mixed-backend merges bridge
-     * through the name registry.
+     * per-node telemetry at cluster scope; a dense O(#events) array
+     * fold plus the decision append.
      */
     void merge(const Telemetry &other);
 
-    /**
-     * Fold this bus's registered aggregates into a raw trace sink
-     * (the serving layer's snapshot path).  Overflow-map names have
-     * no dense id and are skipped.
-     */
+    /** Fold this bus's aggregates into a raw trace sink (the serving
+     * layer's snapshot path). */
     void foldInto(trace::TraceSink &out) const;
-
-    /** The underlying trace sink (empty on the legacy backend). */
-    const trace::TraceSink &sink() const { return trace_sink; }
 
     /** Drop everything. */
     void reset();
@@ -226,39 +173,24 @@ class Telemetry
         std::uint32_t mode_name = 0;
     };
 
-    Backend mode;
     trace::TraceSink trace_sink;
 
-    /** Legacy storage; doubles as the unregistered-name overflow on
-     * the trace backend. */
-    std::map<std::string, std::uint64_t> counter_map;
-    std::map<std::string, TimerStat> timer_map;
-    std::uint64_t overflow_gen = 0; ///< bumped on overflow writes
-
-    /** Trace-backend decision storage: packed records + interned
-     * strings.  Legacy stores DecisionRecords directly. */
+    /** Decision storage: packed records + interned strings. */
     std::deque<PackedDecision> packed_log;
     std::vector<std::string> intern_table;
     std::map<std::string, std::uint32_t> intern_ids;
     std::uint64_t decision_gen = 0;
-    std::deque<DecisionRecord> decision_log; ///< legacy + trace view
 
-    // Materialized read views (trace backend), rebuilt when stale.
+    // Materialized read views, rebuilt when stale.
+    mutable std::deque<DecisionRecord> decision_view;
     mutable std::map<std::string, std::uint64_t> counter_view;
     mutable std::map<std::string, TimerStat> timer_view;
     mutable std::uint64_t counter_view_seq = ~0ULL;
-    mutable std::uint64_t counter_view_overflow = ~0ULL;
     mutable std::uint64_t timer_view_seq = ~0ULL;
-    mutable std::uint64_t timer_view_overflow = ~0ULL;
     mutable std::uint64_t decision_view_gen = ~0ULL;
 
     std::uint32_t intern(const std::string &s);
-    void pushPacked(const PackedDecision &d, const Telemetry &src);
-    void legacyCount(trace::EventId id, std::uint64_t delta);
-    void legacyObserve(trace::EventId id, Tick elapsed);
-    void legacyGauge(trace::EventId id, std::uint64_t value);
-    void refreshCounterView() const;
-    void refreshTimerView() const;
+    void pushPacked(const PackedDecision &d);
 };
 
 /**
@@ -270,10 +202,9 @@ class Telemetry
  * single-threaded control plane); parallel regions that want to
  * publish grab shard(i) — which no other index touches — and the
  * deterministic merge order keeps aggregated decision logs stable
- * across worker counts.  On the trace backend each shard is a ring
- * of binary records and mergeInto() is a dense array fold per shard,
- * so the merge cost no longer grows with the number of distinct
- * names.
+ * across worker counts.  Each shard is a ring of binary records and
+ * mergeInto() is a dense array fold per shard, so the merge cost does
+ * not grow with the number of distinct names.
  */
 class TelemetryShards
 {

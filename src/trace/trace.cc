@@ -111,21 +111,6 @@ TraceSink::touched(EventId id) const
 }
 
 void
-TraceSink::addTimer(EventId id, const TimerAgg &agg)
-{
-    if (agg.count == 0)
-        return;
-    fold();
-    auto ix = static_cast<std::size_t>(id);
-    touched_flags[ix] = 1;
-    TimerAgg &t = timer_agg[ix];
-    t.count += agg.count;
-    t.total += agg.total;
-    t.max = std::max(t.max, agg.max);
-    ++seq_counter;
-}
-
-void
 TraceSink::mergeFrom(const TraceSink &other)
 {
     if (other.empty())

@@ -3,19 +3,17 @@
  * The trace core: compile-time event ids, fixed-size binary trace
  * records and per-shard ring-buffer sinks with a post-hoc merge.
  *
- * This layer replaces the string-keyed hot path of the Telemetry bus.
- * Publishing appends one 16-byte TraceRecord to a private ring — no
- * allocation, no string hashing, no map walk — and aggregation
- * happens post hoc: the ring is folded into dense per-event arrays
- * when it fills, when a value is read, or when sinks merge.  Merging
- * two sinks is an O(#events) array add instead of an O(n log n)
- * string-map fold, which is what keeps per-node shard merges flat as
- * the cluster layer scales toward thousands of nodes.
+ * This layer is the storage behind the Telemetry bus.  Publishing
+ * appends one 16-byte TraceRecord to a private ring — no allocation,
+ * no string hashing, no map walk — and aggregation happens post hoc:
+ * the ring is folded into dense per-event arrays when it fills, when
+ * a value is read, or when sinks merge.  Merging two sinks is an
+ * O(#events) array add, which is what keeps per-node shard merges
+ * flat as the cluster layer scales toward thousands of nodes.
  *
  * The event registry lives in events.def (X-macro): one dense id per
- * name the control plane publishes.  The legacy string API resolves
- * names to ids through lookupEvent(); unknown names stay on the
- * façade's overflow map, so arbitrary test keys keep working.
+ * name the control plane publishes.  Readers that name an event by
+ * string resolve it to its id through lookupEvent().
  *
  * The sink is intentionally single-writer (one shard per thread or
  * per work index, exactly like the TelemetryShards discipline); the
@@ -60,14 +58,14 @@ inline constexpr std::size_t kEventCount = []() {
     return n;
 }();
 
-/** The registry name of an event (the legacy bus string key). */
+/** The registry name of an event. */
 std::string_view eventName(EventId id);
 
 /** The aggregate kind of an event. */
 EventKind eventKind(EventId id);
 
 /**
- * Resolve a legacy string key to its dense id.
+ * Resolve a registry name to its dense id.
  * @return true and sets @p out when the name is registered.
  */
 bool lookupEvent(std::string_view name, EventId &out);
@@ -144,7 +142,7 @@ class TraceSink
     TimerAgg timerValue(EventId id) const;
 
     /** True once @p id was published at least once (even with a zero
-     * delta — mirrors the legacy map's "key exists" semantics). */
+     * delta). */
     bool touched(EventId id) const;
 
     /** True when nothing was ever published. */
@@ -153,13 +151,6 @@ class TraceSink
     /** Total records published into this sink (monotonic; reads of
      * this double as a cheap change-detection generation). */
     std::uint64_t publishSeq() const { return seq_counter; }
-
-    /**
-     * Fold a pre-aggregated timer into this sink (the legacy-bus
-     * bridge: a string-keyed TimerStat has no record stream to
-     * replay, only its aggregate).
-     */
-    void addTimer(EventId id, const TimerAgg &agg);
 
     /**
      * Post-hoc merge: fold @p other's aggregates into this sink.

@@ -172,34 +172,6 @@ ThreadPool::parallelFor(std::size_t n,
     });
 }
 
-void
-ThreadPool::invoke(const std::function<void()> &a,
-                   const std::function<void()> &b)
-{
-    if (n_width <= 1 || in_pool_task) {
-        a();
-        b();
-        return;
-    }
-    Batch batch;
-    batch.pending = 1;
-    {
-        std::lock_guard lk(mtx);
-        queue.push_back([&a, &batch] {
-            a();
-            // Same destroy-race guard as parallelForRange: notify
-            // under the lock.
-            std::lock_guard g(batch.mtx);
-            --batch.pending;
-            batch.done.notify_one();
-        });
-        n_queued.fetch_add(1, std::memory_order_relaxed);
-    }
-    cv_work.notify_one();
-    b();
-    helpWhilePending(batch);
-}
-
 namespace
 {
 std::unique_ptr<ThreadPool> global_pool;

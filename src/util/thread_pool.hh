@@ -2,23 +2,24 @@
  * @file
  * A fixed-size worker pool for the performance layer.
  *
- * The simulator's hot paths — stepping N independent cluster nodes
- * through an interval, solving the per-row/per-column ridge systems
- * of an ALS sweep — are embarrassingly parallel: every unit of work
- * writes disjoint state.  The pool exploits that without giving up
- * reproducibility: parallelFor() partitions an index range and each
- * index writes only its own slice, so results are bit-identical to a
- * serial run regardless of worker count or scheduling.
+ * The simulator's hot path — stepping N independent cluster nodes
+ * through an interval, and building them — is embarrassingly
+ * parallel: every node writes disjoint state.  The pool exploits that
+ * without giving up reproducibility: parallelFor() partitions an
+ * index range and each index writes only its own slice, so results
+ * are bit-identical to a serial run regardless of worker count or
+ * scheduling.
  *
  * Sizing: the process-wide pool (global()) reads PSM_THREADS, falling
  * back to std::thread::hardware_concurrency().  With one worker every
  * entry point runs inline on the caller — the serial baseline — so
  * PSM_THREADS=1 recovers the pre-pool execution exactly.
  *
- * Nesting: a parallelFor() issued from inside a pool task runs inline
- * on that worker.  This keeps nested parallel regions (a cluster step
- * whose per-node control plane fits an ALS model) deadlock-free and
- * bounds total concurrency at the pool width.
+ * Nesting: a parallelFor() issued from inside a task that a worker
+ * (or a helping caller) dequeued runs inline on that thread, which
+ * keeps nested regions deadlock-free and bounds total concurrency at
+ * the pool width.  The caller's own first chunk is not such a task:
+ * a region nested in it is queued like a top-level one.
  */
 
 #ifndef PSM_UTIL_THREAD_POOL_HH
@@ -37,10 +38,10 @@ namespace psm::util
 {
 
 /**
- * Fixed-width pool with a shared task queue.  The caller of every
- * blocking entry point (parallelFor, invoke) participates in draining
- * the queue, so a pool of width W applies W threads of compute: W-1
- * workers plus the caller.
+ * Fixed-width pool with a shared task queue.  The caller of a
+ * blocking entry point (parallelFor, parallelForRange) participates
+ * in draining the queue, so a pool of width W applies W threads of
+ * compute: W-1 workers plus the caller.
  */
 class ThreadPool
 {
@@ -76,10 +77,6 @@ class ThreadPool
     void parallelForRange(
         std::size_t n,
         const std::function<void(std::size_t, std::size_t)> &body);
-
-    /** Run two independent tasks concurrently; returns when both did. */
-    void invoke(const std::function<void()> &a,
-                const std::function<void()> &b);
 
     // --- Backlog gauges (lock-free reads) ----------------------------
     //

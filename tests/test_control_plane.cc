@@ -36,20 +36,21 @@ using power::defaultPlatform;
 TEST(Telemetry, CountersAccumulate)
 {
     Telemetry tel;
-    EXPECT_EQ(tel.counter("x"), 0u);
-    tel.count("x");
-    tel.count("x", 4);
-    EXPECT_EQ(tel.counter("x"), 5u);
+    EXPECT_EQ(tel.counter("control.polls"), 0u);
+    tel.count(trace::EventId::ControlPolls);
+    tel.count(trace::EventId::ControlPolls, 4);
+    EXPECT_EQ(tel.counter("control.polls"), 5u);
+    EXPECT_EQ(tel.counter(trace::EventId::ControlPolls), 5u);
     EXPECT_EQ(tel.counter("never"), 0u);
 }
 
 TEST(Telemetry, TimersTrackCountTotalMax)
 {
     Telemetry tel;
-    tel.observe("t", 10);
-    tel.observe("t", 30);
-    tel.observe("t", 20);
-    TimerStat t = tel.timer("t");
+    tel.observe(trace::EventId::ManagerReallocate, 10);
+    tel.observe(trace::EventId::ManagerReallocate, 30);
+    tel.observe(trace::EventId::ManagerReallocate, 20);
+    TimerStat t = tel.timer("manager.reallocate");
     EXPECT_EQ(t.count, 3u);
     EXPECT_EQ(t.total, 60);
     EXPECT_EQ(t.max, 30);
@@ -59,37 +60,37 @@ TEST(Telemetry, TimersTrackCountTotalMax)
 TEST(Telemetry, MergeFoldsCountersTimersAndDecisions)
 {
     Telemetry a;
-    a.count("c", 2);
-    a.observe("t", 10);
+    a.count(trace::EventId::ControlPolls, 2);
+    a.observe(trace::EventId::ManagerReallocate, 10);
     DecisionRecord rec;
     rec.plan = "idle";
     a.record(rec);
 
     Telemetry b;
-    b.count("c", 3);
-    b.count("only-b");
-    b.observe("t", 25);
+    b.count(trace::EventId::ControlPolls, 3);
+    b.count(trace::EventId::ControlTrimReplans);
+    b.observe(trace::EventId::ManagerReallocate, 25);
     rec.plan = "spatial-utility";
     b.record(rec);
 
     a.merge(b);
-    EXPECT_EQ(a.counter("c"), 5u);
-    EXPECT_EQ(a.counter("only-b"), 1u);
-    EXPECT_EQ(a.timer("t").count, 2u);
-    EXPECT_EQ(a.timer("t").max, 25);
+    EXPECT_EQ(a.counter("control.polls"), 5u);
+    EXPECT_EQ(a.counter("control.trim_replans"), 1u);
+    EXPECT_EQ(a.timer("manager.reallocate").count, 2u);
+    EXPECT_EQ(a.timer("manager.reallocate").max, 25);
     ASSERT_EQ(a.decisions().size(), 2u);
     EXPECT_EQ(a.decisions()[1].plan, "spatial-utility");
 
     a.reset();
-    EXPECT_EQ(a.counter("c"), 0u);
+    EXPECT_EQ(a.counter("control.polls"), 0u);
     EXPECT_TRUE(a.decisions().empty());
 }
 
 TEST(Telemetry, DumpsContainTheirContent)
 {
     Telemetry tel;
-    tel.count("decisions.total", 7);
-    tel.observe("alloc", toTicks(0.5));
+    tel.count(trace::EventId::ManagerReallocations, 7);
+    tel.observe(trace::EventId::AllocatorSpatial, toTicks(0.5));
     DecisionRecord rec;
     rec.trigger = "E1-cap-change";
     rec.plan = "fair-rapl-space";
@@ -97,13 +98,15 @@ TEST(Telemetry, DumpsContainTheirContent)
 
     std::ostringstream text;
     tel.dumpText(text);
-    EXPECT_NE(text.str().find("decisions.total = 7"),
+    EXPECT_NE(text.str().find("manager.reallocations = 7"),
+              std::string::npos);
+    EXPECT_NE(text.str().find("allocator.spatial: count=1"),
               std::string::npos);
     EXPECT_NE(text.str().find("fair-rapl-space"), std::string::npos);
 
     std::ostringstream json;
     tel.dumpJson(json);
-    EXPECT_NE(json.str().find("\"decisions.total\":7"),
+    EXPECT_NE(json.str().find("\"manager.reallocations\":7"),
               std::string::npos);
     EXPECT_NE(json.str().find("\"trigger\":\"E1-cap-change\""),
               std::string::npos);

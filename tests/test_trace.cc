@@ -2,18 +2,20 @@
  * @file
  * Tests for the binary trace core and the Telemetry façade riding on
  * it: the event registry, TraceSink fold/merge semantics, the binary
- * record-log container, façade routing (registered names onto dense
- * ids, unknown names onto the overflow map), the decision-ring bound
- * across merges, JSON escaping/non-finite hygiene, and trace/legacy
- * aggregate equivalence under TelemetryShards-style parallel publish.
+ * record-log container, reads by registry name, the decision-ring
+ * bound across merges, JSON escaping/non-finite hygiene, and
+ * TelemetryShards-style parallel publish against a reference fold of
+ * the published stream.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <limits>
+#include <map>
 #include <sstream>
 #include <string>
 
@@ -141,54 +143,30 @@ TEST(TraceLog, ContainerRoundTripAndCorruption)
     std::remove(path.c_str());
 }
 
-// --- Façade routing ------------------------------------------------
+// --- Reads by name --------------------------------------------------
 
 TEST(TelemetryTrace, StringNamesRouteToDenseSlots)
 {
-    Telemetry tel(Telemetry::Backend::Trace);
-    tel.count("control.polls", 3);
+    Telemetry tel;
+    tel.count(trace::EventId::ControlPolls, 3);
     tel.count(trace::EventId::ControlPolls, 2);
     EXPECT_EQ(tel.counter("control.polls"), 5u);
     EXPECT_EQ(tel.counter(trace::EventId::ControlPolls), 5u);
 
-    tel.observe("manager.reallocate", 7);
+    tel.observe(trace::EventId::ManagerReallocate, 7);
     tel.observe(trace::EventId::ManagerReallocate, 3);
     TimerStat t = tel.timer("manager.reallocate");
     EXPECT_EQ(t.count, 2u);
     EXPECT_EQ(t.total, 10u);
     EXPECT_EQ(t.max, 7u);
 
-    // Registered names must not leak into the overflow map: the view
-    // carries exactly one entry for the routed key.
+    // A registered name of the other kind reads as zero.
+    EXPECT_EQ(tel.counter("manager.reallocate"), 0u);
+    EXPECT_EQ(tel.timer("control.polls").count, 0u);
+
+    // The name-ordered view carries exactly one entry for the key.
     EXPECT_EQ(tel.counters().count("control.polls"), 1u);
     EXPECT_EQ(tel.counters().at("control.polls"), 5u);
-}
-
-TEST(TelemetryTrace, UnregisteredNamesKeepMapSemantics)
-{
-    Telemetry tel(Telemetry::Backend::Trace);
-    tel.count("x");
-    tel.count("x", 4);
-    tel.observe("custom.duration", 9);
-    EXPECT_EQ(tel.counter("x"), 5u);
-    EXPECT_EQ(tel.timer("custom.duration").max, 9u);
-    EXPECT_EQ(tel.counter("never.bumped"), 0u);
-    // Mixed views: overflow and registered names in one name-ordered
-    // map.
-    tel.count(trace::EventId::ControlPolls);
-    const auto &counters = tel.counters();
-    EXPECT_EQ(counters.size(), 2u);
-    EXPECT_EQ(counters.begin()->first, "control.polls");
-}
-
-TEST(TelemetryTrace, BackendDefaultFlips)
-{
-    Telemetry::Backend saved = Telemetry::processDefault();
-    Telemetry::setProcessDefault(Telemetry::Backend::Legacy);
-    EXPECT_EQ(Telemetry().backend(), Telemetry::Backend::Legacy);
-    Telemetry::setProcessDefault(Telemetry::Backend::Trace);
-    EXPECT_EQ(Telemetry().backend(), Telemetry::Backend::Trace);
-    Telemetry::setProcessDefault(saved);
 }
 
 // --- Decision ring bound across merge ------------------------------
@@ -207,8 +185,8 @@ TEST(TelemetryTrace, DecisionRingBoundHeldAcrossMerge)
         }
     };
     const std::size_t n = Telemetry::maxDecisions - 1000;
-    Telemetry a(Telemetry::Backend::Trace);
-    Telemetry b(Telemetry::Backend::Trace);
+    Telemetry a;
+    Telemetry b;
     fill(a, 0, n);
     fill(b, 1u << 20, n);
     ASSERT_EQ(a.decisions().size(), n);
@@ -229,7 +207,7 @@ TEST(TelemetryTrace, DecisionRingBoundHeldAcrossMerge)
 
 TEST(TelemetryTrace, JsonEscapesControlCharacters)
 {
-    Telemetry tel(Telemetry::Backend::Trace);
+    Telemetry tel;
     DecisionRecord rec;
     rec.trigger = std::string("a\"b\\c\nd\te\rf\x01g\bh\ff");
     rec.policy = "p";
@@ -250,110 +228,122 @@ TEST(TelemetryTrace, JsonEscapesControlCharacters)
 
 TEST(TelemetryTrace, JsonNonFiniteNumbersAreNull)
 {
-    for (auto backend :
-         {Telemetry::Backend::Trace, Telemetry::Backend::Legacy}) {
-        Telemetry tel(backend);
-        DecisionRecord rec;
-        rec.trigger = "t";
-        rec.policy = "p";
-        rec.plan = "q";
-        rec.mode = "m";
-        rec.objective = std::numeric_limits<double>::quiet_NaN();
-        rec.budget = std::numeric_limits<double>::infinity();
-        tel.record(rec);
+    Telemetry tel;
+    DecisionRecord rec;
+    rec.trigger = "t";
+    rec.policy = "p";
+    rec.plan = "q";
+    rec.mode = "m";
+    rec.objective = std::numeric_limits<double>::quiet_NaN();
+    rec.budget = std::numeric_limits<double>::infinity();
+    tel.record(rec);
 
-        std::ostringstream os;
-        tel.dumpJson(os);
-        std::string json = os.str();
-        EXPECT_NE(json.find("\"objective\":null"), std::string::npos)
-            << json;
-        EXPECT_NE(json.find("\"budget_w\":null"), std::string::npos)
-            << json;
-        EXPECT_EQ(json.find("nan"), std::string::npos) << json;
-        EXPECT_EQ(json.find("inf"), std::string::npos) << json;
+    std::ostringstream os;
+    tel.dumpJson(os);
+    std::string json = os.str();
+    EXPECT_NE(json.find("\"objective\":null"), std::string::npos) << json;
+    EXPECT_NE(json.find("\"budget_w\":null"), std::string::npos) << json;
+    EXPECT_EQ(json.find("nan"), std::string::npos) << json;
+    EXPECT_EQ(json.find("inf"), std::string::npos) << json;
+}
+
+// --- Parallel publish against a reference fold ----------------------
+
+constexpr std::size_t kShards = 8;
+
+/** Shard @p s's publish stream, handed to @p count / @p observe one
+ * publish at a time. */
+template <typename Count, typename Observe>
+void
+shardStream(std::size_t s, Count &&count, Observe &&observe)
+{
+    for (std::size_t i = 0; i < 200; ++i) {
+        count(trace::EventId::ControlPolls, 1);
+        count(trace::EventId::AllocatorAllocate, s + 1);
+        observe(trace::EventId::ManagerReallocate,
+                static_cast<Tick>((s * 7 + i) % 11));
+        observe(trace::EventId::AllocatorSpatial,
+                static_cast<Tick>(i % 5 + s));
+        count(trace::EventId::SelectorIdle, i % 3);
     }
 }
 
-// --- Trace/legacy equivalence under parallel publish ---------------
-
-void
-publishShardMix(TelemetryShards &shards)
+/** Publish every shard's stream in parallel, plus one decision record
+ * per shard, and merge the shards in index order. */
+Telemetry
+publishSharded(unsigned width)
 {
+    util::ThreadPool::configureGlobal(width);
+    TelemetryShards shards(kShards);
     util::ThreadPool::global().parallelFor(
         shards.size(), [&](std::size_t s) {
             Telemetry &bus = shards.shard(s);
-            for (std::size_t i = 0; i < 200; ++i) {
-                bus.count(trace::EventId::ControlPolls);
-                bus.count("allocator.allocate", s + 1);
-                bus.observe(trace::EventId::ManagerReallocate,
-                            static_cast<Tick>((s * 7 + i) % 11));
-                bus.observe("custom.timer",
-                            static_cast<Tick>(i % 5 + s));
-                bus.count("custom.key", 2);
-            }
+            shardStream(
+                s,
+                [&](trace::EventId id, std::uint64_t d) {
+                    bus.count(id, d);
+                },
+                [&](trace::EventId id, Tick t) { bus.observe(id, t); });
             DecisionRecord rec;
             rec.when = static_cast<Tick>(s);
-            rec.trigger = "shard";
+            rec.trigger = "shard-" + std::to_string(s);
             rec.policy = "p";
             rec.plan = "q";
             rec.mode = "m";
             bus.record(rec);
         });
+    util::ThreadPool::configureGlobal(0);
+    Telemetry merged;
+    shards.mergeInto(merged);
+    return merged;
 }
 
 TEST(TelemetryTrace, TraceAndLegacyAggregateIdentically)
 {
-    Telemetry::Backend saved = Telemetry::processDefault();
-
-    Telemetry::setProcessDefault(Telemetry::Backend::Trace);
-    TelemetryShards trace_shards(8);
-    publishShardMix(trace_shards);
-    Telemetry trace_bus(Telemetry::Backend::Trace);
-    trace_shards.mergeInto(trace_bus);
-
-    Telemetry::setProcessDefault(Telemetry::Backend::Legacy);
-    TelemetryShards legacy_shards(8);
-    publishShardMix(legacy_shards);
-    Telemetry legacy_bus(Telemetry::Backend::Legacy);
-    legacy_shards.mergeInto(legacy_bus);
-
-    Telemetry::setProcessDefault(saved);
-
-    // Counter views must be identical maps.
-    EXPECT_EQ(trace_bus.counters(), legacy_bus.counters());
-
-    // Timer views: same keys, same aggregates.
-    const auto &tt = trace_bus.timers();
-    const auto &lt = legacy_bus.timers();
-    ASSERT_EQ(tt.size(), lt.size());
-    for (const auto &[name, stat] : tt) {
-        auto it = lt.find(name);
-        ASSERT_NE(it, lt.end()) << name;
-        EXPECT_EQ(stat.count, it->second.count) << name;
-        EXPECT_EQ(stat.total, it->second.total) << name;
-        EXPECT_EQ(stat.max, it->second.max) << name;
+    // Reference: the plain name-keyed map fold of the same stream,
+    // computed serially — per-event sums, and count/total/max per
+    // timer.
+    std::map<std::string, std::uint64_t> want_counters;
+    std::map<std::string, TimerStat> want_timers;
+    for (std::size_t s = 0; s < kShards; ++s) {
+        shardStream(
+            s,
+            [&](trace::EventId id, std::uint64_t d) {
+                want_counters[std::string(trace::eventName(id))] += d;
+            },
+            [&](trace::EventId id, Tick t) {
+                TimerStat &w =
+                    want_timers[std::string(trace::eventName(id))];
+                ++w.count;
+                w.total += t;
+                w.max = std::max(w.max, t);
+            });
     }
 
-    // Decision logs: same order (shard-index merge order), same
-    // content.
-    const auto &td = trace_bus.decisions();
-    const auto &ld = legacy_bus.decisions();
-    ASSERT_EQ(td.size(), ld.size());
-    ASSERT_EQ(td.size(), 8u);
-    for (std::size_t i = 0; i < td.size(); ++i) {
-        EXPECT_EQ(td[i].when, ld[i].when);
-        EXPECT_EQ(td[i].trigger, ld[i].trigger);
-    }
+    for (unsigned width : {1u, 4u}) {
+        SCOPED_TRACE("pool width " + std::to_string(width));
+        Telemetry bus = publishSharded(width);
 
-    // Cross-backend merge bridges through the name registry: folding
-    // the legacy bus into the trace bus doubles every aggregate.
-    Telemetry combined(Telemetry::Backend::Trace);
-    combined.merge(trace_bus);
-    combined.merge(legacy_bus);
-    EXPECT_EQ(combined.counter("control.polls"),
-              2 * trace_bus.counter("control.polls"));
-    EXPECT_EQ(combined.timer("manager.reallocate").count,
-              2 * trace_bus.timer("manager.reallocate").count);
+        EXPECT_EQ(bus.counters(), want_counters);
+
+        const auto &timers = bus.timers();
+        ASSERT_EQ(timers.size(), want_timers.size());
+        for (const auto &[name, want] : want_timers) {
+            ASSERT_EQ(timers.count(name), 1u) << name;
+            const TimerStat &got = timers.at(name);
+            EXPECT_EQ(got.count, want.count) << name;
+            EXPECT_EQ(got.total, want.total) << name;
+            EXPECT_EQ(got.max, want.max) << name;
+        }
+
+        // Decision logs append in shard-index merge order.
+        const auto &log = bus.decisions();
+        ASSERT_EQ(log.size(), kShards);
+        for (std::size_t s = 0; s < kShards; ++s) {
+            EXPECT_EQ(log[s].when, static_cast<Tick>(s));
+            EXPECT_EQ(log[s].trigger, "shard-" + std::to_string(s));
+        }
+    }
 }
 
 } // namespace
