@@ -63,14 +63,6 @@ LearningPipeline::rebuildServerAverageCurve()
 void
 LearningPipeline::track(int id, const std::string &name)
 {
-    // A re-arrival reuses the name of a departed app whose frontier
-    // may still sit in downstream caches (the cache can keep serving
-    // a departed sequence by recombination) — and the newcomer's
-    // surface can differ while matching on name.  Bump the epoch so
-    // those entries cannot be mistaken for the new app; first-time
-    // names leave it alone so the arrival extends caches in place.
-    if (!tracked_names.insert(name).second)
-        ++surface_epoch;
     AppLearning a;
     a.name = name;
     apps.emplace(id, std::move(a));
@@ -96,11 +88,6 @@ LearningPipeline::startCalibration(int id)
     psm_assert(it != apps.end());
     AppLearning &a = it->second;
     a.calibration_started = srv.now();
-    // Recalibration replaces a live surface, so curves derived from it
-    // go stale the moment we start; first-time calibrations only add a
-    // curve, which downstream caches absorb incrementally.
-    if (a.surface.has_value())
-        ++surface_epoch;
     if (tel)
         tel->count(trace::EventId::LearningCalibrationsStarted);
 
@@ -126,6 +113,7 @@ LearningPipeline::startCalibration(int id)
         }
         a.surface = cf::UtilityEstimator::surfaceFromRows(power_row,
                                                           hb_row);
+        ++surface_epoch;
         a.calibration_ready = maxTick;
         last_latency = 0;
         if (tel)
@@ -167,6 +155,7 @@ LearningPipeline::finishCalibration(int id)
     cf::FitOutcome outcome;
     a.surface = estimator.estimate(samples, &fit_states[a.name],
                                    &outcome);
+    ++surface_epoch;
     a.calibration_ready = maxTick;
     a.pending_cols.clear();
     last_latency = srv.now() - a.calibration_started;

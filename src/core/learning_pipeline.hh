@@ -23,7 +23,6 @@
 #include <cstdint>
 #include <map>
 #include <optional>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -135,13 +134,14 @@ class LearningPipeline
     Tick lastCalibrationLatency() const { return last_latency; }
 
     /**
-     * Monotonic epoch of the utility surfaces: bumped whenever a
-     * calibration starts replacing an application's live surface, so
-     * downstream caches keyed on curve contents (the allocator's DP
-     * tables) know their frontiers may be stale.  First-time
-     * calibrations do not bump it — a brand-new surface only extends
-     * the curve set, which the caches handle incrementally.  Starts
-     * at 1 (0 is the "no epoch discipline" sentinel).
+     * Monotonic epoch of the utility surfaces: bumped once on every
+     * surface install (an oracle calibration, or an online one
+     * finishing), so downstream caches keyed on curve contents (the
+     * allocator's last-solve memo) know their frontiers may be stale.
+     * Departures need no bump — those caches also key on names — and
+     * a same-name re-arrival cannot reach the curve set before its own
+     * install bumps.  Starts at 1 (0 is the "no epoch discipline"
+     * sentinel).
      */
     std::uint64_t surfaceEpoch() const { return surface_epoch; }
 
@@ -184,8 +184,6 @@ class LearningPipeline
     std::map<int, AppLearning> apps;
     Tick last_latency = 0;
     std::uint64_t surface_epoch = 1;
-    /** Names ever tracked, to detect same-name re-arrivals. */
-    std::set<std::string> tracked_names;
 
     void finishCalibration(int id);
     void rebuildServerAverageCurve();

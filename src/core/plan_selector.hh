@@ -81,9 +81,9 @@ struct PlanInputs
     /** Corpus-average curve (Server+Res-Aware baseline). */
     const UtilityCurve *serverAverage = nullptr;
     /**
-     * LearningPipeline::surfaceEpoch() of the curves, keying the
-     * selector's incremental allocator cache.  0 (the default)
-     * disables cross-event reuse.
+     * LearningPipeline::surfaceEpoch() of the curves (bumped on every
+     * surface install), keying the selector's last-solve allocator
+     * cache.  0 (the default) disables cross-event reuse.
      */
     std::uint64_t surfaceEpoch = 0;
 };
@@ -112,9 +112,9 @@ struct PlanDecision
 
 /**
  * Decision layer; one per manager.  Pure with respect to the server —
- * its only state is the allocator's cross-event DP cache, which is a
- * transparent accelerator (allocations are bit-identical with or
- * without it).
+ * its only state is the allocator's last-solve cache, which walks the
+ * same choice tables an uncached solve would fold, so allocations are
+ * bit-identical with or without it by construction.
  */
 class PlanSelector
 {
@@ -130,7 +130,7 @@ class PlanSelector
     const power::PlatformConfig &plat;
     AllocatorConfig alloc_cfg;
     Telemetry *tel;
-    /** Cross-event DP reuse for the spatial allocation, keyed on
+    /** The spatial allocation's last solve, keyed on
      * PlanInputs::surfaceEpoch. */
     mutable AllocatorCache dp_cache;
     /** Registry-made planners of policies that replace the built-in

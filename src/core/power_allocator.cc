@@ -12,44 +12,6 @@ namespace psm::core
 namespace
 {
 
-using Cands = std::vector<std::pair<std::size_t, double>>;
-
-/**
- * One DP fold: next[b] = max over candidates (x, v), x <= b, of
- * dp[b - x] + v, recording the smallest maximizing x.
- *
- * Exactly equivalent to the dense scan over every x in [0, b]: the
- * dense table's value is constant between thresholds while dp is
- * non-decreasing, so any non-threshold x is dominated by the start of
- * its step — which is also smaller, so the dense scan's first
- * maximizer is always a threshold and the ascending strict-> scan
- * below picks the very same one.
- */
-void
-frontierFold(const Cands &cands, const std::vector<double> &dp,
-             std::vector<double> &next,
-             std::vector<std::size_t> &choice)
-{
-    std::size_t buckets = dp.size() - 1;
-    next.resize(buckets + 1);
-    choice.resize(buckets + 1);
-    for (std::size_t b = 0; b <= buckets; ++b) {
-        double best = -1.0;
-        std::size_t best_x = 0;
-        for (const auto &[x, v] : cands) {
-            if (x > b)
-                break;
-            double cand = dp[b - x] + v;
-            if (cand > best) {
-                best = cand;
-                best_x = x;
-            }
-        }
-        next[b] = best;
-        choice[b] = best_x;
-    }
-}
-
 double
 wallSeconds(const std::chrono::steady_clock::time_point &t0)
 {
@@ -100,8 +62,19 @@ PowerAllocator::reservePlan(
         }
     }
     Watts headroom = dynamic_budget - rp.total;
+
+    // Past sum_i (ceil((max_i - reserve_i) / g) + 1) buckets every app
+    // affords its top frontier point, so the walk-back takes the same
+    // choices from any wider count.  Capping there keeps a huge (or
+    // infinite) budget from sizing the DP tables.
+    double top = 0.0;
+    for (std::size_t i = 0; i < k; ++i) {
+        top += std::ceil((curves[i]->maxPower() - rp.reserve[i]) /
+                         cfg.granularity) +
+               1.0;
+    }
     rp.buckets = static_cast<std::size_t>(
-        std::floor(headroom / cfg.granularity));
+        std::min(std::floor(headroom / cfg.granularity), top));
     return rp;
 }
 
@@ -124,79 +97,109 @@ PowerAllocator::allocate(const std::vector<const UtilityCurve *> &curves,
         tel->count(trace::EventId::AllocatorAllocate);
 
     ReservePlan rp = reservePlan(curves, dynamic_budget);
-    Allocation alloc = !cache || epoch == 0 || cfg.denseDp
-                           ? solveDirect(curves, dynamic_budget, rp)
-                           : solveCached(curves, dynamic_budget, rp,
-                                         *cache, epoch);
+    std::vector<Watts> granted;
+    if (!cache || epoch == 0) {
+        granted = walkBack(fold(curves, rp, rp.buckets), rp);
+    } else {
+        AllocatorCache &c = *cache;
+        bool hit = c.valid && c.epoch == epoch &&
+                   c.granularity == cfg.granularity &&
+                   c.reserveApplied == rp.applied &&
+                   rp.buckets <= c.width &&
+                   c.apps.size() == curves.size();
+        for (std::size_t i = 0; hit && i < curves.size(); ++i) {
+            hit = c.apps[i].first == curves[i]->name() &&
+                  c.apps[i].second == rp.reserve[i];
+        }
+        if (!hit) {
+            // Pad the width by the largest reserve minimum so small
+            // cap raises still land inside the tables.
+            std::size_t pad = 0;
+            c.apps.clear();
+            for (std::size_t i = 0; i < curves.size(); ++i) {
+                Watts r = rp.reserve[i];
+                if (r > 0.0) {
+                    pad = std::max(
+                        pad, static_cast<std::size_t>(
+                                 std::ceil(r / cfg.granularity)) + 1);
+                }
+                c.apps.emplace_back(curves[i]->name(), r);
+            }
+            c.valid = true;
+            c.epoch = epoch;
+            c.granularity = cfg.granularity;
+            c.reserveApplied = rp.applied;
+            c.width = rp.buckets + pad;
+            c.choice = fold(curves, rp, c.width);
+        }
+        if (tel) {
+            tel->count(hit ? trace::EventId::AllocatorDpFullHits
+                           : trace::EventId::AllocatorDpRebuilds);
+        }
+        granted = walkBack(c.choice, rp);
+    }
+    Allocation alloc = buildAllocation(curves, granted, dynamic_budget);
     if (tel)
         tel->observe(trace::EventId::AllocatorSpatial, toTicks(wallSeconds(t0)));
     return alloc;
 }
 
-Allocation
-PowerAllocator::solveDirect(
-    const std::vector<const UtilityCurve *> &curves,
-    Watts dynamic_budget, const ReservePlan &rp) const
+PowerAllocator::ChoiceTables
+PowerAllocator::fold(const std::vector<const UtilityCurve *> &curves,
+                     const ReservePlan &rp, std::size_t width) const
 {
+    // dp[b] is the best objective of the apps folded so far within b
+    // buckets; app i's pass sets next[b] = max over its candidates
+    // (x, v), x <= b, of dp[b - x] + v, recording the smallest
+    // maximizing x.  perfAt() only changes value at the thresholds
+    // where a frontier point first becomes affordable, so the inner
+    // max needs P candidates, not B buckets.  This equals a dense
+    // scan over every x in [0, b] bit for bit: between thresholds
+    // the app's value is constant while dp is non-decreasing, so any
+    // other x is dominated by the start of its step — which is also
+    // smaller, so the dense scan's first maximizer is a threshold and
+    // the ascending strict-> scan below picks the very same one.
     std::size_t k = curves.size();
-    std::size_t buckets = rp.buckets;
-
-    std::vector<double> dp(buckets + 1, 0.0);
-    std::vector<std::vector<std::size_t>> choice(
-        k, std::vector<std::size_t>(buckets + 1, 0));
-    if (cfg.denseDp) {
-        // Dense baseline: per-bucket perf tables and an O(B²) scan
-        // per app.  Kept verbatim as the exact-equivalence reference
-        // for the frontier transition.
-        std::vector<std::vector<double>> perf(k);
-        for (std::size_t i = 0; i < k; ++i) {
-            perf[i].resize(buckets + 1);
-            for (std::size_t b = 0; b <= buckets; ++b) {
-                perf[i][b] = curves[i]->perfAt(
-                    rp.reserve[i] +
-                    static_cast<double>(b) * cfg.granularity);
-            }
-        }
-        for (std::size_t i = 0; i < k; ++i) {
-            std::vector<double> next(buckets + 1, 0.0);
-            for (std::size_t b = 0; b <= buckets; ++b) {
-                double best = -1.0;
-                std::size_t best_x = 0;
-                for (std::size_t x = 0; x <= b; ++x) {
-                    double v = dp[b - x] + perf[i][x];
-                    if (v > best) {
-                        best = v;
-                        best_x = x;
-                    }
+    ChoiceTables choice(k, std::vector<std::size_t>(width + 1, 0));
+    std::vector<double> dp(width + 1, 0.0);
+    std::vector<double> next(width + 1, 0.0);
+    for (std::size_t i = 0; i < k; ++i) {
+        auto cands = curves[i]->bucketCandidates(
+            rp.reserve[i], cfg.granularity, width);
+        for (std::size_t b = 0; b <= width; ++b) {
+            double best = -1.0;
+            std::size_t best_x = 0;
+            for (const auto &[x, v] : cands) {
+                if (x > b)
+                    break;
+                double cand = dp[b - x] + v;
+                if (cand > best) {
+                    best = cand;
+                    best_x = x;
                 }
-                next[b] = best;
-                choice[i][b] = best_x;
             }
-            dp = std::move(next);
+            next[b] = best;
+            choice[i][b] = best_x;
         }
-    } else {
-        // Frontier transition: only the thresholds where a frontier
-        // point first becomes affordable can change the step function,
-        // so the inner max needs P candidates, not B buckets.
-        std::vector<double> next;
-        for (std::size_t i = 0; i < k; ++i) {
-            Cands cands = curves[i]->bucketCandidates(
-                rp.reserve[i], cfg.granularity, buckets);
-            frontierFold(cands, dp, next, choice[i]);
-            dp.swap(next);
-        }
+        dp.swap(next);
     }
+    return choice;
+}
 
-    // Walk the choices back from the full budget.
+std::vector<Watts>
+PowerAllocator::walkBack(const ChoiceTables &choice,
+                         const ReservePlan &rp) const
+{
+    std::size_t k = choice.size();
     std::vector<Watts> granted(k, 0.0);
-    std::size_t b = buckets;
+    std::size_t b = rp.buckets;
     for (std::size_t ii = k; ii-- > 0;) {
         std::size_t x = choice[ii][b];
         granted[ii] = rp.reserve[ii] +
                       static_cast<double>(x) * cfg.granularity;
         b -= x;
     }
-    return buildAllocation(curves, granted, dynamic_budget);
+    return granted;
 }
 
 Allocation
@@ -231,194 +234,6 @@ PowerAllocator::buildAllocation(
         }
     }
     return alloc;
-}
-
-void
-PowerAllocator::rebuildCache(
-    const std::vector<const UtilityCurve *> &curves,
-    const ReservePlan &rp, AllocatorCache &cache,
-    std::uint64_t epoch) const
-{
-    std::size_t k = curves.size();
-
-    // Pad the table width so a single departure still fits: the freed
-    // reserve minimum re-enters the headroom, so the recombined walk
-    // needs more buckets than this build does.
-    std::size_t pad = 0;
-    for (Watts r : rp.reserve) {
-        if (r > 0.0) {
-            pad = std::max(
-                pad, static_cast<std::size_t>(
-                         std::ceil(r / cfg.granularity)) + 1);
-        }
-    }
-
-    cache.valid = true;
-    cache.epoch = epoch;
-    cache.granularity = cfg.granularity;
-    cache.reserveApplied = rp.applied;
-    cache.buckets = rp.buckets + pad;
-    cache.apps.assign(k, {});
-    for (std::size_t i = 0; i < k; ++i) {
-        cache.apps[i].name = curves[i]->name();
-        cache.apps[i].reserve = rp.reserve[i];
-        cache.apps[i].cands = curves[i]->bucketCandidates(
-            rp.reserve[i], cfg.granularity, cache.buckets);
-    }
-
-    cache.pre.assign(k + 1, {});
-    cache.preChoice.assign(k, {});
-    cache.pre[0].assign(cache.buckets + 1, 0.0);
-    for (std::size_t i = 0; i < k; ++i) {
-        frontierFold(cache.apps[i].cands, cache.pre[i],
-                     cache.pre[i + 1], cache.preChoice[i]);
-    }
-
-    cache.suf.assign(k + 1, {});
-    cache.sufChoice.assign(k, {});
-    cache.suf[k].assign(cache.buckets + 1, 0.0);
-    for (std::size_t i = k; i-- > 0;) {
-        frontierFold(cache.apps[i].cands, cache.suf[i + 1],
-                     cache.suf[i], cache.sufChoice[i]);
-    }
-}
-
-Allocation
-PowerAllocator::solveCached(
-    const std::vector<const UtilityCurve *> &curves,
-    Watts dynamic_budget, const ReservePlan &rp,
-    AllocatorCache &cache, std::uint64_t epoch) const
-{
-    std::size_t k = curves.size();
-
-    enum class Match
-    {
-        Rebuild,
-        Full,    ///< identical name sequence
-        Extend,  ///< cached sequence is a strict prefix (arrival)
-        Combine, ///< cached sequence minus one app (departure)
-    };
-    Match match = Match::Rebuild;
-    std::size_t hole = 0;
-
-    if (cache.valid && cache.epoch == epoch &&
-        cache.granularity == cfg.granularity &&
-        cache.reserveApplied == rp.applied &&
-        rp.buckets <= cache.buckets) {
-        std::size_t kc = cache.apps.size();
-        auto same = [&](std::size_t ci, std::size_t i) {
-            return cache.apps[ci].name == curves[i]->name() &&
-                   cache.apps[ci].reserve == rp.reserve[i];
-        };
-        if (k >= kc) {
-            bool prefix = true;
-            for (std::size_t i = 0; i < kc && prefix; ++i)
-                prefix = same(i, i);
-            if (prefix)
-                match = k == kc ? Match::Full : Match::Extend;
-        } else if (k + 1 == kc) {
-            std::size_t ci = 0;
-            bool ok = true;
-            std::size_t h = kc - 1; // hole at the end if no mismatch
-            for (std::size_t i = 0; i < k; ++i) {
-                if (ci == i && !same(ci, i)) {
-                    h = ci;
-                    ++ci; // skip the departed app once
-                }
-                ok = ok && same(ci, i);
-                ++ci;
-            }
-            if (ok) {
-                match = Match::Combine;
-                hole = h;
-            }
-        }
-    }
-
-    if (match == Match::Rebuild || match == Match::Extend) {
-        if (match == Match::Extend) {
-            // Arrival(s) appended at the end: the prefix tables fold
-            // left-to-right, so only the new apps need a pass — but
-            // every suffix now ends differently, so those rebuild.
-            std::size_t old_k = cache.apps.size();
-            cache.apps.resize(k);
-            cache.pre.resize(k + 1);
-            cache.preChoice.resize(k);
-            for (std::size_t i = old_k; i < k; ++i) {
-                cache.apps[i].name = curves[i]->name();
-                cache.apps[i].reserve = rp.reserve[i];
-                cache.apps[i].cands = curves[i]->bucketCandidates(
-                    rp.reserve[i], cfg.granularity, cache.buckets);
-                frontierFold(cache.apps[i].cands, cache.pre[i],
-                             cache.pre[i + 1], cache.preChoice[i]);
-            }
-            cache.suf.assign(k + 1, {});
-            cache.sufChoice.assign(k, {});
-            cache.suf[k].assign(cache.buckets + 1, 0.0);
-            for (std::size_t i = k; i-- > 0;) {
-                frontierFold(cache.apps[i].cands, cache.suf[i + 1],
-                             cache.suf[i], cache.sufChoice[i]);
-            }
-            if (tel)
-                tel->count(trace::EventId::AllocatorDpExtends);
-        } else {
-            rebuildCache(curves, rp, cache, epoch);
-            if (tel)
-                tel->count(trace::EventId::AllocatorDpRebuilds);
-        }
-        match = Match::Full;
-        hole = k; // not a combine
-    } else if (tel) {
-        tel->count(match == Match::Full
-                       ? trace::EventId::AllocatorDpFullHits
-                       : trace::EventId::AllocatorDpCombines);
-    }
-
-    std::vector<Watts> granted(k, 0.0);
-    if (match == Match::Full) {
-        std::size_t b = rp.buckets;
-        for (std::size_t ii = k; ii-- > 0;) {
-            std::size_t x = cache.preChoice[ii][b];
-            granted[ii] = rp.reserve[ii] +
-                          static_cast<double>(x) * cfg.granularity;
-            b -= x;
-        }
-    } else {
-        // Departure of cached app `hole`: the optimum over the
-        // remaining apps is the best split of the budget between the
-        // prefix [0, hole) and the suffix [hole+1, k+1) — one O(B)
-        // max-plus combine of two cached tables, no DP pass at all.
-        // The cache keeps describing the pre-departure sequence, so
-        // follow-up allocations (and further departures elsewhere)
-        // keep recombining the same tables.
-        std::size_t kc = cache.apps.size();
-        std::size_t b = rp.buckets;
-        double best = -1.0;
-        std::size_t best_b1 = 0;
-        for (std::size_t b1 = 0; b1 <= b; ++b1) {
-            double v = cache.pre[hole][b1] +
-                       cache.suf[hole + 1][b - b1];
-            if (v > best) {
-                best = v;
-                best_b1 = b1;
-            }
-        }
-        std::size_t pb = best_b1;
-        for (std::size_t ii = hole; ii-- > 0;) {
-            std::size_t x = cache.preChoice[ii][pb];
-            granted[ii] = rp.reserve[ii] +
-                          static_cast<double>(x) * cfg.granularity;
-            pb -= x;
-        }
-        std::size_t sb = b - best_b1;
-        for (std::size_t ci = hole + 1; ci < kc; ++ci) {
-            std::size_t x = cache.sufChoice[ci][sb];
-            granted[ci - 1] = rp.reserve[ci - 1] +
-                              static_cast<double>(x) * cfg.granularity;
-            sb -= x;
-        }
-    }
-    return buildAllocation(curves, granted, dynamic_budget);
 }
 
 void
@@ -625,9 +440,33 @@ PowerAllocator::esdPlan(const std::vector<const UtilityCurve *> &curves,
     auto sweep = static_cast<std::size_t>(
         std::floor((hi - lo + 1e-9) / cfg.esdSearchStep)) + 1;
 
-    auto consider = [&](Allocation alloc) {
+    // The DP table for the largest candidate budget subsumes every
+    // smaller one: rows and choices at bucket index b never depend on
+    // the table width, so one fold plus a walk-back per candidate
+    // replaces `sweep` independent allocate() calls.  This needs the
+    // reserve regime to be uniform across the sweep, which it is:
+    // every candidate budget is lo + bucket*step >= lo, and lo
+    // accumulates the same minPower() terms in the same order
+    // reservePlan() sums, so `mins <= budget` answers identically for
+    // all candidates.
+    Watts budget_max =
+        lo + static_cast<double>(sweep - 1) * cfg.esdSearchStep;
+    ReservePlan rp_max = reservePlan(curves, budget_max);
+    ChoiceTables choice = fold(curves, rp_max, rp_max.buckets);
+
+    for (std::size_t bucket = 0; bucket < sweep; ++bucket) {
+        Watts budget =
+            lo + static_cast<double>(bucket) * cfg.esdSearchStep;
+        // Re-derive the candidate's bucket count through the very
+        // expressions a standalone allocate() would use, so the
+        // walk-back starts from a bit-identical index.
+        ReservePlan rp = reservePlan(curves, budget);
+        psm_assert(rp.applied == rp_max.applied);
+        psm_assert(rp.buckets <= rp_max.buckets);
+        Allocation alloc =
+            buildAllocation(curves, walkBack(choice, rp), budget);
         if (!alloc.allScheduled())
-            return;
+            continue;
         Watts on_draw = idle_power + cm_power + alloc.used;
         Watts deficit = on_draw - cap;
         double on_fraction;
@@ -637,7 +476,7 @@ PowerAllocator::esdPlan(const std::vector<const UtilityCurve *> &curves,
             deficit = 0.0;
         } else {
             if (deficit > esd.maxDischargePower)
-                return; // battery cannot bridge this draw
+                continue; // battery cannot bridge this draw
             // Eq. 5: off/on = deficit / (eta * charge headroom).
             double off_over_on = deficit / (eta * charge);
             on_fraction = 1.0 / (1.0 + off_over_on);
@@ -650,59 +489,6 @@ PowerAllocator::esdPlan(const std::vector<const UtilityCurve *> &curves,
             best.chargePower = charge;
             best.objective = objective;
             best.viable = true;
-        }
-    };
-
-    if (cfg.denseDp) {
-        // Reference path: a full allocation per candidate budget.
-        for (std::size_t bucket = 0; bucket < sweep; ++bucket) {
-            Watts budget =
-                lo + static_cast<double>(bucket) * cfg.esdSearchStep;
-            consider(allocate(curves, budget));
-        }
-    } else {
-        // The DP table for the largest candidate budget subsumes every
-        // smaller one: dp rows and choices at bucket index b never
-        // depend on the table width, so one forward pass plus a cheap
-        // walk-back per candidate replaces `sweep` independent
-        // allocate() calls.  This needs the reserve regime to be
-        // uniform across the sweep, which it is: every candidate
-        // budget is lo + bucket*step >= lo, and lo accumulates the
-        // same minPower() terms in the same order reservePlan() sums,
-        // so `mins <= budget` answers identically for all candidates.
-        std::size_t k = curves.size();
-        Watts budget_max =
-            lo + static_cast<double>(sweep - 1) * cfg.esdSearchStep;
-        ReservePlan rp_max = reservePlan(curves, budget_max);
-
-        std::vector<double> dp(rp_max.buckets + 1, 0.0);
-        std::vector<double> scratch;
-        std::vector<std::vector<std::size_t>> choice(k);
-        for (std::size_t i = 0; i < k; ++i) {
-            Cands cands = curves[i]->bucketCandidates(
-                rp_max.reserve[i], cfg.granularity, rp_max.buckets);
-            frontierFold(cands, dp, scratch, choice[i]);
-            dp.swap(scratch);
-        }
-
-        for (std::size_t bucket = 0; bucket < sweep; ++bucket) {
-            Watts budget =
-                lo + static_cast<double>(bucket) * cfg.esdSearchStep;
-            // Re-derive the candidate's bucket count through the very
-            // expressions a standalone allocate() would use, so the
-            // walk-back starts from a bit-identical index.
-            ReservePlan rp = reservePlan(curves, budget);
-            psm_assert(rp.applied == rp_max.applied);
-            psm_assert(rp.buckets <= rp_max.buckets);
-            std::vector<Watts> granted(k, 0.0);
-            std::size_t b = rp.buckets;
-            for (std::size_t ii = k; ii-- > 0;) {
-                std::size_t x = choice[ii][b];
-                granted[ii] = rp.reserve[ii] +
-                              static_cast<double>(x) * cfg.granularity;
-                b -= x;
-            }
-            consider(buildAllocation(curves, granted, budget));
         }
     }
     if (tel)

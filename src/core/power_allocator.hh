@@ -8,12 +8,13 @@
  * Allocation is a discrete knapsack over per-application Pareto
  * frontiers, solved by dynamic programming at sub-watt granularity,
  * followed by a greedy pass that hands any slack to the application
- * with the best marginal utility.  The DP transition only inspects
- * the bucket thresholds where a frontier point first becomes
- * affordable (P points instead of B buckets per cell — bit-identical
- * to the dense scan, see AllocatorConfig::denseDp), and an optional
- * AllocatorCache reuses prefix/suffix tables across E1–E4 events so
- * single arrivals and departures avoid a full re-solve.
+ * with the best marginal utility.  There is one DP: a fold whose
+ * transition only inspects the bucket thresholds where a frontier
+ * point first becomes affordable (P points instead of B buckets per
+ * cell), and one walk-back that turns a bucket count into per-app
+ * grants.  allocate(), its cached form and the esdPlan sweep all
+ * share the two; an AllocatorCache memoizes the last solve's fold so
+ * a repeat of the same curve sequence only walks it back.
  *
  * Besides the spatial allocation it also produces the two temporal
  * plans the Coordinator needs: alternate duty-cycle slots (R3b) and
@@ -113,69 +114,43 @@ struct AllocatorConfig
      * curve minimum is not a real hardware minimum.
      */
     bool reserveMinima = true;
-    /**
-     * Exact-equivalence fallback: solve with the dense O(k·B²)
-     * per-bucket DP and re-run the full allocation for every esdPlan
-     * sweep candidate, instead of the frontier-compressed O(k·B·P)
-     * transition with one shared sweep table.  Both paths produce
-     * bit-identical allocations (bench_allocator --check trips
-     * otherwise); this flag exists as the A/B baseline and as an
-     * escape hatch.
-     */
-    bool denseDp = false;
 };
 
 /**
- * Cross-event DP state for incremental re-allocation.
+ * The last spatial solve, memoized across E1–E4 events.
  *
- * The spatial knapsack is re-solved on every E1–E4 event, yet between
- * events the curve set usually changes by at most one application:
- * the cache keeps the per-app frontier candidates plus prefix tables
- * pre[i] (apps [0,i) folded left-to-right) and suffix tables suf[i]
- * (apps [i,k) folded right-to-left), so
+ * Between events the curve set usually stays the same and only the
+ * budget moves (a cap change or trim), so the cache keeps the last
+ * fold's per-app choice tables.  A call with the same key walks them
+ * back from its own bucket count; any other call folds afresh and
+ * replaces them.  Rows at bucket b never depend on the table width,
+ * so a served answer is bit-identical to the uncached solve.
  *
- *  - an unchanged sequence is served by walking the cached choices,
- *  - an arrival appended at the end extends the prefix tables with
- *    one pass per new app,
- *  - a departure of app j recombines pre[j] with suf[j+1] in O(B)
- *    instead of recomputing all k apps.
- *
- * Tables are built a little wider than the current bucket count so a
- * departure's freed reserve minimum (which re-enters the headroom)
- * still lands inside them.  Validity is keyed on the owner's
- * surface-cache epoch: any recalibration that replaces a live curve
- * must bump the epoch or the cache serves stale frontiers.
+ * The key is the owner's surface epoch, the DP granularity, the
+ * reserve regime, the (name, reserve) sequence, and a bucket count no
+ * wider than the tables.  Tables are built a little wider than the
+ * solve that fills them so small cap raises still hit.  The epoch
+ * stands in for curve contents: every surface install must bump it
+ * or the cache serves stale frontiers.
  */
 class AllocatorCache
 {
   public:
-    /** Drop all cached state (next use rebuilds). */
+    /** Drop the memoized solve (next use rebuilds). */
     void invalidate() { valid = false; }
 
   private:
     friend class PowerAllocator;
 
-    /** One application's frontier on the bucket grid. */
-    struct AppEntry
-    {
-        std::string name;
-        Watts reserve = 0.0;
-        /** (bucket threshold, perfNorm), thresholds ascending. */
-        std::vector<std::pair<std::size_t, double>> cands;
-    };
-
     bool valid = false;
     std::uint64_t epoch = 0;
     Watts granularity = 0.0;
     bool reserveApplied = false;
-    std::size_t buckets = 0; ///< table width (includes the pad)
-    std::vector<AppEntry> apps;
-    /** pre[i][b]: best objective of apps [0,i) within b buckets. */
-    std::vector<std::vector<double>> pre;
-    std::vector<std::vector<std::size_t>> preChoice;
-    /** suf[i][b]: best objective of apps [i,k) within b buckets. */
-    std::vector<std::vector<double>> suf;
-    std::vector<std::vector<std::size_t>> sufChoice;
+    /** (name, reserve) per application, in curve order. */
+    std::vector<std::pair<std::string, Watts>> apps;
+    std::size_t width = 0; ///< table width in buckets (with the pad)
+    /** choice[i][b]: buckets app i takes when apps [0, i] share b. */
+    std::vector<std::vector<std::size_t>> choice;
 };
 
 /**
@@ -202,12 +177,12 @@ class PowerAllocator
                         Watts dynamic_budget) const;
 
     /**
-     * Same optimization, reusing @p cache across events: identical
-     * curve sequences walk cached tables, an appended arrival extends
-     * them, a single departure recombines the prefix/suffix halves.
-     * @p epoch is the owner's surface-cache epoch; the cache is
-     * invalid the moment it changes.  epoch 0 means "no epoch
-     * discipline available" and bypasses the cache entirely.
+     * Same optimization, reusing @p cache across events: a call whose
+     * key matches the last solve walks its tables back, any other
+     * call rebuilds them.  @p epoch is the owner's surface-cache
+     * epoch; the cache is invalid the moment it changes.  epoch 0
+     * means "no epoch discipline available" and bypasses the cache
+     * entirely.
      */
     Allocation allocate(const std::vector<const UtilityCurve *> &curves,
                         Watts dynamic_budget, AllocatorCache *cache,
@@ -253,6 +228,9 @@ class PowerAllocator
                     Watts off_cm_power = 0.0) const;
 
   private:
+    /** Test-only access for the dense reference DP. */
+    friend struct DenseDpOracle;
+
     /** Reserve-minima decision plus the resulting bucket count. */
     struct ReservePlan
     {
@@ -262,28 +240,27 @@ class PowerAllocator
         std::size_t buckets = 0;
     };
 
+    /** choice[i][b]: buckets app i takes when apps [0, i] share b. */
+    using ChoiceTables = std::vector<std::vector<std::size_t>>;
+
     AllocatorConfig cfg;
     Telemetry *tel = nullptr;
 
+    /** Reserve the minima when affordable and size the headroom in
+     * buckets, capped where every app affords its top point. */
     ReservePlan
     reservePlan(const std::vector<const UtilityCurve *> &curves,
                 Watts dynamic_budget) const;
 
-    /** One-shot solve (no cross-event state); dense or frontier DP
-     * per cfg.denseDp. */
-    Allocation
-    solveDirect(const std::vector<const UtilityCurve *> &curves,
-                Watts dynamic_budget, const ReservePlan &rp) const;
+    /** Fold every curve's frontier candidates into choice tables
+     * @p width buckets wide. */
+    ChoiceTables fold(const std::vector<const UtilityCurve *> &curves,
+                      const ReservePlan &rp, std::size_t width) const;
 
-    /** Cache-backed solve: full hit / extend / combine / rebuild. */
-    Allocation
-    solveCached(const std::vector<const UtilityCurve *> &curves,
-                Watts dynamic_budget, const ReservePlan &rp,
-                AllocatorCache &cache, std::uint64_t epoch) const;
-
-    void rebuildCache(const std::vector<const UtilityCurve *> &curves,
-                      const ReservePlan &rp, AllocatorCache &cache,
-                      std::uint64_t epoch) const;
+    /** Walk @p choice back from rp.buckets into per-app granted
+     * watts. */
+    std::vector<Watts> walkBack(const ChoiceTables &choice,
+                                const ReservePlan &rp) const;
 
     /** bestWithin + slack pass + objective/used rollup over per-app
      * granted watts, with the point<=budget invariant asserted. */

@@ -13,8 +13,8 @@
  * capacity-vs-latency trade-offs in capped servers.
  *
  * With it, a power allocation maps directly to a p99, so SLO
- * compliance under each policy can be evaluated (see
- * bench_ext_latency).
+ * compliance under each policy can be evaluated (see bench_slo,
+ * bench_arena and the SLO utility transform in core/utility_curve).
  */
 
 #ifndef PSM_PERF_LATENCY_HH

@@ -13,7 +13,7 @@ namespace
 {
 
 /** Bump when the Config payload layout changes. */
-constexpr std::uint8_t kConfigVersion = 1;
+constexpr std::uint8_t kConfigVersion = 2;
 
 std::uint64_t
 fingerprint(const std::vector<std::uint8_t> &bytes)
@@ -61,7 +61,6 @@ encodeCaptureConfig(const EngineConfig &cfg)
     trace::putF64(buf, m.trimGain);
     trace::putU64(buf, m.refreshPeriod);
     trace::putU8(buf, static_cast<std::uint8_t>(m.sampling));
-    trace::putU8(buf, m.allocator.denseDp ? 1 : 0);
     trace::putU64(buf, m.seed);
     trace::putU64(buf, fingerprint(buf));
     return buf;
@@ -87,7 +86,7 @@ decodeCaptureConfig(const std::vector<std::uint8_t> &payload,
 
     trace::ByteCursor c(body);
     std::uint8_t version = 0, esd = 0, seed_corpus = 0, policy = 0,
-                 oracle = 0, sampling = 0, dense_dp = 0;
+                 oracle = 0, sampling = 0;
     std::uint32_t nodes = 0;
     EngineConfig cfg;
     core::ManagerConfig &m = cfg.manager;
@@ -101,7 +100,7 @@ decodeCaptureConfig(const std::vector<std::uint8_t> &payload,
         !c.getU64(m.calibrationPerSample) ||
         !c.getU64(m.controlPeriod) || !c.getF64(m.budgetGuard) ||
         !c.getF64(m.trimGain) || !c.getU64(m.refreshPeriod) ||
-        !c.getU8(sampling) || !c.getU8(dense_dp) || !c.getU64(m.seed))
+        !c.getU8(sampling) || !c.getU64(m.seed))
         return fail("Config fields truncated");
     if (!c.atEnd())
         return fail("trailing bytes after Config fields");
@@ -126,7 +125,6 @@ decodeCaptureConfig(const std::vector<std::uint8_t> &payload,
     m.policy = info->kind;
     m.oracleUtilities = oracle != 0;
     m.sampling = static_cast<cf::SamplingStrategy>(sampling);
-    m.allocator.denseDp = dense_dp != 0;
     out = cfg;
     return true;
 }

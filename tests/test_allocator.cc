@@ -7,11 +7,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "allocator_oracle.hh"
 #include "cf/profiler.hh"
 #include "core/power_allocator.hh"
 #include "esd/battery.hh"
@@ -282,7 +285,7 @@ TEST_F(AllocatorTest, EsdChargeHeadroomAccountsOffPeriodCmPower)
     EXPECT_FALSE(starved.viable);
 }
 
-// --- Frontier DP, sweep sharing and the cross-event cache -----------------
+// --- Frontier DP, sweep sharing and the last-solve cache ------------------
 
 /** Exhaustive noiseless curves for every library workload. */
 std::vector<std::unique_ptr<UtilityCurve>>
@@ -304,44 +307,54 @@ libraryCurves(const std::vector<power::KnobSetting> &settings)
     return out;
 }
 
-/** Bit-for-bit equality of two allocations (the equivalence claim:
- * frontier/incremental must reproduce the dense DP exactly, not
- * approximately). */
-void
-expectSameAllocation(const Allocation &want, const Allocation &got)
+/** @p n random-surface curves named app0, app1, ... */
+std::vector<std::unique_ptr<UtilityCurve>>
+randomCurves(std::size_t n, std::uint64_t seed)
 {
-    EXPECT_EQ(want.objective, got.objective);
-    EXPECT_EQ(want.used, got.used);
-    EXPECT_EQ(want.dynamicBudget, got.dynamicBudget);
-    ASSERT_EQ(want.apps.size(), got.apps.size());
-    for (std::size_t i = 0; i < want.apps.size(); ++i) {
-        const AppAllocation &w = want.apps[i];
-        const AppAllocation &g = got.apps[i];
-        EXPECT_EQ(w.app, g.app);
-        EXPECT_EQ(w.budget, g.budget);
-        EXPECT_EQ(w.expectedPerf, g.expectedPerf);
-        ASSERT_EQ(w.scheduled(), g.scheduled());
-        if (w.scheduled()) {
-            EXPECT_EQ(w.point->power, g.point->power);
-        }
+    Rng rng(seed);
+    auto settings = defaultPlatform().knobSpace();
+    std::vector<std::unique_ptr<UtilityCurve>> out;
+    for (std::size_t i = 0; i < n; ++i) {
+        out.push_back(std::make_unique<UtilityCurve>(
+            "app" + std::to_string(i), settings, randomSurface(rng),
+            KnobFreedom::All));
     }
+    return out;
 }
 
-AllocatorConfig
-denseConfig()
+std::vector<const UtilityCurve *>
+pointers(const std::vector<std::unique_ptr<UtilityCurve>> &curves)
 {
-    AllocatorConfig cfg;
-    cfg.denseDp = true;
-    return cfg;
+    std::vector<const UtilityCurve *> out;
+    for (const auto &c : curves)
+        out.push_back(c.get());
+    return out;
 }
 
 TEST_F(AllocatorTest, FrontierMatchesDenseDpExactly)
 {
-    PowerAllocator dense(denseConfig());
     for (double budget = 4.0; budget <= 50.0; budget += 0.7) {
         SCOPED_TRACE(budget);
-        expectSameAllocation(dense.allocate(ptrs, budget),
-                             allocator.allocate(ptrs, budget));
+        expectSameAllocation(
+            DenseDpOracle::allocate(allocator, ptrs, budget),
+            allocator.allocate(ptrs, budget));
+    }
+    // Random surfaces at k in {1, 2, 4, 8}, four budgets each.
+    for (std::size_t k : {1u, 2u, 4u, 8u}) {
+        for (std::size_t t = 0; t < 3; ++t) {
+            auto pool = randomCurves(k, 1000 + 31 * k + t);
+            auto curves = pointers(pool);
+            Rng rng(77 * k + t);
+            for (int b = 0; b < 4; ++b) {
+                Watts budget =
+                    rng.uniform(2.0, 16.0 * static_cast<double>(k));
+                SCOPED_TRACE(testing::Message() << "k=" << k << " t="
+                                                << t << " " << budget);
+                expectSameAllocation(
+                    DenseDpOracle::allocate(allocator, curves, budget),
+                    allocator.allocate(curves, budget));
+            }
+        }
     }
 }
 
@@ -349,37 +362,45 @@ TEST_F(AllocatorTest, EsdSweepSharingMatchesDense)
 {
     const auto &plat = defaultPlatform();
     esd::BatteryConfig esd = esd::leadAcidUps();
-    PowerAllocator dense(denseConfig());
     for (double cap : {62.0, 68.0, 70.0, 75.0, 80.0, 90.0, 110.0,
                        150.0}) {
         SCOPED_TRACE(cap);
-        EsdPlan want = dense.esdPlan(ptrs, plat.idlePower,
-                                     plat.cmPower, cap, esd);
-        EsdPlan got = allocator.esdPlan(ptrs, plat.idlePower,
-                                        plat.cmPower, cap, esd);
-        ASSERT_EQ(want.viable, got.viable);
-        EXPECT_EQ(want.objective, got.objective);
-        EXPECT_EQ(want.offFraction, got.offFraction);
-        EXPECT_EQ(want.deficit, got.deficit);
-        EXPECT_EQ(want.chargePower, got.chargePower);
-        if (want.viable)
-            expectSameAllocation(want.onAllocation, got.onAllocation);
+        expectSameEsdPlan(
+            DenseDpOracle::esdPlan(allocator, ptrs, plat.idlePower,
+                                   plat.cmPower, cap, esd),
+            allocator.esdPlan(ptrs, plat.idlePower, plat.cmPower, cap,
+                              esd));
+    }
+    // Random surfaces at k in {1, 2, 4, 8}, one random cap each.
+    for (std::size_t k : {1u, 2u, 4u, 8u}) {
+        for (std::size_t t = 0; t < 2; ++t) {
+            auto pool = randomCurves(k, 2000 + 31 * k + t);
+            auto curves = pointers(pool);
+            Rng rng(91 * k + t);
+            Watts cap = rng.uniform(65.0, 110.0);
+            SCOPED_TRACE(testing::Message() << "k=" << k << " t=" << t
+                                            << " cap=" << cap);
+            expectSameEsdPlan(
+                DenseDpOracle::esdPlan(allocator, curves,
+                                       plat.idlePower, plat.cmPower,
+                                       cap, esd),
+                allocator.esdPlan(curves, plat.idlePower,
+                                  plat.cmPower, cap, esd));
+        }
     }
 }
 
 TEST(AllocatorEquivalence, CacheMatchesDenseAcrossRandomEvents)
 {
-    // The satellite property test: replay a seeded arrival/departure/
-    // budget-change/recalibration tape at k in [1, 8] and demand the
-    // cache-served allocation equal the dense baseline bit-for-bit at
-    // every step.
+    // Replay a seeded arrival/departure/budget-change/recalibration
+    // tape at k in [1, 8] and demand the cache-served allocation equal
+    // the dense oracle bit-for-bit at every step.
     const auto &plat = defaultPlatform();
     auto settings = plat.knobSpace();
     auto pool = libraryCurves(settings);
     ASSERT_GE(pool.size(), 8u);
 
     Rng rng(20260806);
-    PowerAllocator dense(denseConfig());
     PowerAllocator fast;
     Telemetry tel;
     fast.setTelemetry(&tel);
@@ -429,18 +450,54 @@ TEST(AllocatorEquivalence, CacheMatchesDenseAcrossRandomEvents)
             curves.push_back(pool[ix].get());
 
         SCOPED_TRACE(ev);
-        Allocation want = dense.allocate(curves, budget);
+        Allocation want = DenseDpOracle::allocate(fast, curves, budget);
         expectSameAllocation(want, fast.allocate(curves, budget));
         expectSameAllocation(
             want, fast.allocate(curves, budget, &cache, epoch));
     }
 
-    // The tape must have exercised every cache serve mode, or the
-    // equivalence above proved less than it claims.
+    // The tape must have both hit and rebuilt, or the equivalence
+    // above proved less than it claims.
     EXPECT_GT(tel.counter("allocator.dp_rebuilds"), 0u);
     EXPECT_GT(tel.counter("allocator.dp_full_hits"), 0u);
-    EXPECT_GT(tel.counter("allocator.dp_extends"), 0u);
-    EXPECT_GT(tel.counter("allocator.dp_combines"), 0u);
+
+    // A second tape over random surfaces, k up to 10: arrivals
+    // append, departures leave from any slot, a swap (a departure and
+    // an arrival coalesced into one pass) keeps k but changes a name,
+    // budgets move.  The cached solve must equal the uncached one bit
+    // for bit.
+    auto random_pool = randomCurves(24, 4242);
+    std::vector<const UtilityCurve *> live = {
+        random_pool[0].get(), random_pool[1].get(),
+        random_pool[2].get()};
+    std::size_t next = 3;
+    AllocatorCache tape_cache;
+    Rng tape(99);
+    budget = 40.0;
+    for (int ev = 0; ev < 120; ++ev) {
+        int roll = tape.uniformInt(0, 9);
+        const UtilityCurve *arrival =
+            random_pool[next % random_pool.size()].get();
+        if (roll < 3 && live.size() < 10) {
+            live.push_back(arrival);
+            ++next;
+        } else if (roll < 6 && live.size() > 1) {
+            live.erase(live.begin() +
+                       tape.uniformInt(
+                           0, static_cast<int>(live.size()) - 1));
+            if (roll == 5) {
+                live.push_back(arrival);
+                ++next;
+            }
+        } else {
+            budget = tape.uniform(
+                5.0, 15.0 * static_cast<double>(live.size()));
+        }
+        SCOPED_TRACE(testing::Message() << "random tape " << ev);
+        expectSameAllocation(
+            fast.allocate(live, budget),
+            fast.allocate(live, budget, &tape_cache, 1));
+    }
 }
 
 TEST_F(AllocatorTest, CacheInvalidatesOnEpochBump)
@@ -468,6 +525,52 @@ TEST_F(AllocatorTest, CacheInvalidatesOnEpochBump)
     fast.allocate(ptrs, 30.0, &cache, 0);
     EXPECT_EQ(tel.counter("allocator.dp_rebuilds"), 2u);
     EXPECT_EQ(tel.counter("allocator.dp_full_hits"), 1u);
+}
+
+TEST_F(AllocatorTest, HugeBudgetTakesTheChoicesAtTheBucketBound)
+{
+    // Past sum_i (ceil((max_i - min_i) / g) + 1) buckets of headroom
+    // every app affords its top frontier point, so the DP sizes its
+    // tables there instead of by the budget: a 1e12 W or infinite
+    // budget must take the same choices as a budget at or just past
+    // that bound, cached or not, without tables of 4e12 buckets.
+    Watts g = allocator.config().granularity;
+    Watts at_bound = 0.0;
+    for (const auto *c : ptrs) {
+        at_bound += c->minPower() +
+                    (std::ceil((c->maxPower() - c->minPower()) / g) +
+                     1.0) * g;
+    }
+    Allocation want = allocator.allocate(ptrs, at_bound);
+    ASSERT_TRUE(want.allScheduled());
+    // At the bound each app is granted exactly the bucket where its
+    // top frontier point first becomes affordable.
+    for (std::size_t i = 0; i < ptrs.size(); ++i) {
+        Watts r = ptrs[i]->minPower();
+        auto cands = ptrs[i]->bucketCandidates(r, g, 1u << 20);
+        EXPECT_EQ(want.apps[i].budget,
+                  r + static_cast<double>(cands.back().first) * g);
+        EXPECT_EQ(want.apps[i].point->power, ptrs[i]->maxPower());
+    }
+    for (Watts budget : {at_bound + 1.0, 1e12,
+                         std::numeric_limits<double>::infinity()}) {
+        SCOPED_TRACE(budget);
+        AllocatorCache cache;
+        for (const Allocation &got :
+             {allocator.allocate(ptrs, budget),
+              allocator.allocate(ptrs, budget, &cache, 1)}) {
+            ASSERT_EQ(got.apps.size(), want.apps.size());
+            for (std::size_t i = 0; i < want.apps.size(); ++i) {
+                ASSERT_TRUE(got.apps[i].scheduled());
+                EXPECT_EQ(got.apps[i].budget, want.apps[i].budget);
+                EXPECT_EQ(got.apps[i].point->power,
+                          want.apps[i].point->power);
+                EXPECT_EQ(got.apps[i].expectedPerf,
+                          want.apps[i].expectedPerf);
+            }
+            EXPECT_EQ(got.objective, want.objective);
+        }
+    }
 }
 
 TEST_F(AllocatorTest, SlackUpgradeKeepsGrantedBudget)

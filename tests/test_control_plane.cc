@@ -156,8 +156,10 @@ TEST(LearningPipeline, OnlineCalibrationChargesWallClock)
 
     int id = server.admit(workload("kmeans"));
     pipe.track(id, "kmeans");
+    std::uint64_t e0 = pipe.surfaceEpoch();
     EXPECT_FALSE(pipe.startCalibration(id));
     EXPECT_FALSE(pipe.calibrated(id));
+    EXPECT_EQ(pipe.surfaceEpoch(), e0); // nothing installed yet
     // The app is pinned conservatively while being profiled.
     EXPECT_NEAR(server.app(id).knobs().freq,
                 defaultPlatform().minSetting().freq, 1e-9);
@@ -169,16 +171,16 @@ TEST(LearningPipeline, OnlineCalibrationChargesWallClock)
     ASSERT_EQ(done.size(), 1u);
     EXPECT_EQ(done[0], id);
     EXPECT_TRUE(pipe.calibrated(id));
+    EXPECT_EQ(pipe.surfaceEpoch(), e0 + 1); // the install bumps
     EXPECT_GT(pipe.lastCalibrationLatency(), 0);
     EXPECT_EQ(tel.counter("learning.calibrations_finished"), 1u);
 }
 
 TEST(LearningPipeline, SurfaceEpochTracksRecalibrationsAndRearrivals)
 {
-    // The epoch gates the allocator's cross-event DP cache: it must
-    // move exactly when a live utility surface can change under the
-    // cache's feet, and stay put otherwise (first contact is an
-    // arrival the cache absorbs incrementally).
+    // The epoch gates the allocator's last-solve cache: it must move
+    // on every surface install, and only then (tracking and
+    // departures change no surface; the cache keys on names).
     sim::Server server;
     LearningConfig lc;
     lc.oracleUtilities = true;
@@ -188,20 +190,22 @@ TEST(LearningPipeline, SurfaceEpochTracksRecalibrationsAndRearrivals)
 
     std::uint64_t e0 = pipe.surfaceEpoch();
     int id = server.admit(workload("stream"));
-    pipe.track(id, "stream"); // first-time name: no bump
+    pipe.track(id, "stream");
     EXPECT_EQ(pipe.surfaceEpoch(), e0);
-    EXPECT_TRUE(pipe.startCalibration(id)); // first surface: no bump
-    EXPECT_EQ(pipe.surfaceEpoch(), e0);
+    EXPECT_TRUE(pipe.startCalibration(id)); // first install: bump
+    EXPECT_EQ(pipe.surfaceEpoch(), e0 + 1);
     EXPECT_TRUE(pipe.startCalibration(id)); // recalibration: bump
-    EXPECT_EQ(pipe.surfaceEpoch(), e0 + 1);
+    EXPECT_EQ(pipe.surfaceEpoch(), e0 + 2);
 
-    // A same-name re-arrival could alias the departed app's cached
-    // frontier, so it must bump even though the app id is fresh.
+    // A same-name re-arrival cannot reach the curve set before its
+    // own surface lands, and that install is what bumps.
     pipe.forget(id);
-    EXPECT_EQ(pipe.surfaceEpoch(), e0 + 1);
+    EXPECT_EQ(pipe.surfaceEpoch(), e0 + 2);
     int id2 = server.admit(workload("stream"));
     pipe.track(id2, "stream");
     EXPECT_EQ(pipe.surfaceEpoch(), e0 + 2);
+    EXPECT_TRUE(pipe.startCalibration(id2));
+    EXPECT_EQ(pipe.surfaceEpoch(), e0 + 3);
 }
 
 // --- PlanSelector -----------------------------------------------------------

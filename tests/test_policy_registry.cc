@@ -117,6 +117,34 @@ TEST(PolicyRegistry, CaptureConfigRoundTripsEveryPolicy)
     }
 }
 
+TEST(PolicyRegistry, CaptureConfigRefusesVersionOne)
+{
+    // Version 1 carried one more byte (the dense-DP flag) before the
+    // manager seed.  Rebuild that layout from a current record, stamp
+    // version 1 and re-seal the FNV-1a fingerprint, so only the
+    // version check can reject it.
+    std::vector<std::uint8_t> bytes =
+        serve::encodeCaptureConfig(serve::EngineConfig{});
+    ASSERT_GT(bytes.size(), 17u);
+    bytes.insert(bytes.end() - 16, 0);
+    bytes[0] = 1;
+    std::uint64_t h = 14695981039346656037ULL;
+    for (std::size_t i = 0; i + 8 < bytes.size(); ++i) {
+        h ^= bytes[i];
+        h *= 1099511628211ULL;
+    }
+    for (std::size_t i = 0; i < 8; ++i)
+        bytes[bytes.size() - 8 + i] =
+            static_cast<std::uint8_t>(h >> (8 * i));
+
+    serve::EngineConfig decoded;
+    std::string error;
+    EXPECT_FALSE(serve::decodeCaptureConfig(bytes, decoded, &error));
+    EXPECT_NE(error.find("unsupported Config version"),
+              std::string::npos)
+        << error;
+}
+
 TEST(PolicyRegistry, CaptureConfigRejectsUnregisteredPolicy)
 {
     serve::EngineConfig cfg;

@@ -7,9 +7,9 @@
 
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <memory>
 
+#include "allocator_oracle.hh"
 #include "core/power_allocator.hh"
 #include "core/utility_curve.hh"
 #include "power/platform.hh"
@@ -21,52 +21,6 @@ namespace
 {
 
 using power::defaultPlatform;
-
-/**
- * Generate a random but physically plausible utility surface:
- * power increasing in every knob, heartbeat rate monotone
- * non-decreasing in every knob, with random per-app sensitivities.
- */
-cf::UtilitySurface
-randomSurface(Rng &rng)
-{
-    const auto &plat = defaultPlatform();
-    auto settings = plat.knobSpace();
-    cf::UtilitySurface s;
-    s.power.resize(settings.size());
-    s.hbRate.resize(settings.size());
-
-    double core_w = rng.uniform(0.5, 4.0);   // W per core
-    double freq_exp = rng.uniform(1.0, 3.0); // power vs f curvature
-    double dram_w = rng.uniform(0.0, 1.0);   // W per DRAM level used
-    double base = rng.uniform(1.0, 5.0);
-    double f_sens = rng.uniform(0.0, 1.0);   // perf sensitivities
-    double n_sens = rng.uniform(0.0, 1.0);
-    double m_sens = rng.uniform(0.0, 1.0);
-    double scale = rng.uniform(10.0, 500.0);
-
-    for (std::size_t c = 0; c < settings.size(); ++c) {
-        const auto &k = settings[c];
-        double fr = (k.freq - plat.freqMin) /
-                    (plat.freqMax - plat.freqMin);
-        double nr = static_cast<double>(k.cores - 1) /
-                    (plat.coresMaxPerApp - 1);
-        double mr = (k.dramPower - plat.dramPowerMin) /
-                    (plat.dramPowerMax - plat.dramPowerMin);
-        s.power[c] = base + core_w * k.cores *
-                              (0.3 + 0.7 * std::pow(
-                                         k.freq / plat.freqMax,
-                                         freq_exp)) +
-                     dram_w * k.dramPower;
-        double perf = (0.2 + 0.8 * (f_sens * fr + n_sens * nr +
-                                    m_sens * mr) /
-                                 std::max(f_sens + n_sens + m_sens,
-                                          1e-6));
-        s.hbRate[c] = scale * perf;
-    }
-    s.sampledColumns = settings.size();
-    return s;
-}
 
 class RandomizedAllocator : public ::testing::TestWithParam<int>
 {

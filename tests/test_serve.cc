@@ -15,7 +15,9 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <cmath>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
@@ -359,6 +361,65 @@ TEST(ServeEngineTest, AdvanceBoundsChecked)
     Tick before = eng.pool()[0].server->now();
     EXPECT_EQ(eng.apply(adv).status, ReplyStatus::Ok);
     EXPECT_EQ(eng.pool()[0].server->now(), before + toTicks(0.5));
+}
+
+TEST(ServeEngineTest, CapChangeRejectsNonFiniteCaps)
+{
+    // A cap is a finite number of watts: NaN passes a plain `< 0`
+    // test and +inf caps nothing.  Both are the client's error,
+    // whether pinned to a node or broadcast.
+    ServeEngine eng(smallEngine(2));
+    EventRequest cap;
+    cap.op = EventOp::CapChange;
+    for (int node : {0, -1}) {
+        cap.node = node;
+        for (double bad : {std::nan(""),
+                           std::numeric_limits<double>::infinity(),
+                           -1.0}) {
+            cap.value = bad;
+            EXPECT_EQ(eng.apply(cap).status, ReplyStatus::BadRequest)
+                << "node " << node << " cap " << bad;
+        }
+        cap.value = 90.0;
+        EXPECT_EQ(eng.apply(cap).status, ReplyStatus::Ok);
+    }
+}
+
+TEST(ServeEngineTest, HugeCapCommitsWithoutIsolatingTheNode)
+{
+    // A finite but absurd cap must not size the allocator's DP tables
+    // by the budget: 4e12 buckets at 1e12 W throw std::bad_alloc, and
+    // the pool isolates a node whose control plane throws.
+    serve::EngineConfig cfg = smallEngine(1);
+    cfg.manager.oracleUtilities = true;
+    ServeEngine eng(cfg);
+    EventRequest arrive;
+    arrive.op = EventOp::Arrival;
+    arrive.node = 0;
+    for (std::uint32_t w : {0u, 1u}) {
+        arrive.workload = w;
+        ASSERT_EQ(eng.apply(arrive).status, ReplyStatus::Ok);
+    }
+    eng.commit();
+    std::uint64_t passes = eng.allocatorPasses();
+
+    EventRequest cap;
+    cap.op = EventOp::CapChange;
+    cap.node = 0;
+    cap.value = 1e12;
+    ASSERT_EQ(eng.apply(cap).status, ReplyStatus::Ok);
+    eng.commit();
+
+    serve::StatsSnapshot snap;
+    eng.fillSnapshot(snap);
+    auto counter = [&](const char *name) {
+        auto it = snap.counters.find(name);
+        return it == snap.counters.end() ? 0u : it->second;
+    };
+    EXPECT_EQ(counter("fault.node_exception"), 0u);
+    EXPECT_EQ(counter("degraded.node_isolated"), 0u);
+    EXPECT_GT(counter("allocator.allocate"), 0u);
+    EXPECT_GT(eng.allocatorPasses(), passes);
 }
 
 TEST(ServeEngineTest, DigestDeterministicAcrossInstances)
