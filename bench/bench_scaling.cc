@@ -1,19 +1,14 @@
 /**
  * @file
  * Scaling bench for the performance layer: sweeps the thread-pool
- * width over a 32-node cluster cap-trace replay and measures the
- * surface cache, emitting one JSON document on stdout:
- *
- *   cluster: node-steps/second per width (and speedup vs. width 1)
- *   cache:   hit rate, cold vs. cache-hit estimate cost, warm-start
- *            sweep reduction
+ * width over a 32-node cluster cap-trace replay, emitting one JSON
+ * document on stdout with node-steps/second per width (and speedup
+ * vs. width 1).
  *
  * `--check` turns the bench into a regression tripwire: on a
  * multi-core host the parallel cluster replay must not be slower
- * than the serial one (speedup >= 1.0), and a repeat estimate with
- * an unchanged sample mask must be a cache hit with zero ALS sweeps.
- * Exits non-zero when either property fails; on a single-core host
- * the speedup clause is vacuous and only the cache clause runs.
+ * than the serial one (speedup >= 1.0).  Exits non-zero when it is;
+ * on a single-core host the clause is vacuous.
  */
 
 #include <chrono>
@@ -24,7 +19,6 @@
 #include <vector>
 
 #include "bench_common.hh"
-#include "cf/estimator.hh"
 #include "cluster/cluster_manager.hh"
 #include "cluster/power_trace.hh"
 #include "util/thread_pool.hh"
@@ -101,54 +95,6 @@ clusterReplayAt(unsigned width, int servers, std::size_t intervals,
     return p;
 }
 
-struct CacheReport
-{
-    std::size_t calls = 0;
-    std::size_t hits = 0;
-    double coldFitMs = 0.0;
-    double hitMs = 0.0;
-    double warmFitMs = 0.0;
-    std::size_t coldSweeps = 0;
-    std::size_t warmSweeps = 0;
-    bool hitHadZeroSweeps = false;
-};
-
-CacheReport
-measureCache(const cf::UtilityEstimator &est,
-             const std::vector<cf::Measurement> &samples,
-             const std::vector<cf::Measurement> &grown)
-{
-    CacheReport rep;
-    cf::FitState state;
-    cf::FitOutcome out;
-
-    rep.coldFitMs =
-        wallSeconds([&] { est.estimate(samples, &state, &out); }) *
-        1000.0;
-    rep.coldSweeps = out.sweeps;
-    ++rep.calls;
-
-    // Warm estimates with the unchanged mask: all must hit.
-    rep.hitHadZeroSweeps = true;
-    for (int i = 0; i < 4; ++i) {
-        double s = wallSeconds(
-            [&] { est.estimate(samples, &state, &out); });
-        rep.hitMs += s * 1000.0 / 4.0;
-        ++rep.calls;
-        if (out.cacheHit)
-            ++rep.hits;
-        rep.hitHadZeroSweeps &= out.cacheHit && out.sweeps == 0;
-    }
-
-    // A strictly grown mask warm-starts instead of hitting.
-    rep.warmFitMs =
-        wallSeconds([&] { est.estimate(grown, &state, &out); }) *
-        1000.0;
-    rep.warmSweeps = out.sweeps;
-    ++rep.calls;
-    return rep;
-}
-
 } // namespace
 
 int
@@ -183,35 +129,6 @@ main(int argc, char **argv)
             break; // speedup clause is vacuous on one core
     }
 
-    // --- corpus-sized estimator for the cache probe ----------------
-    const auto &plat = power::defaultPlatform();
-    cf::UtilityEstimator est(plat);
-    {
-        cf::Profiler prof(plat, 0.0);
-        Rng rng(5);
-        for (const auto &p : perf::workloadLibrary()) {
-            perf::PerfModel model(plat, p);
-            std::vector<double> pw, hb;
-            prof.measureAll(model, pw, hb, rng);
-            est.addCorpusApp(p.name, pw, hb);
-        }
-    }
-    std::vector<std::size_t> cols;
-    for (std::size_t c = 0; c < est.columnCount(); c += 10)
-        cols.push_back(c); // ~10% mask
-    std::vector<std::size_t> grown_cols = cols;
-    for (std::size_t c = 5; c < est.columnCount(); c += 20)
-        grown_cols.push_back(c);
-    cf::Profiler prof(plat, 0.0);
-    perf::PerfModel model(plat, perf::workload("stream"));
-    Rng mrng(9);
-    auto samples = prof.measure(model, cols, mrng);
-    auto grown = prof.measure(model, grown_cols, mrng);
-
-    // --- surface cache ---------------------------------------------
-    util::ThreadPool::configureGlobal(0);
-    CacheReport cache = measureCache(est, samples, grown);
-
     // --- JSON ------------------------------------------------------
     std::cout << "{\"bench\":\"scaling\",\"hardware_concurrency\":"
               << hw << ",";
@@ -227,22 +144,7 @@ main(int argc, char **argv)
                   << p.stepsPerSec / cluster_pts[0].stepsPerSec
                   << "}";
     }
-    std::cout << "]},";
-    std::cout << "\"cache\":{\"corpus_rows\":" << est.corpusSize()
-              << ",\"columns\":" << est.columnCount()
-              << ",\"sampled\":" << cols.size()
-              << ",\"calls\":" << cache.calls
-              << ",\"hits\":" << cache.hits << ",\"hit_rate\":"
-              << static_cast<double>(cache.hits) /
-                     static_cast<double>(cache.calls)
-              << ",\"cold_fit_ms\":" << cache.coldFitMs
-              << ",\"hit_ms\":" << cache.hitMs
-              << ",\"warm_fit_ms\":" << cache.warmFitMs
-              << ",\"cold_sweeps\":" << cache.coldSweeps
-              << ",\"warm_sweeps\":" << cache.warmSweeps
-              << ",\"hit_zero_sweeps\":"
-              << (cache.hitHadZeroSweeps ? "true" : "false") << "}}"
-              << std::endl;
+    std::cout << "]}}" << std::endl;
 
     if (check) {
         bool ok = true;
@@ -256,12 +158,6 @@ main(int argc, char **argv)
                           << " threads)\n";
                 ok = false;
             }
-        }
-        if (cache.hits != 4 || !cache.hitHadZeroSweeps) {
-            std::cerr << "FAIL: unchanged-mask estimate was not a "
-                         "zero-sweep cache hit ("
-                      << cache.hits << "/4 hits)\n";
-            ok = false;
         }
         return ok ? 0 : 1;
     }

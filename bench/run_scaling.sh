@@ -2,9 +2,7 @@
 # Thread-scaling tripwire: replay a cluster cap trace serially and at
 # hardware_concurrency threads, and fail if the parallel replay is
 # slower than the serial one (speedup < 1.0).  On a single-core host
-# the speedup clause is vacuous; the cache clause (a repeat estimate
-# with an unchanged sample mask must be a zero-sweep cache hit) runs
-# everywhere.
+# the check is vacuous.
 #
 # Usage: bench/run_scaling.sh [build-dir]   (default: build)
 set -eu

@@ -18,8 +18,6 @@ AlsConfig::validate() const
         fatal("ALS lambda must be non-negative");
     if (iterations == 0)
         fatal("ALS needs at least one iteration");
-    if (warmIterations == 0)
-        fatal("ALS needs at least one warm iteration");
 }
 
 std::vector<double>
@@ -57,30 +55,18 @@ solveSpd(std::vector<double> a, std::vector<double> b, std::size_t k)
     return b;
 }
 
-AlsModel::AlsModel(const MaskedMatrix &data, AlsConfig config,
-                   const AlsWarmStart *warm)
+AlsModel::AlsModel(const MaskedMatrix &data, AlsConfig config)
     : cfg(config)
 {
     cfg.validate();
     n_rows = data.rows();
     n_cols = data.cols();
     psm_assert(n_rows > 0 && n_cols > 0);
-    fit(data, warm);
-}
-
-AlsWarmStart
-AlsModel::warmStart() const
-{
-    AlsWarmStart w;
-    w.rowBias = row_bias;
-    w.colBias = col_bias;
-    w.u = u;
-    w.v = v;
-    return w;
+    fit(data);
 }
 
 void
-AlsModel::fit(const MaskedMatrix &data, const AlsWarmStart *warm)
+AlsModel::fit(const MaskedMatrix &data)
 {
     std::size_t k = cfg.rank;
     mu = data.observedMean();
@@ -88,25 +74,17 @@ AlsModel::fit(const MaskedMatrix &data, const AlsWarmStart *warm)
     clamp_lo = lo;
     clamp_hi = hi;
 
-    bool warmed = warm && warm->matches(n_rows, n_cols, k);
-    if (warmed) {
-        row_bias = warm->rowBias;
-        col_bias = warm->colBias;
-        u = warm->u;
-        v = warm->v;
-    } else {
-        row_bias.assign(n_rows, 0.0);
-        col_bias.assign(n_cols, 0.0);
-        u.assign(n_rows * k, 0.0);
-        v.assign(n_cols * k, 0.0);
+    row_bias.assign(n_rows, 0.0);
+    col_bias.assign(n_cols, 0.0);
+    u.assign(n_rows * k, 0.0);
+    v.assign(n_cols * k, 0.0);
 
-        std::mt19937 rng(cfg.seed);
-        std::normal_distribution<double> init(0.0, 0.1);
-        for (double &x : u)
-            x = init(rng);
-        for (double &x : v)
-            x = init(rng);
-    }
+    std::mt19937 rng(cfg.seed);
+    std::normal_distribution<double> init(0.0, 0.1);
+    for (double &x : u)
+        x = init(rng);
+    for (double &x : v)
+        x = init(rng);
 
     if (data.observedCount() == 0)
         return;
@@ -128,7 +106,7 @@ AlsModel::fit(const MaskedMatrix &data, const AlsWarmStart *warm)
         return data.at(r, c) - (mu + row_bias[r] + col_bias[c] + dot);
     };
 
-    sweeps_run = warmed ? cfg.warmIterations : cfg.iterations;
+    sweeps_run = cfg.iterations;
     for (std::size_t iter = 0; iter < sweeps_run; ++iter) {
         // Bias updates (closed form ridge estimates).
         for (std::size_t r = 0; r < n_rows; ++r) {

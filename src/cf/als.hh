@@ -37,35 +37,9 @@ struct AlsConfig
     double lambda = 0.10;      ///< L2 regularization strength
     std::size_t iterations = 25; ///< alternating sweeps
     unsigned seed = 1234;      ///< factor initialization seed
-    /**
-     * Sweeps when refitting from a warm start (previous factors of
-     * the same app/corpus with a grown sample set): the factors begin
-     * near the optimum, so far fewer alternations reach it.
-     */
-    std::size_t warmIterations = 8;
 
     /** Validate ranges; calls fatal() on nonsense. */
     void validate() const;
-};
-
-/**
- * Converged factors exported from a previous fit, used to initialize
- * a refit of the same (corpus + app) matrix when only the observation
- * mask grew.  Dimensions must match the new matrix exactly.
- */
-struct AlsWarmStart
-{
-    std::vector<double> rowBias;
-    std::vector<double> colBias;
-    std::vector<double> u; ///< rows x rank, row-major
-    std::vector<double> v; ///< cols x rank, row-major
-
-    bool
-    matches(std::size_t rows, std::size_t cols, std::size_t rank) const
-    {
-        return rowBias.size() == rows && colBias.size() == cols &&
-               u.size() == rows * rank && v.size() == cols * rank;
-    }
 };
 
 /**
@@ -83,21 +57,10 @@ std::vector<double> solveSpd(std::vector<double> a,
 class AlsModel
 {
   public:
-    /**
-     * Fit the model to the observed cells of @p data.
-     *
-     * @param warm Optional factors from a previous fit of the same
-     *        matrix shape; when they match, initialization is taken
-     *        from them (instead of the seeded random draw) and only
-     *        config.warmIterations sweeps run.
-     */
-    AlsModel(const MaskedMatrix &data, AlsConfig config = {},
-             const AlsWarmStart *warm = nullptr);
+    /** Fit the model to the observed cells of @p data. */
+    AlsModel(const MaskedMatrix &data, AlsConfig config = {});
 
-    /** Export the fitted factors for warm-starting a later refit. */
-    AlsWarmStart warmStart() const;
-
-    /** Sweeps actually run by the fit (warm fits run fewer). */
+    /** Sweeps the fit ran (0 when @p data had no observed cell). */
     std::size_t sweepsRun() const { return sweeps_run; }
 
     /** Predicted value of cell (r, c), clamped to the observed range. */
@@ -128,7 +91,7 @@ class AlsModel
     std::size_t sweeps_run = 0;
 
     double rawPredict(std::size_t r, std::size_t c) const;
-    void fit(const MaskedMatrix &data, const AlsWarmStart *warm);
+    void fit(const MaskedMatrix &data);
 };
 
 } // namespace psm::cf

@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cmath>
 
+#include "matrix.hh"
 #include "util/logging.hh"
 
 namespace psm::cf
@@ -18,7 +19,7 @@ constexpr double hbFloor = 1e-6;
 UtilityEstimator::UtilityEstimator(const power::PlatformConfig &config,
                                    AlsConfig als)
     : config(config), als_config(als), columns(config.knobSpace()),
-      n_cols(columns.size()), power_corpus(0, 0), log_hb_corpus(0, 0)
+      n_cols(columns.size())
 {
     als_config.validate();
     psm_assert(n_cols > 0);
@@ -54,17 +55,8 @@ UtilityEstimator::addCorpusApp(const std::string &name,
     psm_assert(power_row.size() == n_cols && hb_row.size() == n_cols);
     if (hasCorpusApp(name))
         fatal("corpus already contains '%s'", name.c_str());
-
-    if (power_corpus.rows() == 0) {
-        power_corpus = MaskedMatrix(0, 0);
-        log_hb_corpus = MaskedMatrix(0, 0);
-    }
-    std::vector<double> log_row(n_cols);
-    for (std::size_t c = 0; c < n_cols; ++c)
-        log_row[c] = std::log(std::max(hb_row[c], hbFloor));
-    power_corpus.appendObservedRow(power_row);
-    log_hb_corpus.appendObservedRow(log_row);
     names.push_back(name);
+    corpus.push_back(surfaceFromRows(power_row, hb_row));
 }
 
 bool
@@ -76,70 +68,27 @@ UtilityEstimator::hasCorpusApp(const std::string &name) const
     return false;
 }
 
-void
-UtilityEstimator::clearCorpus()
-{
-    names.clear();
-    power_corpus = MaskedMatrix(0, 0);
-    log_hb_corpus = MaskedMatrix(0, 0);
-}
-
-std::pair<std::vector<std::size_t>, std::uint64_t>
-UtilityEstimator::sampleMask(const std::vector<Measurement> &samples)
-{
-    std::vector<std::size_t> mask;
-    mask.reserve(samples.size());
-    for (const Measurement &s : samples)
-        mask.push_back(s.column);
-    std::sort(mask.begin(), mask.end());
-    mask.erase(std::unique(mask.begin(), mask.end()), mask.end());
-
-    std::uint64_t hash = 0xcbf29ce484222325ULL; // FNV-1a
-    for (std::size_t c : mask) {
-        hash ^= static_cast<std::uint64_t>(c);
-        hash *= 0x100000001b3ULL;
-    }
-    return {std::move(mask), hash};
-}
-
 UtilitySurface
 UtilityEstimator::estimate(const std::vector<Measurement> &samples,
-                           FitState *state, FitOutcome *outcome) const
+                           const std::string &exclude,
+                           FitOutcome *outcome) const
 {
     if (samples.empty())
         fatal("cannot estimate a utility surface from zero samples");
-    if (outcome)
-        *outcome = FitOutcome{}; // each call reports only itself
 
-    auto [mask, mask_hash] = sampleMask(samples);
-    std::size_t fit_rows = power_corpus.rows() + 1;
-
-    if (state && state->valid && state->corpusRows == fit_rows &&
-        state->maskHash == mask_hash && state->mask == mask) {
-        // Same app, same corpus, same sampled columns: the refit
-        // would reproduce this surface modulo measurement noise.
-        if (outcome)
-            outcome->cacheHit = true;
-        return state->surface;
-    }
-
-    // Warm-start only when the previous mask strictly grew: the
-    // factors then start near the new optimum.
-    bool warm = state && state->valid &&
-                state->corpusRows == fit_rows &&
-                mask.size() > state->mask.size() &&
-                std::includes(mask.begin(), mask.end(),
-                              state->mask.begin(), state->mask.end());
-
-    // Build working copies of the corpus with the new app appended as
-    // a sparse row.
-    MaskedMatrix power_m = power_corpus;
-    MaskedMatrix hb_m = log_hb_corpus;
-    if (power_m.rows() == 0) {
-        power_m = MaskedMatrix(0, n_cols);
-        hb_m = MaskedMatrix(0, n_cols);
-        // MaskedMatrix(0, n) has the column count fixed; append via
-        // empty rows below.
+    // The fit matrices: every corpus row but the excluded one, in
+    // corpus order (the ALS initial factors are drawn in row order),
+    // then the new app as a sparse row.
+    MaskedMatrix power_m(0, n_cols);
+    MaskedMatrix hb_m(0, n_cols);
+    std::vector<double> log_row(n_cols);
+    for (std::size_t i = 0; i < corpus.size(); ++i) {
+        if (names[i] == exclude)
+            continue;
+        for (std::size_t c = 0; c < n_cols; ++c)
+            log_row[c] = std::log(std::max(corpus[i].hbRate[c], hbFloor));
+        power_m.appendObservedRow(corpus[i].power);
+        hb_m.appendObservedRow(log_row);
     }
     power_m.appendEmptyRow();
     hb_m.appendEmptyRow();
@@ -152,10 +101,8 @@ UtilityEstimator::estimate(const std::vector<Measurement> &samples,
     }
 
     auto fit_start = std::chrono::steady_clock::now();
-    AlsModel power_model(power_m, als_config,
-                         warm ? &state->powerWarm : nullptr);
-    AlsModel hb_model(hb_m, als_config,
-                      warm ? &state->hbWarm : nullptr);
+    AlsModel power_model(power_m, als_config);
+    AlsModel hb_model(hb_m, als_config);
     double fit_seconds =
         std::chrono::duration<double>(
             std::chrono::steady_clock::now() - fit_start)
@@ -177,20 +124,9 @@ UtilityEstimator::estimate(const std::vector<Measurement> &samples,
     }
 
     if (outcome) {
-        outcome->cacheHit = false;
-        outcome->warmStarted = warm;
         outcome->sweeps =
             power_model.sweepsRun() + hb_model.sweepsRun();
         outcome->fitSeconds = fit_seconds;
-    }
-    if (state) {
-        state->valid = true;
-        state->mask = std::move(mask);
-        state->maskHash = mask_hash;
-        state->corpusRows = fit_rows;
-        state->surface = surface;
-        state->powerWarm = power_model.warmStart();
-        state->hbWarm = hb_model.warmStart();
     }
     return surface;
 }
@@ -205,6 +141,26 @@ UtilityEstimator::surfaceFromRows(const std::vector<double> &power_row,
     s.hbRate = hb_row;
     s.sampledColumns = power_row.size();
     return s;
+}
+
+std::shared_ptr<const UtilityEstimator>
+profileCorpus(const power::PlatformConfig &config,
+              const std::vector<perf::AppProfile> &profiles,
+              AlsConfig als)
+{
+    auto corpus = std::make_shared<UtilityEstimator>(config, als);
+    Profiler exhaustive(config, 0.0);
+    Rng no_draws; // a noiseless Profiler draws no random numbers
+    for (const perf::AppProfile &p : profiles) {
+        if (corpus->hasCorpusApp(p.name))
+            continue;
+        perf::PerfModel model(config, p);
+        std::vector<double> power_row;
+        std::vector<double> hb_row;
+        exhaustive.measureAll(model, power_row, hb_row, no_draws);
+        corpus->addCorpusApp(p.name, power_row, hb_row);
+    }
+    return corpus;
 }
 
 } // namespace psm::cf

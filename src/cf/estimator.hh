@@ -14,14 +14,13 @@
 #ifndef PSM_CF_ESTIMATOR_HH
 #define PSM_CF_ESTIMATOR_HH
 
-#include <cstdint>
+#include <memory>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "als.hh"
-#include "matrix.hh"
 #include "profiler.hh"
+#include "perf/app_profile.hh"
 #include "power/platform.hh"
 
 namespace psm::cf
@@ -35,41 +34,19 @@ struct UtilitySurface
     std::size_t sampledColumns = 0; ///< how many were measured
 };
 
-/**
- * Memoized estimation state for one application, owned by the caller
- * (the LearningPipeline keeps one per tracked app).  A repeat
- * estimate() against the same corpus with the identical sampled-column
- * mask returns the cached surface without running a single ALS sweep;
- * a mask that strictly grew warm-starts both factorizations from the
- * previous factors instead of the random cold init.
- *
- * The cache key is deliberately the *mask*, not the measured values:
- * re-measuring the same columns yields the same surface modulo
- * measurement noise, and the sampler draws a fresh random mask on
- * drift recalibration, so a stale phase's surface is not pinned.
- */
-struct FitState
-{
-    bool valid = false;
-    std::vector<std::size_t> mask; ///< sorted sampled columns
-    std::uint64_t maskHash = 0;    ///< FNV-1a over the mask
-    std::size_t corpusRows = 0;    ///< rows the fit was made against
-    UtilitySurface surface;
-    AlsWarmStart powerWarm;
-    AlsWarmStart hbWarm;
-};
-
-/** What one estimate() call actually did, for telemetry upstream. */
+/** What one estimate() call cost, for telemetry upstream. */
 struct FitOutcome
 {
-    bool cacheHit = false;    ///< surface served without any fit
-    bool warmStarted = false; ///< factors seeded from previous fit
-    std::size_t sweeps = 0;   ///< total ALS sweeps across both models
-    double fitSeconds = 0.0;  ///< wall-clock spent fitting (0 on hit)
+    std::size_t sweeps = 0;  ///< total ALS sweeps across both models
+    double fitSeconds = 0.0; ///< wall-clock spent fitting
 };
 
 /**
- * Corpus + estimation logic.
+ * Corpus + estimation logic.  Once profiled, a corpus never changes,
+ * so one object may serve every server built on its platform
+ * (profileCorpus returns it as a shared pointer to const):
+ * estimate() writes no member and may run concurrently on one
+ * object.
  */
 class UtilityEstimator
 {
@@ -97,10 +74,13 @@ class UtilityEstimator
 
     bool hasCorpusApp(const std::string &name) const;
     std::size_t corpusSize() const { return names.size(); }
-    const std::vector<std::string> &corpusNames() const { return names; }
 
-    /** Drop every corpus application (used by cross-validation). */
-    void clearCorpus();
+    /** The corpus applications' exhaustive surfaces, in the order
+     * they were added. */
+    const std::vector<UtilitySurface> &corpusSurfaces() const
+    {
+        return corpus;
+    }
 
     // --- Estimation ---------------------------------------------------
 
@@ -108,19 +88,16 @@ class UtilityEstimator
      * Estimate the full surface of a new application from sparse
      * measurements.  Measured columns keep their measured values.
      *
-     * @param state Optional per-app memo: identical mask (and corpus)
-     *        => cached surface, zero sweeps; grown mask => warm-
-     *        started refit.  Updated in place with this fit.
-     * @param outcome Optional report of what the call did (cache hit,
-     *        warm start, sweeps, fit wall-clock).
+     * @param exclude Name of a corpus application to leave out of the
+     *        fit — the application being estimated, so that it never
+     *        predicts itself.  The remaining rows keep their order;
+     *        an empty name or one not in the corpus leaves all in.
+     * @param outcome Optional report of the fit's sweeps and
+     *        wall-clock.
      */
     UtilitySurface estimate(const std::vector<Measurement> &samples,
-                            FitState *state = nullptr,
+                            const std::string &exclude = {},
                             FitOutcome *outcome = nullptr) const;
-
-    /** Sorted column mask of a sample set plus its FNV-1a hash. */
-    static std::pair<std::vector<std::size_t>, std::uint64_t>
-    sampleMask(const std::vector<Measurement> &samples);
 
     /**
      * Convenience for a fully known application: wrap exhaustive
@@ -137,9 +114,22 @@ class UtilityEstimator
     std::size_t n_cols;
 
     std::vector<std::string> names;
-    MaskedMatrix power_corpus;  ///< linear watts
-    MaskedMatrix log_hb_corpus; ///< log heartbeat rates
+    /** Exhaustive rows: watts and raw heartbeat rates (the fit takes
+     * the log of the rates it uses). */
+    std::vector<UtilitySurface> corpus;
 };
+
+/**
+ * Profile @p profiles exhaustively into a new corpus ("previously
+ * seen applications", Section III-A); a repeated name keeps its first
+ * profile.  Profiling is noiseless, so the rows depend only on the
+ * platform and the profiles, and one corpus can serve every server
+ * built on @p config.
+ */
+std::shared_ptr<const UtilityEstimator>
+profileCorpus(const power::PlatformConfig &config,
+              const std::vector<perf::AppProfile> &profiles,
+              AlsConfig als = {});
 
 } // namespace psm::cf
 

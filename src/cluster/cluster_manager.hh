@@ -116,16 +116,17 @@ struct ClusterConfig
     int shardSize = 64;
 
     /**
-     * Seed each node's CF corpus from the workload library.  Turn off
-     * (with `manager.oracleUtilities`) for scale benches that build
-     * thousands of managed nodes: an oracle control plane skips the
-     * per-node corpus profiling without changing the cap-split
+     * Seed the nodes' shared CF corpus from the workload library.
+     * Turn off (with `manager.oracleUtilities`) for scale benches
+     * that build thousands of managed nodes: an oracle control plane
+     * needs no corpus, and skipping it also skips the server-average
+     * curve each seeded node builds, without changing the cap-split
      * mechanics under test.
      */
     bool seedWorkloadCorpus = true;
 
     /**
-     * Workload names to seed each node's CF corpus with instead of
+     * Workload names to seed the shared CF corpus with instead of
      * the full batch library (empty keeps the historical default).
      * Typos used to abort deep inside the node build with a bare
      * "unknown workload" fatal; validate() now rejects them up front

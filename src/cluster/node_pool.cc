@@ -42,17 +42,23 @@ NodePool::NodePool(const NodePoolConfig &config)
     psm_assert(config.servers >= 1);
     auto n = static_cast<std::size_t>(config.servers);
     node_list.resize(n);
-    // Resolve any corpus override once, outside the parallel build:
-    // workload() fatal()s with the valid-name list on a typo, and a
-    // fatal inside a pool task would abort without that diagnostic
-    // reaching the caller cleanly.
-    std::vector<perf::AppProfile> corpus_override;
-    if (config.seedWorkloadCorpus)
+    // Profile the corpus once, outside the parallel build, and share
+    // it read-only with every node: noiseless profiling makes the
+    // rows depend only on the platform every node runs and the
+    // profiles.  Doing it here also keeps a workload() typo's fatal()
+    // (with the valid-name list) out of a pool task.
+    std::shared_ptr<const cf::UtilityEstimator> corpus;
+    if (config.managed && config.seedWorkloadCorpus) {
+        std::vector<perf::AppProfile> profiles;
         for (const std::string &name : config.corpusWorkloads)
-            corpus_override.push_back(perf::workload(name));
-    // Building a managed node profiles the whole workload library
-    // into its corpus — the dominant setup cost.  Nodes share only
-    // immutable platform/workload tables, so build them in parallel.
+            profiles.push_back(perf::workload(name));
+        corpus = cf::profileCorpus(
+            power::defaultPlatform(),
+            profiles.empty() ? perf::workloadLibrary() : profiles,
+            config.manager.als);
+    }
+    // Nodes share only the corpus and immutable platform/workload
+    // tables, so build them in parallel.
     util::ThreadPool::global().parallelFor(n, [&](std::size_t s) {
         Node &node = node_list[s];
         node.server = std::make_unique<sim::Server>();
@@ -66,11 +72,8 @@ NodePool::NodePool(const NodePoolConfig &config)
                 config.seedBase + static_cast<std::uint64_t>(s);
             node.manager = std::make_unique<core::ServerManager>(
                 *node.server, mc);
-            if (config.seedWorkloadCorpus) {
-                node.manager->seedCorpus(
-                    corpus_override.empty() ? perf::workloadLibrary()
-                                            : corpus_override);
-            }
+            if (corpus)
+                node.manager->seedCorpus(corpus);
         }
     });
 }

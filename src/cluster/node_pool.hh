@@ -6,9 +6,10 @@
  * the job scheduler (ClusterScheduler) — need the same thing: N
  * identical simulated servers, each optionally wrapped in the
  * per-server control plane (ServerManager) with a deterministic
- * per-node seed and a corpus seeded from the workload library.  The
- * pool builds them once, uniformly, and offers cluster-scope rollups
- * (total energy, merged telemetry) over whatever the drivers did.
+ * per-node seed.  The managed nodes share one CF corpus, profiled
+ * from the workload library once per pool.  The pool builds them
+ * once, uniformly, and offers cluster-scope rollups (total energy,
+ * merged telemetry) over whatever the drivers did.
  */
 
 #ifndef PSM_CLUSTER_NODE_POOL_HH
@@ -46,7 +47,8 @@ struct NodePoolConfig
     std::optional<esd::BatteryConfig> esd;
     /** Initial per-server cap (<= 0 leaves the server uncapped). */
     Watts serverCap = 0.0;
-    /** Seed each manager's CF corpus from the workload library. */
+    /** Profile one CF corpus from the workload library and share it
+     * with every manager. */
     bool seedWorkloadCorpus = true;
     /**
      * Workload names to seed the corpus with instead of the full

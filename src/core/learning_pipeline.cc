@@ -18,46 +18,23 @@ LearningPipeline::LearningPipeline(sim::Server &server,
 
 void
 LearningPipeline::seedCorpus(
-    const std::vector<perf::AppProfile> &profiles)
+    std::shared_ptr<const cf::UtilityEstimator> corpus)
 {
-    cf::Profiler exhaustive(srv.platform(), 0.0);
-    Rng corpus_rng(cfg.seed ^ 0xc0f5eULL);
-    for (const auto &p : profiles) {
-        bool duplicate = false;
-        for (const auto &e : corpus)
-            duplicate |= e.name == p.name;
-        if (duplicate)
-            continue;
-        perf::PerfModel model(srv.platform(), p);
-        CorpusEntry entry;
-        entry.name = p.name;
-        exhaustive.measureAll(model, entry.power, entry.hbRate,
-                              corpus_rng);
-        corpus.push_back(std::move(entry));
-    }
-    // Cached fits were made against the old corpus; drop them.
-    fit_states.clear();
-    rebuildServerAverageCurve();
-    if (tel)
-        tel->count(trace::EventId::LearningCorpusApps, corpus.size());
-}
-
-void
-LearningPipeline::rebuildServerAverageCurve()
-{
-    if (corpus.empty()) {
+    psm_assert(corpus &&
+               corpus->columnCount() == profiler.columnCount());
+    cf_corpus = std::move(corpus);
+    if (cf_corpus->corpusSize() == 0) {
         server_avg_curve.reset();
-        return;
+    } else {
+        server_avg_curve.emplace(
+            "server-average", profiler.settings(),
+            averageSurfaces(cf_corpus->corpusSurfaces()),
+            KnobFreedom::All);
     }
-    std::vector<cf::UtilitySurface> surfaces;
-    surfaces.reserve(corpus.size());
-    for (const auto &e : corpus) {
-        surfaces.push_back(
-            cf::UtilityEstimator::surfaceFromRows(e.power, e.hbRate));
+    if (tel) {
+        tel->count(trace::EventId::LearningCorpusApps,
+                   cf_corpus->corpusSize());
     }
-    server_avg_curve.emplace("server-average", profiler.settings(),
-                             averageSurfaces(surfaces),
-                             KnobFreedom::All);
 }
 
 void
@@ -146,15 +123,13 @@ LearningPipeline::finishCalibration(int id)
     auto samples = profiler.measure(app.perf(), a.pending_cols, rng,
                                     phase.cpuScale, phase.memScale);
 
-    // Leave-one-out corpus: never let an application predict itself.
-    cf::UtilityEstimator estimator(srv.platform(), cfg.als);
-    for (const auto &e : corpus) {
-        if (e.name != a.name)
-            estimator.addCorpusApp(e.name, e.power, e.hbRate);
+    if (!cf_corpus) {
+        cf_corpus = std::make_shared<const cf::UtilityEstimator>(
+            srv.platform(), cfg.als);
     }
+    // Leave-one-out: never let an application predict itself.
     cf::FitOutcome outcome;
-    a.surface = estimator.estimate(samples, &fit_states[a.name],
-                                   &outcome);
+    a.surface = cf_corpus->estimate(samples, a.name, &outcome);
     ++surface_epoch;
     a.calibration_ready = maxTick;
     a.pending_cols.clear();
@@ -162,18 +137,10 @@ LearningPipeline::finishCalibration(int id)
     if (tel) {
         tel->count(trace::EventId::LearningCalibrationsFinished);
         tel->observe(trace::EventId::LearningCalibration, last_latency);
-        if (outcome.cacheHit) {
-            // Cache hits run zero ALS sweeps and never touch the
-            // fit timer.
-            tel->count(trace::EventId::LearningSurfaceCacheHits);
-        } else {
-            tel->count(trace::EventId::LearningAlsFits);
-            tel->count(trace::EventId::LearningAlsSweeps, outcome.sweeps);
-            tel->observe(trace::EventId::LearningAlsFit,
-                         toTicks(outcome.fitSeconds));
-            if (outcome.warmStarted)
-                tel->count(trace::EventId::LearningAlsWarmStarts);
-        }
+        tel->count(trace::EventId::LearningAlsFits);
+        tel->count(trace::EventId::LearningAlsSweeps, outcome.sweeps);
+        tel->observe(trace::EventId::LearningAlsFit,
+                     toTicks(outcome.fitSeconds));
     }
 }
 

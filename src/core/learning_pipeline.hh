@@ -3,8 +3,9 @@
  * The LearningPipeline: the learning layer of the control plane
  * (Fig. 6's Profiler -> Sampler -> UtilityEstimator path).
  *
- * It owns everything the framework knows about application utilities:
- * the exhaustively profiled corpus of previously seen applications,
+ * It holds everything the framework knows about application
+ * utilities: the exhaustively profiled corpus of previously seen
+ * applications (read-only, and shared by every node of a NodePool),
  * the online sparse-sampling calibration of newly arrived (or phase-
  * changed) applications, the CF estimation that turns sparse samples
  * into full utility surfaces, and the server-average surface used by
@@ -22,6 +23,7 @@
 
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -70,12 +72,24 @@ class LearningPipeline
     const LearningConfig &config() const { return cfg; }
 
     /**
-     * Seed the collaborative filtering corpus with exhaustively
-     * profiled applications ("previously seen applications" in
-     * Section III-A).  When later estimating an application that is
-     * itself in the corpus, its own row is excluded (leave-one-out).
+     * Install the collaborative filtering corpus ("previously seen
+     * applications" in Section III-A, from cf::profileCorpus on this
+     * server's platform), replacing any earlier one.  The corpus is
+     * read-only, so pipelines may share it.  When later estimating an
+     * application that is itself in the corpus, its own row is left
+     * out of the fit (leave-one-out).
      */
-    void seedCorpus(const std::vector<perf::AppProfile> &profiles);
+    void seedCorpus(std::shared_ptr<const cf::UtilityEstimator> corpus);
+
+    /**
+     * The installed corpus: null until seeded, except that an
+     * unseeded pipeline's first online calibration installs an empty
+     * one (its fit sees the sparse samples alone).
+     */
+    const std::shared_ptr<const cf::UtilityEstimator> &corpus() const
+    {
+        return cf_corpus;
+    }
 
     /** Server-average utility curve over the corpus (nullopt while
      * the corpus is empty). */
@@ -153,24 +167,8 @@ class LearningPipeline
     cf::Profiler profiler;
     cf::Sampler sampler;
 
-    /** Corpus kept locally for leave-one-out estimation. */
-    struct CorpusEntry
-    {
-        std::string name;
-        std::vector<double> power;
-        std::vector<double> hbRate;
-    };
-    std::vector<CorpusEntry> corpus;
+    std::shared_ptr<const cf::UtilityEstimator> cf_corpus;
     std::optional<UtilityCurve> server_avg_curve;
-
-    /**
-     * Per-app memoized estimation state, keyed by application name so
-     * it survives departure/re-arrival of the same app.  A repeat
-     * calibration whose sampled-column mask is unchanged serves the
-     * cached surface (zero ALS sweeps); a grown mask warm-starts the
-     * refit.  Invalidated wholesale when the corpus changes.
-     */
-    std::map<std::string, cf::FitState> fit_states;
 
     struct AppLearning
     {
@@ -186,7 +184,6 @@ class LearningPipeline
     std::uint64_t surface_epoch = 1;
 
     void finishCalibration(int id);
-    void rebuildServerAverageCurve();
 };
 
 } // namespace psm::core

@@ -90,7 +90,15 @@ ServerManager::ServerManager(sim::Server &server, ManagerConfig config)
 void
 ServerManager::seedCorpus(const std::vector<perf::AppProfile> &profiles)
 {
-    pipeline.seedCorpus(profiles);
+    pipeline.seedCorpus(
+        cf::profileCorpus(srv.platform(), profiles, cfg.als));
+}
+
+void
+ServerManager::seedCorpus(
+    std::shared_ptr<const cf::UtilityEstimator> corpus)
+{
+    pipeline.seedCorpus(std::move(corpus));
 }
 
 int

@@ -21,6 +21,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -164,10 +165,18 @@ class ServerManager : private ControlLoop::Delegate
     /**
      * Seed the collaborative filtering corpus with exhaustively
      * profiled applications ("previously seen applications" in
-     * Section III-A).  When later estimating an application that is
-     * itself in the corpus, its own row is excluded (leave-one-out).
+     * Section III-A), replacing any earlier corpus.  When later
+     * estimating an application that is itself in the corpus, its own
+     * row is excluded (leave-one-out).
      */
     void seedCorpus(const std::vector<perf::AppProfile> &profiles);
+
+    /**
+     * Share a corpus already profiled by cf::profileCorpus on this
+     * server's platform with config().als — how a NodePool seeds
+     * every node from one profiling pass.
+     */
+    void seedCorpus(std::shared_ptr<const cf::UtilityEstimator> corpus);
 
     /**
      * Admit an application (event E2).  Calibration, if the policy

@@ -119,6 +119,19 @@ decodeCaptureConfig(const std::vector<std::uint8_t> &payload,
                        cf::SamplingStrategy::Stratified))
         return fail("invalid sampling strategy " +
                     std::to_string(static_cast<int>(sampling)));
+    // Values the engine's constructors or its first decision would
+    // abort on; the comparisons are written so that NaN fails them.
+    if (!(m.sampleFraction > 0.0 && m.sampleFraction <= 1.0))
+        return fail("sampleFraction must lie in (0, 1]");
+    if (!(std::isfinite(m.measurementNoise) &&
+          m.measurementNoise >= 0.0))
+        return fail("measurementNoise must be finite and >= 0");
+    if (m.controlPeriod == 0)
+        return fail("controlPeriod must be positive");
+    if (info->kind == core::PolicyKind::ServerResAware &&
+        seed_corpus == 0)
+        return fail("policy " + info->cliName +
+                    " needs the seeded corpus");
     cfg.nodes = static_cast<int>(nodes);
     cfg.esd = esd != 0;
     cfg.seedCorpus = seed_corpus != 0;

@@ -240,6 +240,15 @@ TEST(Estimator, MeasuredColumnsKeepMeasuredValues)
     EXPECT_DOUBLE_EQ(s.power[431], 20.0);
     EXPECT_NEAR(s.hbRate[10], 150.0, 1e-6);
     EXPECT_EQ(s.sampledColumns, 3u);
+
+    // Leaving out the only corpus row fits the lone sparse row, just
+    // as the empty corpus does.
+    UtilityEstimator one(plat);
+    std::vector<double> row(one.columnCount(), 10.0);
+    one.addCorpusApp("alpha", row, row);
+    UtilitySurface alone = one.estimate(samples, "alpha");
+    EXPECT_EQ(alone.power, s.power);
+    EXPECT_EQ(alone.hbRate, s.hbRate);
 }
 
 TEST(Estimator, CorpusManagement)
@@ -252,8 +261,14 @@ TEST(Estimator, CorpusManagement)
     EXPECT_EQ(est.corpusSize(), 1u);
     EXPECT_DEATH(est.addCorpusApp("alpha", row, row),
                  "already contains");
-    est.clearCorpus();
-    EXPECT_EQ(est.corpusSize(), 0u);
+    ASSERT_EQ(est.corpusSurfaces().size(), 1u);
+    EXPECT_EQ(est.corpusSurfaces()[0].power, row);
+
+    // Profiling a corpus keeps the first of repeated names.
+    auto profiled = profileCorpus(
+        plat, {perf::workload("stream"), perf::workload("stream")});
+    EXPECT_EQ(profiled->corpusSize(), 1u);
+    EXPECT_TRUE(profiled->hasCorpusApp("stream"));
 }
 
 TEST(Estimator, LeaveOneOutPredictsHeldOutAppWell)
@@ -294,6 +309,14 @@ TEST(Estimator, LeaveOneOutPredictsHeldOutAppWell)
     herr /= static_cast<double>(s.power.size());
     EXPECT_LT(perr, 0.06);
     EXPECT_LT(herr, 0.12);
+
+    // Leaving the target out of the full 12-app corpus by name is the
+    // same fit, bit for bit, as the 11-app corpus without it.
+    auto full = profileCorpus(plat, perf::workloadLibrary());
+    ASSERT_TRUE(full->hasCorpusApp(target));
+    UtilitySurface loo = full->estimate(samples, target);
+    EXPECT_EQ(loo.power, s.power);
+    EXPECT_EQ(loo.hbRate, s.hbRate);
 }
 
 // --- Cross validation -------------------------------------------------------

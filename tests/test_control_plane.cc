@@ -131,7 +131,7 @@ TEST(LearningPipeline, OracleCalibrationIsImmediate)
     lc.oracleUtilities = true;
     Telemetry tel;
     LearningPipeline pipe(server, lc, &tel);
-    pipe.seedCorpus(workloadLibrary());
+    pipe.seedCorpus(cf::profileCorpus(server.platform(), workloadLibrary()));
     ASSERT_TRUE(pipe.serverAverageCurve().has_value());
 
     int id = server.admit(workload("stream"));
@@ -152,7 +152,7 @@ TEST(LearningPipeline, OnlineCalibrationChargesWallClock)
     LearningConfig lc;
     Telemetry tel;
     LearningPipeline pipe(server, lc, &tel);
-    pipe.seedCorpus(workloadLibrary());
+    pipe.seedCorpus(cf::profileCorpus(server.platform(), workloadLibrary()));
 
     int id = server.admit(workload("kmeans"));
     pipe.track(id, "kmeans");
@@ -174,6 +174,10 @@ TEST(LearningPipeline, OnlineCalibrationChargesWallClock)
     EXPECT_EQ(pipe.surfaceEpoch(), e0 + 1); // the install bumps
     EXPECT_GT(pipe.lastCalibrationLatency(), 0);
     EXPECT_EQ(tel.counter("learning.calibrations_finished"), 1u);
+    // One fit of both models, each running every sweep.
+    EXPECT_EQ(tel.counter("learning.als_fits"), 1u);
+    EXPECT_EQ(tel.counter("learning.als_sweeps"), 2 * lc.als.iterations);
+    EXPECT_EQ(tel.timer("learning.als_fit").count, 1u);
 }
 
 TEST(LearningPipeline, SurfaceEpochTracksRecalibrationsAndRearrivals)
@@ -186,7 +190,7 @@ TEST(LearningPipeline, SurfaceEpochTracksRecalibrationsAndRearrivals)
     lc.oracleUtilities = true;
     Telemetry tel;
     LearningPipeline pipe(server, lc, &tel);
-    pipe.seedCorpus(workloadLibrary());
+    pipe.seedCorpus(cf::profileCorpus(server.platform(), workloadLibrary()));
 
     std::uint64_t e0 = pipe.surfaceEpoch();
     int id = server.admit(workload("stream"));
@@ -402,6 +406,21 @@ TEST(NodePool, BuildsManagedNodesAndAggregatesTelemetry)
     EXPECT_EQ(cluster_tel.counter("manager.reallocations"),
               pool[0].manager->reallocationCount() +
                   pool[1].manager->reallocationCount());
+}
+
+TEST(NodePool, ManagedNodesShareOneCorpus)
+{
+    // The pool profiles the corpus once and hands every node the same
+    // read-only object; profiling per node would give each its own.
+    cluster::NodePoolConfig pc;
+    pc.servers = 3;
+    cluster::NodePool pool(pc);
+    const cf::UtilityEstimator *corpus =
+        pool[0].manager->learning().corpus().get();
+    ASSERT_NE(corpus, nullptr);
+    EXPECT_EQ(corpus->corpusSize(), workloadLibrary().size());
+    for (std::size_t s = 1; s < pool.size(); ++s)
+        EXPECT_EQ(pool[s].manager->learning().corpus().get(), corpus);
 }
 
 TEST(NodePool, RawPoolHasNoManagers)

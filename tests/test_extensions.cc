@@ -25,7 +25,13 @@ namespace
 class TraceCsvTest : public ::testing::Test
 {
   protected:
-    std::string path = ::testing::TempDir() + "psm_trace_test.csv";
+    // One file per case: ctest runs each case as its own process, in
+    // parallel under -j, and a shared file would let one case's
+    // TearDown delete or rewrite another's input.
+    std::string path =
+        ::testing::TempDir() + "psm_trace_" +
+        ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+        ".csv";
 
     void TearDown() override { std::remove(path.c_str()); }
 };

@@ -1,17 +1,15 @@
 /**
  * @file
- * Tests for the performance layer: the util::ThreadPool itself, the
- * surface cache / warm-start path of the estimator, the cache-hit
- * telemetry contract of the LearningPipeline, and the determinism
- * guard — a parallel cluster run (pool width 4) must produce
- * bit-identical energy/perf/violation results to the serial run
- * (width 1), for both cluster drivers.
+ * Tests for the performance layer: the util::ThreadPool itself and
+ * the determinism guard — a parallel cluster run (pool width 4) must
+ * produce bit-identical energy/perf/violation results to the serial
+ * run (width 1), for both cluster drivers, and a CF fit must not
+ * depend on the pool width.
  */
 
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <cmath>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -21,7 +19,6 @@
 #include "cluster/cluster_manager.hh"
 #include "cluster/power_trace.hh"
 #include "cluster/scheduler.hh"
-#include "core/learning_pipeline.hh"
 #include "core/telemetry.hh"
 #include "perf/perf_model.hh"
 #include "perf/workloads.hh"
@@ -104,7 +101,7 @@ TEST(ThreadPool, ZeroCountIsANoOp)
     pool.parallelFor(0, [&](std::size_t) { FAIL(); });
 }
 
-// --- Estimator cache / warm start -------------------------------------------
+// --- Estimator --------------------------------------------------------------
 
 std::vector<cf::Measurement>
 measureColumns(const std::string &app,
@@ -115,145 +112,6 @@ measureColumns(const std::string &app,
     perf::PerfModel model(plat, perf::workload(app));
     Rng rng(17);
     return prof.measure(model, cols, rng);
-}
-
-cf::UtilityEstimator
-corpusEstimator(const std::string &except)
-{
-    const auto &plat = power::defaultPlatform();
-    cf::UtilityEstimator est(plat);
-    cf::Profiler prof(plat, 0.0);
-    Rng rng(23);
-    for (const auto &p : perf::workloadLibrary()) {
-        if (p.name == except)
-            continue;
-        perf::PerfModel model(plat, p);
-        std::vector<double> pw, hb;
-        prof.measureAll(model, pw, hb, rng);
-        est.addCorpusApp(p.name, pw, hb);
-    }
-    return est;
-}
-
-TEST(SurfaceCache, IdenticalMaskIsServedWithoutAnySweep)
-{
-    cf::UtilityEstimator est = corpusEstimator("stream");
-    std::vector<std::size_t> cols;
-    for (std::size_t c = 0; c < est.columnCount(); c += 9)
-        cols.push_back(c);
-    auto samples = measureColumns("stream", cols);
-
-    cf::FitState state;
-    cf::FitOutcome first;
-    cf::UtilitySurface cold = est.estimate(samples, &state, &first);
-    EXPECT_FALSE(first.cacheHit);
-    EXPECT_FALSE(first.warmStarted);
-    EXPECT_GT(first.sweeps, 0u);
-    EXPECT_TRUE(state.valid);
-
-    cf::FitOutcome second;
-    cf::UtilitySurface warm = est.estimate(samples, &state, &second);
-    EXPECT_TRUE(second.cacheHit);
-    EXPECT_EQ(second.sweeps, 0u);
-    ASSERT_EQ(warm.power.size(), cold.power.size());
-    for (std::size_t c = 0; c < warm.power.size(); ++c) {
-        EXPECT_EQ(warm.power[c], cold.power[c]);
-        EXPECT_EQ(warm.hbRate[c], cold.hbRate[c]);
-    }
-}
-
-TEST(SurfaceCache, GrownMaskWarmStartsWithFewerSweeps)
-{
-    cf::UtilityEstimator est = corpusEstimator("stream");
-    std::vector<std::size_t> cols;
-    for (std::size_t c = 0; c < est.columnCount(); c += 9)
-        cols.push_back(c);
-
-    cf::FitState state;
-    cf::FitOutcome cold;
-    est.estimate(measureColumns("stream", cols), &state, &cold);
-
-    // Grow the mask strictly.
-    std::vector<std::size_t> grown = cols;
-    for (std::size_t c = 4; c < est.columnCount(); c += 27) {
-        if (c % 9 != 0)
-            grown.push_back(c);
-    }
-    ASSERT_GT(grown.size(), cols.size());
-    cf::FitOutcome warm;
-    cf::UtilitySurface surface =
-        est.estimate(measureColumns("stream", grown), &state, &warm);
-    EXPECT_FALSE(warm.cacheHit);
-    EXPECT_TRUE(warm.warmStarted);
-    EXPECT_LT(warm.sweeps, cold.sweeps);
-    EXPECT_EQ(surface.power.size(), est.columnCount());
-
-    // The warm-started surface still tracks ground truth reasonably:
-    // compare against the exhaustive measurement.
-    const auto &plat = power::defaultPlatform();
-    cf::Profiler prof(plat, 0.0);
-    perf::PerfModel model(plat, perf::workload("stream"));
-    Rng rng(29);
-    std::vector<double> pw, hb;
-    prof.measureAll(model, pw, hb, rng);
-    double err = 0.0;
-    for (std::size_t c = 0; c < pw.size(); ++c)
-        err += std::abs(surface.power[c] - pw[c]) / pw[c];
-    err /= static_cast<double>(pw.size());
-    EXPECT_LT(err, 0.15); // mean relative power error under 15%
-}
-
-TEST(SurfaceCache, ShrunkOrDisjointMaskRefitsCold)
-{
-    cf::UtilityEstimator est = corpusEstimator("stream");
-    std::vector<std::size_t> cols;
-    for (std::size_t c = 0; c < est.columnCount(); c += 9)
-        cols.push_back(c);
-
-    cf::FitState state;
-    est.estimate(measureColumns("stream", cols), &state, nullptr);
-
-    std::vector<std::size_t> shifted;
-    for (std::size_t c = 1; c < est.columnCount(); c += 9)
-        shifted.push_back(c);
-    cf::FitOutcome out;
-    est.estimate(measureColumns("stream", shifted), &state, &out);
-    EXPECT_FALSE(out.cacheHit);
-    EXPECT_FALSE(out.warmStarted);
-}
-
-// --- LearningPipeline telemetry contract ------------------------------------
-
-TEST(LearningPipeline, CacheHitSkipsTheFitTimer)
-{
-    sim::Server server;
-    core::LearningConfig lc;
-    // Sampling the full knob space makes the mask deterministic, so
-    // the second calibration of the same app repeats it exactly.
-    lc.sampleFraction = 1.0;
-    core::Telemetry tel;
-    core::LearningPipeline pipe(server, lc, &tel);
-    pipe.seedCorpus(perf::workloadLibrary());
-
-    int id = server.admit(perf::workload("kmeans"));
-    pipe.track(id, "kmeans");
-    EXPECT_FALSE(pipe.startCalibration(id));
-    server.run(toTicks(10.0));
-    ASSERT_EQ(pipe.finishDueCalibrations().size(), 1u);
-    EXPECT_EQ(tel.counter("learning.als_fits"), 1u);
-    EXPECT_EQ(tel.timer("learning.als_fit").count, 1u);
-    EXPECT_EQ(tel.counter("learning.surface_cache_hits"), 0u);
-    EXPECT_GT(tel.counter("learning.als_sweeps"), 0u);
-
-    // Recalibrate with the identical (exhaustive) mask: the surface
-    // is served from the cache — zero sweeps, fit timer untouched.
-    EXPECT_FALSE(pipe.startCalibration(id));
-    server.run(toTicks(10.0));
-    ASSERT_EQ(pipe.finishDueCalibrations().size(), 1u);
-    EXPECT_EQ(tel.counter("learning.surface_cache_hits"), 1u);
-    EXPECT_EQ(tel.counter("learning.als_fits"), 1u);
-    EXPECT_EQ(tel.timer("learning.als_fit").count, 1u);
-    EXPECT_TRUE(pipe.calibrated(id));
 }
 
 // --- Determinism guard ------------------------------------------------------
@@ -365,11 +223,13 @@ TEST(DeterminismGuard, AlsFitIsWidthInvariant)
 {
     auto fitAt = [](unsigned width) {
         ScopedPoolWidth pool(width);
-        cf::UtilityEstimator est = corpusEstimator("stream");
+        auto corpus = cf::profileCorpus(power::defaultPlatform(),
+                                        perf::workloadLibrary());
         std::vector<std::size_t> cols;
-        for (std::size_t c = 0; c < est.columnCount(); c += 7)
+        for (std::size_t c = 0; c < corpus->columnCount(); c += 7)
             cols.push_back(c);
-        return est.estimate(measureColumns("stream", cols));
+        return corpus->estimate(measureColumns("stream", cols),
+                                "stream");
     };
     cf::UtilitySurface serial = fitAt(1);
     cf::UtilitySurface parallel = fitAt(4);

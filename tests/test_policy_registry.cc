@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -169,6 +170,59 @@ TEST(PolicyRegistry, CaptureConfigRejectsInvalidSampling)
     std::string error;
     EXPECT_FALSE(serve::decodeCaptureConfig(bytes, decoded, &error));
     EXPECT_NE(error.find("sampling"), std::string::npos) << error;
+}
+
+TEST(PolicyRegistry, CaptureConfigRefusesFieldsThatAbortTheReplay)
+{
+    // Each record is sealed by the encoder, so only the field check
+    // can refuse it.  Each used to decode, then abort the replay:
+    // LearningPipeline and ControlLoop fatal(), cf::Profiler's
+    // assert, and PlanSelector's fatal() on the first Server+Res-Aware
+    // decision without a corpus.
+    constexpr double nan = std::numeric_limits<double>::quiet_NaN();
+    using Engine = serve::EngineConfig;
+    struct Case
+    {
+        const char *what; ///< expected in the refusal reason
+        void (*set)(Engine &);
+    };
+    const Case cases[] = {
+        {"sampleFraction",
+         [](Engine &c) { c.manager.sampleFraction = 0.0; }},
+        {"sampleFraction",
+         [](Engine &c) { c.manager.sampleFraction = 1.5; }},
+        {"sampleFraction",
+         [](Engine &c) { c.manager.sampleFraction = nan; }},
+        {"measurementNoise",
+         [](Engine &c) { c.manager.measurementNoise = -1.0; }},
+        {"measurementNoise",
+         [](Engine &c) { c.manager.measurementNoise = nan; }},
+        {"controlPeriod",
+         [](Engine &c) { c.manager.controlPeriod = 0; }},
+        {"corpus",
+         [](Engine &c) {
+             c.manager.policy = PolicyKind::ServerResAware;
+             c.seedCorpus = false;
+         }},
+    };
+    for (const Case &k : cases) {
+        serve::EngineConfig cfg;
+        k.set(cfg);
+        std::vector<std::uint8_t> bytes = serve::encodeCaptureConfig(cfg);
+        serve::EngineConfig decoded;
+        std::string error;
+        EXPECT_FALSE(serve::decodeCaptureConfig(bytes, decoded, &error))
+            << k.what;
+        EXPECT_NE(error.find(k.what), std::string::npos) << error;
+    }
+
+    // The bounds themselves are valid.
+    serve::EngineConfig edge;
+    edge.manager.sampleFraction = 1.0;
+    edge.manager.measurementNoise = 0.0;
+    serve::EngineConfig decoded;
+    EXPECT_TRUE(serve::decodeCaptureConfig(
+        serve::encodeCaptureConfig(edge), decoded, nullptr));
 }
 
 } // namespace
