@@ -1,7 +1,8 @@
 /**
  * @file
- * Cluster-scale bench: the hierarchical power tree and the sharded
- * NodePool at 10k-node scale, emitting one JSON document on stdout:
+ * Cluster-scale bench: the hierarchical power tree and the parallel
+ * NodePool step at 10k-node scale, emitting one JSON document on
+ * stdout:
  *
  *   tree:    nodes x depth sweep of pure PowerTree event storms —
  *            ns/event and node visits/event for localized rack
@@ -18,9 +19,9 @@
  *   2. cap conservation must hold at every level of every tree
  *      resolve (zero violations), and a localized event at 2048+
  *      leaves / depth >= 3 must visit O(depth) nodes, not O(N);
- *   3. the sharded step path must be bit-identical to the serial
- *      one: (width 1, shard 1) vs. (width hw, shard 64) replays of
- *      the same managed cluster must agree on energy and perf;
+ *   3. the parallel step path must be bit-identical to the serial
+ *      one: width 1 vs. width max(hw, 4) replays of the same managed
+ *      cluster must agree on energy and perf;
  *   4. on a multi-core host the parallel pool step must not be
  *      slower than the serial one (vacuous on one core).
  */
@@ -182,7 +183,6 @@ scaleConfig(int servers)
 struct ReplayPoint
 {
     unsigned threads = 0;
-    int shardSize = 0;
     double buildSeconds = 0.0;
     double stepSeconds = 0.0; ///< replay wall-clock (all intervals)
     double nodeStepsPerSec = 0.0;
@@ -190,16 +190,14 @@ struct ReplayPoint
 };
 
 ReplayPoint
-treeReplayAt(unsigned width, int shard_size, int servers,
+treeReplayAt(unsigned width, int servers,
              const cluster::PowerTrace &caps)
 {
     util::ThreadPool::configureGlobal(width);
     ReplayPoint p;
     p.threads = width;
-    p.shardSize = shard_size;
 
     cluster::ClusterConfig cfg = scaleConfig(servers);
-    cfg.shardSize = shard_size;
     cfg.topology = cluster::Topology::Tree;
     cfg.treeDepth = 3;
     cfg.demandAwareSplit = true;
@@ -320,38 +318,38 @@ main(int argc, char **argv)
         ok = false;
     }
 
-    // --- sharded 2k-node replay ------------------------------------
+    // --- parallel 2k-node replay -----------------------------------
     int servers = quick ? 2048 : 4096;
     std::size_t points = quick ? 3 : 6;
     cluster::PowerTrace caps = scaleCaps(servers, points);
 
     // Width max(hw, 4): even a single-core host must prove the
-    // sharded step deterministic under real multi-threading; the
+    // parallel step deterministic under real multi-threading; the
     // speedup clause below stays vacuous there.
-    ReplayPoint serial = treeReplayAt(1, 1, servers, caps);
-    ReplayPoint sharded =
-        treeReplayAt(std::max(hw, 4u), 64, servers, caps);
+    ReplayPoint serial = treeReplayAt(1, servers, caps);
+    ReplayPoint parallel =
+        treeReplayAt(std::max(hw, 4u), servers, caps);
     util::ThreadPool::configureGlobal(0);
 
-    bool shard_equiv = fingerprint(serial.result) ==
-                       fingerprint(sharded.result);
-    if (!shard_equiv) {
-        std::cerr << "FAIL: sharded parallel replay diverged from "
-                     "serial (energy "
-                  << sharded.result.totalEnergy << " vs "
+    bool width_equiv = fingerprint(serial.result) ==
+                       fingerprint(parallel.result);
+    if (!width_equiv) {
+        std::cerr << "FAIL: parallel replay diverged from serial "
+                     "(energy "
+                  << parallel.result.totalEnergy << " vs "
                   << serial.result.totalEnergy << ")\n";
         ok = false;
     }
     if (serial.result.conservationViolations +
-            sharded.result.conservationViolations >
+            parallel.result.conservationViolations >
         0) {
         std::cerr << "FAIL: managed tree replay violated per-level "
                      "conservation\n";
         ok = false;
     }
-    double speedup = serial.stepSeconds / sharded.stepSeconds;
+    double speedup = serial.stepSeconds / parallel.stepSeconds;
     if (hw > 1 && speedup < 1.0) {
-        std::cerr << "FAIL: parallel sharded step slower than serial "
+        std::cerr << "FAIL: parallel step slower than serial "
                      "(speedup "
                   << speedup << " at " << hw << " threads)\n";
         ok = false;
@@ -376,10 +374,9 @@ main(int argc, char **argv)
               << serial.result.treeResolveVisits
               << ",\"resolve_prunes\":"
               << serial.result.treeResolvePrunes << ",\"sweep\":[";
-    for (const ReplayPoint *p : {&serial, &sharded}) {
+    for (const ReplayPoint *p : {&serial, &parallel}) {
         std::cout << (p == &serial ? "" : ",")
                   << "{\"threads\":" << p->threads
-                  << ",\"shard_size\":" << p->shardSize
                   << ",\"build_s\":" << p->buildSeconds
                   << ",\"step_s\":" << p->stepSeconds
                   << ",\"node_steps_per_sec\":" << p->nodeStepsPerSec
@@ -387,7 +384,7 @@ main(int argc, char **argv)
     }
     std::cout << "],\"speedup\":" << speedup
               << ",\"bit_identical\":"
-              << (shard_equiv ? "true" : "false") << "}}" << std::endl;
+              << (width_equiv ? "true" : "false") << "}}" << std::endl;
 
     return check ? (ok ? 0 : 1) : 0;
 }

@@ -73,10 +73,6 @@ clusterReplayAt(unsigned width, int servers, std::size_t intervals,
     cluster::ClusterConfig cfg;
     cfg.policy = cluster::ClusterPolicy::EqualOurs;
     cfg.servers = servers;
-    // Small shards, so that even the --quick 16-node replay spans
-    // several shards: with the default 64 a cluster this size is one
-    // shard, which NodePool::runAll steps inline at every width.
-    cfg.shardSize = 4;
     cluster::ClusterManager cm(cfg);
     cm.populateDefault();
 

@@ -12,9 +12,9 @@
  * `--check` turns the bench into a regression tripwire:
  *
  *   1. determinism — a 4-node mixed interactive+batch pool replayed
- *                    at thread widths 1 and 4 and shard sizes 1, 2
- *                    and 64 produces bit-identical request statistics
- *                    (arrivals, completions, violations, p99 bits);
+ *                    at thread widths 1 and 4 produces bit-identical
+ *                    request statistics (arrivals, completions,
+ *                    violations, p99 bits);
  *   2. M/M/1       — a standalone RequestQueue run at a constant
  *                    heartbeat rate agrees with perf::LatencyModel's
  *                    closed forms at low utilization (rho <= 0.5):
@@ -136,11 +136,11 @@ mixF(std::uint64_t &h, double v)
  * Clause 1 scenario: a 4-node managed pool, each node hosting one
  * interactive service (library rotated) and one batch app, replayed
  * through a cap step.  Returns a fingerprint over every record's
- * request statistics and beats — any cross-width or cross-shard
- * divergence lands in the hash.
+ * request statistics and beats — any cross-width divergence lands in
+ * the hash.
  */
 std::uint64_t
-poolFingerprint(int shard_size, double seconds)
+poolFingerprint(double seconds)
 {
     cluster::NodePoolConfig pc;
     pc.servers = 4;
@@ -148,7 +148,6 @@ poolFingerprint(int shard_size, double seconds)
     pc.seedWorkloadCorpus = false;
     pc.seedBase = 77;
     pc.serverCap = 95.0;
-    pc.shardSize = shard_size;
     cluster::NodePool pool(pc);
 
     const auto &ilib = perf::interactiveLibrary();
@@ -182,25 +181,12 @@ poolFingerprint(int shard_size, double seconds)
 bool
 checkDeterminism(double seconds)
 {
-    bool ok = true;
-    std::uint64_t reference = 0;
-    bool have_reference = false;
-    for (unsigned width : {1u, 4u}) {
-        util::ThreadPool::configureGlobal(width);
-        for (int shard : {1, 2, 64}) {
-            std::uint64_t h = poolFingerprint(shard, seconds);
-            if (!have_reference) {
-                reference = h;
-                have_reference = true;
-            } else if (h != reference) {
-                std::cerr << "FAIL: width " << width << " / shard "
-                          << shard
-                          << " diverges from the width-1/shard-1 "
-                             "replay\n";
-                ok = false;
-            }
-        }
-    }
+    util::ThreadPool::configureGlobal(1);
+    std::uint64_t reference = poolFingerprint(seconds);
+    util::ThreadPool::configureGlobal(4);
+    bool ok = poolFingerprint(seconds) == reference;
+    if (!ok)
+        std::cerr << "FAIL: width 4 diverges from the width-1 replay\n";
     util::ThreadPool::configureGlobal(0); // restore the default
     return ok;
 }

@@ -5,9 +5,9 @@
  * Reports two numbers for the trace-backed Telemetry bus:
  *
  *  - publish: ns/op for typed-id count/observe publishes;
- *  - merge: ms to fold one TelemetryShards sweep (every registered
- *    event touched per shard) into one bus — a dense O(#events) array
- *    add per shard.
+ *  - merge: ms to fold a sweep of per-node buses (every registered
+ *    event touched per bus) into one bus, as the cluster-scope
+ *    aggregates do — a dense O(#events) array add per bus.
  *
  * Both are reported, not gated.  `--check` adds the replay
  * determinism clause: a scripted ServeEngine capture must replay
@@ -21,6 +21,7 @@
 #include <functional>
 #include <iostream>
 #include <string>
+#include <vector>
 
 #include "core/telemetry.hh"
 #include "serve/engine.hh"
@@ -34,7 +35,6 @@ namespace
 
 using namespace psm;
 using core::Telemetry;
-using core::TelemetryShards;
 
 double
 wallSeconds(const std::function<void()> &fn)
@@ -107,18 +107,19 @@ publishFullRegistry(Telemetry &bus, std::size_t salt)
     }
 }
 
-/** Milliseconds to merge one full @p shards sweep into a fresh bus. */
+/** Milliseconds to merge a full sweep of @p buses into a fresh bus. */
 double
-timeMerge(std::size_t shards, std::size_t rounds)
+timeMerge(std::size_t buses, std::size_t rounds)
 {
-    TelemetryShards sweep(shards);
-    for (std::size_t s = 0; s < shards; ++s)
-        publishFullRegistry(sweep.shard(s), s);
+    std::vector<Telemetry> sweep(buses);
+    for (std::size_t b = 0; b < buses; ++b)
+        publishFullRegistry(sweep[b], b);
 
     double total = bestSeconds([&] {
         for (std::size_t r = 0; r < rounds; ++r) {
             Telemetry target;
-            sweep.mergeInto(target);
+            for (const Telemetry &bus : sweep)
+                target.merge(bus);
         }
     });
     return total * 1e3 / static_cast<double>(rounds);
@@ -214,11 +215,11 @@ main(int argc, char **argv)
     }
 
     const std::size_t iters = quick ? 400000 : 4000000;
-    const std::size_t shards = quick ? 32 : 64;
+    const std::size_t buses = quick ? 32 : 64;
     const std::size_t rounds = quick ? 50 : 200;
 
     PublishReport publish = timePublish(iters);
-    double merge_ms = timeMerge(shards, rounds);
+    double merge_ms = timeMerge(buses, rounds);
 
     CheckReport checks;
     if (check)
@@ -230,7 +231,7 @@ main(int argc, char **argv)
     std::cout << "\"publish\":{\"iters\":" << iters
               << ",\"typed_ns\":" << publish.typedNs
               << ",\"checksum\":" << publish.checksum << "},";
-    std::cout << "\"merge\":{\"shards\":" << shards
+    std::cout << "\"merge\":{\"buses\":" << buses
               << ",\"rounds\":" << rounds
               << ",\"sweep_ms\":" << merge_ms << "}";
     if (check) {

@@ -190,7 +190,6 @@ ClusterManager::buildNodes()
     }
     pc.seedBase = cfg.seed;
     pc.faults = cfg.faults;
-    pc.shardSize = cfg.shardSize;
     pc.seedWorkloadCorpus = cfg.seedWorkloadCorpus;
     pc.corpusWorkloads = cfg.corpusWorkloads;
     if (cfg.policy == ClusterPolicy::EqualOurs)
@@ -242,7 +241,7 @@ ClusterManager::replayEqual(const PowerTrace &caps)
             node.manager->setCap(share);
         // Nodes are independent within an interval: step them in
         // parallel (bit-identical to the serial loop).
-        pool->runAll(caps.interval, &tel);
+        pool->runAll(caps.interval);
     }
 
     ClusterResult result;
@@ -301,7 +300,7 @@ ClusterManager::replayTree(const PowerTrace &caps)
             ++violations;
             tel.count(trace::EventId::TreeConservationViolations);
         }
-        pool->runAll(caps.interval, &tel);
+        pool->runAll(caps.interval);
     }
 
     ClusterResult result;

@@ -112,9 +112,6 @@ struct ClusterConfig
      * `manager.faults`. */
     util::FaultPlanConfig faults;
 
-    /** Nodes per telemetry shard on the pool step path. */
-    int shardSize = 64;
-
     /**
      * Seed the nodes' shared CF corpus from the workload library.
      * Turn off (with `manager.oracleUtilities`) for scale benches

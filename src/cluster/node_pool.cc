@@ -29,15 +29,34 @@ poolFaultPlan(const NodePoolConfig &config)
     return fc;
 }
 
+/** Take a crashed node out for a backoff window; the counts land on
+ * the node's own bus. */
+void
+isolate(NodePool::Node &node, trace::EventId fault_counter)
+{
+    // Saturate the streak: its only uses are the <= 1 retry test and
+    // the clamped shift below, and an unbounded int would overflow
+    // (UB) on a node that crashes for years.
+    if (node.crashStreak < 1 << 20)
+        ++node.crashStreak;
+    // First crash retries next interval; consecutive crashes back
+    // off exponentially (1, 2, 4, capped at 8 intervals out).  The
+    // shift amount itself is clamped — `1 << (streak - 2)` alone is
+    // undefined once the streak passes the width of int.
+    node.cooldown = node.crashStreak <= 1
+                        ? 0
+                        : 1 << std::min(node.crashStreak - 2, 3);
+    core::Telemetry &tel = node.manager->telemetry();
+    tel.count(fault_counter);
+    tel.count(trace::EventId::DegradedNodeIsolated);
+}
+
 } // namespace
 
 NodePool::NodePool(const NodePoolConfig &config)
     // Stream 1 keeps pool-level rolls independent of the managers'
     // (stream 0) even when they share a seed base.
-    : fault_injector(poolFaultPlan(config), 1),
-      shard_size(config.shardSize >= 1
-                     ? static_cast<std::size_t>(config.shardSize)
-                     : 1)
+    : fault_injector(poolFaultPlan(config), 1)
 {
     psm_assert(config.servers >= 1);
     auto n = static_cast<std::size_t>(config.servers);
@@ -79,39 +98,19 @@ NodePool::NodePool(const NodePoolConfig &config)
 }
 
 void
-NodePool::isolate(Node &node, core::Telemetry &shard,
-                  trace::EventId fault_counter)
-{
-    // Saturate the streak: its only uses are the <= 1 retry test and
-    // the clamped shift below, and an unbounded int would overflow
-    // (UB) on a node that crashes for years.
-    if (node.crashStreak < 1 << 20)
-        ++node.crashStreak;
-    // First crash retries next interval; consecutive crashes back
-    // off exponentially (1, 2, 4, capped at 8 intervals out).  The
-    // shift amount itself is clamped — `1 << (streak - 2)` alone is
-    // undefined once the streak passes the width of int.
-    node.cooldown = node.crashStreak <= 1
-                        ? 0
-                        : 1 << std::min(node.crashStreak - 2, 3);
-    shard.count(fault_counter);
-    shard.count(trace::EventId::DegradedNodeIsolated);
-}
-
-void
-NodePool::stepNode(std::size_t ix, Tick duration,
-                   core::Telemetry &shard)
+NodePool::stepNode(std::size_t ix, Tick duration)
 {
     Node &node = node_list[ix];
     if (!node.manager)
         return;
+    core::Telemetry &tel = node.manager->telemetry();
     ++node.attempts;
     if (node.cooldown > 0) {
         // Still backing off after a crash: sit this interval out.
         // The node's simulated clock simply does not advance —
         // availability loss, not time travel.
         --node.cooldown;
-        shard.count(trace::EventId::DegradedNodeSkipped);
+        tel.count(trace::EventId::DegradedNodeSkipped);
         return;
     }
     // The crash roll is keyed on per-node state only (the 1-based
@@ -124,7 +123,7 @@ NodePool::stepNode(std::size_t ix, Tick duration,
         (static_cast<std::uint64_t>(ix) << 32) ^ node.server->now(),
         static_cast<std::int64_t>(ix));
     if (crash) {
-        isolate(node, shard, trace::EventId::FaultNodeCrash);
+        isolate(node, trace::EventId::FaultNodeCrash);
         return;
     }
     auto t0 = std::chrono::steady_clock::now();
@@ -134,51 +133,33 @@ NodePool::stepNode(std::size_t ix, Tick duration,
         // A node whose control plane throws must not take the whole
         // cluster step down: isolate it like a crash.
         warn("node %zu faulted (%s); isolating", ix, e.what());
-        isolate(node, shard, trace::EventId::FaultNodeException);
+        isolate(node, trace::EventId::FaultNodeException);
         return;
     }
     if (node.crashStreak > 0) {
         node.crashStreak = 0;
-        shard.count(trace::EventId::DegradedNodeRestarted);
+        tel.count(trace::EventId::DegradedNodeRestarted);
     }
     double secs = std::chrono::duration<double>(
                       std::chrono::steady_clock::now() - t0)
                       .count();
-    shard.observe(trace::EventId::ClusterNodeStep, toTicks(secs));
+    tel.observe(trace::EventId::ClusterNodeStep, toTicks(secs));
 }
 
 void
-NodePool::runAll(Tick duration, core::Telemetry *driver_tel)
+NodePool::runAll(Tick duration)
 {
     auto interval_start = std::chrono::steady_clock::now();
-    // Contiguous per-shard batches.  The partition depends only on
-    // shard_size — never on the thread count — and every publish on
-    // the step path is a commutative counter/timer aggregate, so the
-    // shard-order merge below is bit-identical to the serial loop at
-    // any PSM_THREADS and any shard size.  No lock is taken anywhere
-    // on the step path: a shard's nodes and its sink belong to
-    // exactly one worker for the duration of the interval.
-    std::size_t n = node_list.size();
-    std::size_t n_shards = (n + shard_size - 1) / shard_size;
-    core::TelemetryShards shards(n_shards);
+    // Each node writes only its own server, manager and bus, so any
+    // partition the thread pool picks is bit-identical to the serial
+    // loop, and no bus needs merging after the join.
     util::ThreadPool::global().parallelFor(
-        n_shards, [&](std::size_t sh) {
-            core::Telemetry &shard = shards.shard(sh);
-            std::size_t lo = sh * shard_size;
-            std::size_t hi = std::min(n, lo + shard_size);
-            for (std::size_t s = lo; s < hi; ++s)
-                stepNode(s, duration, shard);
-        });
-    // Isolation/fault counters must survive even when the driver does
-    // not collect telemetry: fall back to the pool's own bus (merged
-    // into aggregateTelemetry()).  Shard merges are dense O(#events)
-    // array folds.
-    core::Telemetry &sink = driver_tel ? *driver_tel : pool_tel;
-    shards.mergeInto(sink);
+        node_list.size(),
+        [&](std::size_t s) { stepNode(s, duration); });
     double secs = std::chrono::duration<double>(
                       std::chrono::steady_clock::now() - interval_start)
                       .count();
-    sink.observe(trace::EventId::ClusterStep, toTicks(secs));
+    pool_tel.observe(trace::EventId::ClusterStep, toTicks(secs));
 }
 
 Joules

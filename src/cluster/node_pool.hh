@@ -71,19 +71,6 @@ struct NodePoolConfig
      * expressed in attempt numbers, not sim ticks.
      */
     util::FaultPlanConfig faults;
-
-    /**
-     * Nodes per telemetry shard on the step path.  runAll() walks the
-     * pool in contiguous per-shard batches, each publishing into its
-     * own private sink, merged in shard order after the join.  The
-     * partition depends only on this value (never on PSM_THREADS), and
-     * shard-local publishes are commutative counter/timer aggregates,
-     * so any shard size is bit-identical to `shardSize = 1` (the
-     * historical one-shard-per-node layout) at any thread count.
-     * Batching matters at scale: 10k nodes at the default shard size
-     * build ~160 shard sinks per interval instead of 10k.
-     */
-    int shardSize = 64;
 };
 
 /**
@@ -128,29 +115,24 @@ class NodePool
 
     /**
      * Step every managed node forward by @p duration, in parallel on
-     * the global thread pool in contiguous per-shard batches (see
-     * NodePoolConfig::shardSize).  Nodes are fully independent within
-     * an interval (own server, manager, rng and telemetry bus) and no
-     * lock is taken on the step path, so the result is bit-identical
-     * to stepping them serially regardless of PSM_THREADS.
-     *
-     * @param driver_tel Optional driver bus: receives one
-     *        "cluster.node_step" wall-clock observation per node
-     *        (published race-free via per-shard telemetry sinks and
-     *        merged in shard order — node order — via the dense
-     *        O(#events) trace fold) plus one "cluster.step"
-     *        observation for the whole interval.
+     * the global thread pool.  Nodes are fully independent within an
+     * interval (own server, manager, rng and telemetry bus): each
+     * node publishes its "cluster.node_step" observation and its
+     * crash-isolation counters into its own manager's bus, and the
+     * pool's bus takes one "cluster.step" observation per call.  No
+     * bus is shared across threads and no lock is taken on the step
+     * path, so the result is bit-identical to stepping the nodes
+     * serially regardless of PSM_THREADS.
      */
-    void runAll(Tick duration, core::Telemetry *driver_tel = nullptr);
+    void runAll(Tick duration);
 
     /** Sum of every node's metered energy. */
     Joules totalEnergy() const;
 
     /**
-     * Cluster-scope telemetry: every managed node's bus folded into
-     * one (counters and timers add up, decision records append),
-     * plus the pool's own isolation counters when no driver bus
-     * collected them.
+     * Cluster-scope telemetry: the pool's bus and every managed
+     * node's bus folded into one (counters and timers add up,
+     * decision records append in node order).
      */
     core::Telemetry aggregateTelemetry() const;
 
@@ -192,14 +174,10 @@ class NodePool
   private:
     std::vector<Node> node_list;
     util::FaultInjector fault_injector;
-    std::size_t shard_size;
-    /** Shard sink when runAll is called without a driver bus. */
+    /** "cluster.step": one observation per runAll() call. */
     core::Telemetry pool_tel;
 
-    void isolate(Node &node, core::Telemetry &shard,
-                 trace::EventId fault_counter);
-    void stepNode(std::size_t ix, Tick duration,
-                  core::Telemetry &shard);
+    void stepNode(std::size_t ix, Tick duration);
 };
 
 } // namespace psm::cluster

@@ -208,7 +208,7 @@ ClusterScheduler::run(Tick horizon)
 
         // Nodes are independent within a slice: step them in parallel
         // (bit-identical to the serial loop).
-        pool.runAll(slice, &tel);
+        pool.runAll(slice);
         clock += slice;
         harvestFinished();
 

@@ -65,9 +65,9 @@ struct DecisionRecord
 using TimerStat = trace::TimerAgg;
 
 /**
- * The bus itself.  Not thread-safe (the simulator is single-threaded;
- * parallel regions publish through TelemetryShards); cheap enough to
- * leave attached in benches.
+ * The bus itself.  Not thread-safe: each bus has one writer at a time
+ * (a parallel pool step gives every node its own bus and folds them
+ * after the join); cheap enough to leave attached in benches.
  */
 class Telemetry
 {
@@ -191,41 +191,6 @@ class Telemetry
 
     std::uint32_t intern(const std::string &s);
     void pushPacked(const PackedDecision &d);
-};
-
-/**
- * Race-free publishing path for parallel loops: one private Telemetry
- * shard per work index, merged into a target bus in index order after
- * the loop joins.
- *
- * The bus itself stays unsynchronized (the common case is still a
- * single-threaded control plane); parallel regions that want to
- * publish grab shard(i) — which no other index touches — and the
- * deterministic merge order keeps aggregated decision logs stable
- * across worker counts.  Each shard is a ring of binary records and
- * mergeInto() is a dense array fold per shard, so the merge cost does
- * not grow with the number of distinct names.
- */
-class TelemetryShards
-{
-  public:
-    explicit TelemetryShards(std::size_t n) : shard_list(n) {}
-
-    std::size_t size() const { return shard_list.size(); }
-
-    /** The private bus of work index @p ix. */
-    Telemetry &shard(std::size_t ix) { return shard_list.at(ix); }
-
-    /** Fold every shard into @p bus, in index order. */
-    void
-    mergeInto(Telemetry &bus) const
-    {
-        for (const Telemetry &s : shard_list)
-            bus.merge(s);
-    }
-
-  private:
-    std::vector<Telemetry> shard_list;
 };
 
 } // namespace psm::core

@@ -26,7 +26,6 @@ poolConfig(const EngineConfig &cfg)
     pc.seedBase = cfg.seedBase;
     pc.serverCap = cfg.serverCap;
     pc.seedWorkloadCorpus = cfg.seedCorpus;
-    pc.shardSize = cfg.shardSize;
     if (cfg.esd)
         pc.esd = esd::leadAcidUps();
     return pc;

@@ -56,9 +56,6 @@ struct EngineConfig
     bool seedCorpus = true;
     /** Longest single Advance a client may request, in seconds. */
     double maxAdvance = 600.0;
-    /** Nodes per telemetry shard on the pool step path (STATS
-     * snapshots fold the same per-shard sinks densely). */
-    int shardSize = 64;
 };
 
 /** What applying one event did (before any commit). */

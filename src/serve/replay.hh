@@ -20,10 +20,10 @@
  *                divergence even when the decision hash collides).
  *
  * Because the engine is deterministic (seeded managers, attempt-keyed
- * fault rolls, thread-count-independent shard merges), re-running the
- * captured event stream against the captured config must reproduce
- * every digest bit-exactly.  replayCapture() is that check; the
- * psm-replay tool wraps it for the command line.
+ * fault rolls, one telemetry bus per node on the parallel step),
+ * re-running the captured event stream against the captured config
+ * must reproduce every digest bit-exactly.  replayCapture() is that
+ * check; the psm-replay tool wraps it for the command line.
  */
 
 #ifndef PSM_SERVE_REPLAY_HH

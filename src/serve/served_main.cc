@@ -10,7 +10,7 @@
  *
  *   psm-served [--port N] [--nodes N] [--cap W] [--policy NAME]
  *              [--esd] [--queue N] [--batch N] [--seed N]
- *              [--shard-size N]
+ *              [--capture FILE]
  */
 
 #include <csignal>
@@ -59,7 +59,7 @@ usage()
         "                  [--policy %s]\n"
         "                  [--esd] [--queue N] [--batch N] "
         "[--seed N]\n"
-        "                  [--shard-size N] [--capture FILE]\n",
+        "                  [--capture FILE]\n",
         core::PolicyRegistry::instance().cliNames().c_str());
     std::exit(2);
 }
@@ -132,9 +132,6 @@ main(int argc, char **argv)
             if (!util::parseLong(value, seed) || seed < 0)
                 badValue(arg, value);
             cfg.engine.seedBase = static_cast<std::uint64_t>(seed);
-        } else if (arg == "--shard-size") {
-            cfg.engine.shardSize = static_cast<int>(parseCount(
-                arg, next(), 1, std::numeric_limits<int>::max()));
         } else if (arg == "--capture")
             capture_path = next();
         else

@@ -18,8 +18,7 @@
  * order, arrivals are tick-quantized through the EventQueue, and
  * service is integrated in continuous time between event boundaries.
  * Identical step sequences (which NodePool guarantees at any
- * PSM_THREADS width and shard size) therefore reproduce response
- * times bit-for-bit.
+ * PSM_THREADS width) therefore reproduce response times bit-for-bit.
  */
 
 #ifndef PSM_SIM_REQUEST_QUEUE_HH

@@ -12,7 +12,7 @@
  * layer's capture format (serve/replay.hh) defines record types and
  * encodes its own payloads with the wire-protocol codecs.  Keeping
  * the container generic means any future trace dump (binary record
- * streams, per-shard spills) reuses the same framing.
+ * streams, per-sink spills) reuses the same framing.
  */
 
 #ifndef PSM_TRACE_LOG_HH

@@ -1,24 +1,25 @@
 /**
  * @file
  * The trace core: compile-time event ids, fixed-size binary trace
- * records and per-shard ring-buffer sinks with a post-hoc merge.
+ * records and single-writer ring-buffer sinks with a post-hoc merge.
  *
  * This layer is the storage behind the Telemetry bus.  Publishing
  * appends one 16-byte TraceRecord to a private ring — no allocation,
  * no string hashing, no map walk — and aggregation happens post hoc:
  * the ring is folded into dense per-event arrays when it fills, when
  * a value is read, or when sinks merge.  Merging two sinks is an
- * O(#events) array add, which is what keeps per-node shard merges
- * flat as the cluster layer scales toward thousands of nodes.
+ * O(#events) array add, which is what keeps cluster-scope folds over
+ * per-node buses flat as the cluster layer scales toward thousands
+ * of nodes.
  *
  * The event registry lives in events.def (X-macro): one dense id per
  * name the control plane publishes.  Readers that name an event by
  * string resolve it to its id through lookupEvent().
  *
- * The sink is intentionally single-writer (one shard per thread or
- * per work index, exactly like the TelemetryShards discipline); the
- * deterministic merge order is the caller's, so aggregate state is
- * bit-identical across PSM_THREADS widths.
+ * The sink is intentionally single-writer (one per node on the
+ * parallel pool step, touched only by the thread stepping that node);
+ * the deterministic merge order is the caller's, so aggregate state
+ * is bit-identical across PSM_THREADS widths.
  */
 
 #ifndef PSM_TRACE_TRACE_HH

@@ -5,6 +5,7 @@
 #include <memory>
 
 #include "logging.hh"
+#include "parse.hh"
 
 namespace psm::util
 {
@@ -27,12 +28,12 @@ ThreadPool::envWidth()
 {
     const char *env = std::getenv("PSM_THREADS");
     if (env && *env != '\0') { // PSM_THREADS= means unset
-        char *end = nullptr;
-        unsigned long v = std::strtoul(env, &end, 10);
-        if (end == env || *end != '\0' || v == 0 || v > maxWidth)
-            fatal("PSM_THREADS='%s' is not a thread count in [1, %u]",
-                  env, maxWidth);
-        return static_cast<unsigned>(v);
+        long v = 0;
+        if (parseLongInRange(env, 1, maxWidth, v))
+            return static_cast<unsigned>(v);
+        warn("ignoring invalid PSM_THREADS '%s' (want a thread count "
+             "in [1, %u])",
+             env, maxWidth);
     }
     unsigned hw = std::thread::hardware_concurrency();
     return std::max(1u, hw);
@@ -114,14 +115,15 @@ ThreadPool::helpWhilePending(Batch &batch)
 }
 
 void
-ThreadPool::parallelForRange(
-    std::size_t n,
-    const std::function<void(std::size_t, std::size_t)> &body)
+ThreadPool::parallelFor(std::size_t n,
+                        const std::function<void(std::size_t)> &body)
 {
-    if (n == 0)
-        return;
-    if (n_width <= 1 || in_pool_task || n == 1) {
-        body(0, n);
+    auto run = [&body](std::size_t lo, std::size_t hi) {
+        for (std::size_t i = lo; i < hi; ++i)
+            body(i);
+    };
+    if (n_width <= 1 || in_pool_task || n <= 1) {
+        run(0, n);
         return;
     }
 
@@ -139,8 +141,8 @@ ThreadPool::parallelForRange(
         for (std::size_t c = 1; c < chunks; ++c) {
             std::size_t lo = c * chunk;
             std::size_t hi = std::min(n, lo + chunk);
-            queue.push_back([&body, &batch, lo, hi] {
-                body(lo, hi);
+            queue.push_back([&run, &batch, lo, hi] {
+                run(lo, hi);
                 // Notify while holding the lock: the caller destroys
                 // the Batch the moment it can observe pending == 0,
                 // so nothing may touch it after the unlock.
@@ -154,22 +156,12 @@ ThreadPool::parallelForRange(
     cv_work.notify_all();
 
     // The caller takes the first chunk, then helps with the rest.
-    body(0, std::min(n, chunk));
+    run(0, std::min(n, chunk));
     {
         std::lock_guard g(batch.mtx);
         --batch.pending;
     }
     helpWhilePending(batch);
-}
-
-void
-ThreadPool::parallelFor(std::size_t n,
-                        const std::function<void(std::size_t)> &body)
-{
-    parallelForRange(n, [&body](std::size_t lo, std::size_t hi) {
-        for (std::size_t i = lo; i < hi; ++i)
-            body(i);
-    });
 }
 
 namespace

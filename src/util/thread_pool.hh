@@ -11,9 +11,11 @@
  * scheduling.
  *
  * Sizing: the process-wide pool (global()) reads PSM_THREADS, falling
- * back to std::thread::hardware_concurrency().  With one worker every
- * entry point runs inline on the caller — the serial baseline — so
- * PSM_THREADS=1 recovers the pre-pool execution exactly.
+ * back to std::thread::hardware_concurrency() when it is unset or
+ * not a count in [1, 256] (the latter with a warning).  With one
+ * worker parallelFor() runs inline on the caller — the serial
+ * baseline — so PSM_THREADS=1 recovers the pre-pool execution
+ * exactly.
  *
  * Nesting: a parallelFor() issued from inside a task that a worker
  * (or a helping caller) dequeued runs inline on that thread, which
@@ -38,10 +40,10 @@ namespace psm::util
 {
 
 /**
- * Fixed-width pool with a shared task queue.  The caller of a
- * blocking entry point (parallelFor, parallelForRange) participates
- * in draining the queue, so a pool of width W applies W threads of
- * compute: W-1 workers plus the caller.
+ * Fixed-width pool with a shared task queue.  The caller of the
+ * blocking entry point (parallelFor) participates in draining the
+ * queue, so a pool of width W applies W threads of compute: W-1
+ * workers plus the caller.
  */
 class ThreadPool
 {
@@ -61,22 +63,17 @@ class ThreadPool
     unsigned width() const { return n_width; }
 
     /**
-     * Run body(i) for every i in [0, n), partitioned into chunks and
-     * executed across the pool; returns when all n calls finished.
-     * Each index must write only state no other index touches — then
-     * the result is independent of the partitioning and identical to
-     * the serial loop.
+     * Run body(i) for every i in [0, n), partitioned into contiguous
+     * chunks (up to 4 per thread, so early finishers steal the tail)
+     * and executed across the pool; returns when all n calls
+     * finished.  The caller runs the first chunk itself; n <= 1, a
+     * width-1 pool and nested calls run inline.  Each index must
+     * write only state no other index touches — then the result is
+     * independent of the partitioning and identical to the serial
+     * loop.
      */
     void parallelFor(std::size_t n,
                      const std::function<void(std::size_t)> &body);
-
-    /**
-     * Range flavour of parallelFor: body(begin, end) per chunk, for
-     * loops that want to hoist per-chunk scratch state.
-     */
-    void parallelForRange(
-        std::size_t n,
-        const std::function<void(std::size_t, std::size_t)> &body);
 
     // --- Backlog gauges (lock-free reads) ----------------------------
     //
@@ -111,7 +108,9 @@ class ThreadPool
      */
     static void configureGlobal(unsigned width);
 
-    /** The width the environment asks for (PSM_THREADS or hardware). */
+    /** The width the environment asks for: PSM_THREADS when it is a
+     * count in [1, 256], else hardware_concurrency (warning when the
+     * variable is set but invalid). */
     static unsigned envWidth();
 
   private:

@@ -375,16 +375,29 @@ TEST(Faults, NodeCrashIsolatesThenRestarts)
     for (std::size_t s = 0; s < pool.size(); ++s)
         pool[s].manager->addApp(workload("stream"));
 
-    core::Telemetry tel;
-    pool.runAll(toTicks(1.0), &tel);
+    pool.runAll(toTicks(1.0));
+    core::Telemetry tel = pool.aggregateTelemetry();
     EXPECT_EQ(tel.counter("fault.node_crash"), 1u);
     EXPECT_EQ(tel.counter("degraded.node_isolated"), 1u);
     // The crashed node sat the interval out; the others advanced.
     EXPECT_EQ(pool[1].server->now(), 0u);
     EXPECT_EQ(pool[0].server->now(), toTicks(1.0));
     EXPECT_EQ(pool[2].server->now(), toTicks(1.0));
+    // Each node's step telemetry lands on its own bus.
+    const core::Telemetry &crashed = pool[1].manager->telemetry();
+    EXPECT_EQ(crashed.counter("fault.node_crash"), 1u);
+    EXPECT_EQ(crashed.counter("degraded.node_isolated"), 1u);
+    EXPECT_EQ(crashed.timer("cluster.node_step").count, 0u);
+    for (std::size_t s : {0u, 2u}) {
+        const core::Telemetry &ok = pool[s].manager->telemetry();
+        EXPECT_EQ(ok.timer("cluster.node_step").count, 1u) << s;
+        EXPECT_EQ(ok.counter("fault.node_crash"), 0u) << s;
+        EXPECT_EQ(ok.counter("fault.node_exception"), 0u) << s;
+        EXPECT_EQ(ok.counter("degraded.node_isolated"), 0u) << s;
+    }
 
-    pool.runAll(toTicks(1.0), &tel); // attempt 2: healthy again
+    pool.runAll(toTicks(1.0)); // attempt 2: healthy again
+    tel = pool.aggregateTelemetry();
     EXPECT_EQ(tel.counter("fault.node_crash"), 1u);
     EXPECT_EQ(tel.counter("degraded.node_restarted"), 1u);
     EXPECT_EQ(pool[1].server->now(), toTicks(1.0)); // lags one interval
@@ -406,12 +419,12 @@ TEST(Faults, ConsecutiveCrashesBackOffExponentially)
     for (std::size_t s = 0; s < pool.size(); ++s)
         pool[s].manager->addApp(workload("kmeans"));
 
-    core::Telemetry tel;
     // Attempt 1: crash (streak 1, retry immediately).  Attempt 2:
     // crash again (streak 2, cooldown 1).  Attempt 3: skipped.
     // Attempt 4: healthy run.
     for (int i = 0; i < 4; ++i)
-        pool.runAll(toTicks(0.5), &tel);
+        pool.runAll(toTicks(0.5));
+    core::Telemetry tel = pool.aggregateTelemetry();
     EXPECT_EQ(tel.counter("fault.node_crash"), 2u);
     EXPECT_EQ(tel.counter("degraded.node_isolated"), 2u);
     EXPECT_EQ(tel.counter("degraded.node_skipped"), 1u);
@@ -440,16 +453,15 @@ TEST(Faults, CrashBackoffShiftClampedForHugeStreaks)
     // width of int.  The shift amount must be clamped so the cooldown
     // stays at the 8-interval cap.
     pool[0].crashStreak = 1000;
-    core::Telemetry tel;
-    pool.runAll(toTicks(0.5), &tel);
-    EXPECT_EQ(tel.counter("fault.node_crash"), 1u);
+    pool.runAll(toTicks(0.5));
+    EXPECT_EQ(pool.aggregateTelemetry().counter("fault.node_crash"), 1u);
     EXPECT_EQ(pool[0].crashStreak, 1001);
     EXPECT_EQ(pool[0].cooldown, 8);
 
     // The streak itself saturates instead of eventually overflowing.
     pool[0].crashStreak = 1 << 20;
     pool[0].cooldown = 0;
-    pool.runAll(toTicks(0.5), &tel);
+    pool.runAll(toTicks(0.5));
     EXPECT_EQ(pool[0].crashStreak, 1 << 20);
     EXPECT_EQ(pool[0].cooldown, 8);
 }

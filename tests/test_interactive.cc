@@ -3,7 +3,7 @@
  * Tests for the latency-critical (interactive) application class:
  * profile validation and library, open-loop request-queue determinism
  * and its M/M/1 closed-form cross-check, bit-identical replay across
- * thread widths and shard sizes, checked cluster-configuration
+ * thread widths, checked cluster-configuration
  * errors, and the v2 wire fields (app class + SLO).
  */
 
@@ -158,7 +158,7 @@ recordStats(cluster::NodePool &pool)
 }
 
 std::vector<double>
-mixedPoolRun(int shard_size)
+mixedPoolRun()
 {
     cluster::NodePoolConfig pc;
     pc.servers = 3;
@@ -166,7 +166,6 @@ mixedPoolRun(int shard_size)
     pc.seedWorkloadCorpus = false;
     pc.seedBase = 5;
     pc.serverCap = 95.0;
-    pc.shardSize = shard_size;
     cluster::NodePool pool(pc);
     const auto &ilib = perf::interactiveLibrary();
     const char *batch[] = {"stream", "kmeans", "x264"};
@@ -181,7 +180,7 @@ mixedPoolRun(int shard_size)
     return recordStats(pool);
 }
 
-TEST(InteractiveDeterminism, BitIdenticalAcrossWidthsAndShards)
+TEST(InteractiveDeterminism, BitIdenticalAcrossWidths)
 {
     struct ScopedPoolWidth
     {
@@ -195,22 +194,19 @@ TEST(InteractiveDeterminism, BitIdenticalAcrossWidthsAndShards)
     std::vector<double> reference;
     for (unsigned width : {1u, 4u}) {
         ScopedPoolWidth scoped(width);
-        for (int shard : {1, 64}) {
-            std::vector<double> stats = mixedPoolRun(shard);
-            if (reference.empty()) {
-                reference = stats;
-                // The scenario must actually exercise the queues.
-                double completions = 0.0;
-                for (std::size_t i = 2; i < stats.size(); i += 6)
-                    completions += stats[i];
-                EXPECT_GT(completions, 0.0);
-            } else {
-                ASSERT_EQ(stats.size(), reference.size());
-                for (std::size_t i = 0; i < stats.size(); ++i)
-                    EXPECT_EQ(stats[i], reference[i])
-                        << "width " << width << " shard " << shard
-                        << " stat " << i;
-            }
+        std::vector<double> stats = mixedPoolRun();
+        if (reference.empty()) {
+            reference = stats;
+            // The scenario must actually exercise the queues.
+            double completions = 0.0;
+            for (std::size_t i = 2; i < stats.size(); i += 6)
+                completions += stats[i];
+            EXPECT_GT(completions, 0.0);
+        } else {
+            ASSERT_EQ(stats.size(), reference.size());
+            for (std::size_t i = 0; i < stats.size(); ++i)
+                EXPECT_EQ(stats[i], reference[i])
+                    << "width " << width << " stat " << i;
         }
     }
 }

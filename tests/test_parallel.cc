@@ -9,8 +9,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <cstdlib>
+#include <optional>
 #include <string>
+#include <thread>
 #include <tuple>
 #include <vector>
 
@@ -57,15 +61,33 @@ TEST(ThreadPool, ParallelForCoversEveryIndexOnce)
 
 TEST(ThreadPool, RangeFlavourPartitionsWithoutGapsOrOverlap)
 {
+    // parallelFor splits [0, n) into contiguous chunks; 257 over
+    // width 3 (12 chunks of 22) leaves a ragged last chunk of 15.
     util::ThreadPool pool(3);
     std::vector<std::atomic<int>> hits(257);
-    pool.parallelForRange(hits.size(),
-                          [&](std::size_t lo, std::size_t hi) {
-                              for (std::size_t i = lo; i < hi; ++i)
-                                  hits[i].fetch_add(1);
-                          });
+    pool.parallelFor(hits.size(),
+                     [&](std::size_t i) { hits[i].fetch_add(1); });
     for (const auto &h : hits)
         EXPECT_EQ(h.load(), 1);
+}
+
+TEST(ThreadPool, InvalidEnvWidthFallsBackToTheDefault)
+{
+    const char *old = std::getenv("PSM_THREADS");
+    std::optional<std::string> saved;
+    if (old)
+        saved = old;
+    unsigned hw = std::max(1u, std::thread::hardware_concurrency());
+    for (const char *bad : {"abc", "0", "257", "4x"}) {
+        setenv("PSM_THREADS", bad, 1);
+        EXPECT_EQ(util::ThreadPool::envWidth(), hw) << bad;
+    }
+    setenv("PSM_THREADS", "3", 1);
+    EXPECT_EQ(util::ThreadPool::envWidth(), 3u);
+    if (saved)
+        setenv("PSM_THREADS", saved->c_str(), 1);
+    else
+        unsetenv("PSM_THREADS");
 }
 
 TEST(ThreadPool, SingleWidthRunsInlineOnCaller)
@@ -178,18 +200,15 @@ scheduleAt(unsigned width)
     return out;
 }
 
-TEST(DeterminismGuard, ShardSizeAndWidthDoNotAffectReplayResults)
+TEST(DeterminismGuard, WidthDoesNotAffectReplayResults)
 {
-    // The pool partitions its nodes into telemetry shards by
-    // shardSize alone (never thread count), and everything the step
-    // path publishes is a commutative aggregate — so any (shardSize,
-    // width) combination must replay bit-identically, including a
-    // ragged final shard.
-    auto replayWithShards = [](unsigned width, int shard_size) {
+    // Every node publishes into its own bus, so however the thread
+    // pool spreads the five nodes over three or four threads the
+    // replay must be bit-identical.
+    auto resultAt = [](unsigned width) {
         ScopedPoolWidth pool(width);
         cluster::ClusterConfig cfg;
         cfg.servers = 5;
-        cfg.shardSize = shard_size;
         cluster::ClusterManager cm(cfg);
         cm.populateDefault();
         cluster::PowerTrace caps;
@@ -197,16 +216,14 @@ TEST(DeterminismGuard, ShardSizeAndWidthDoNotAffectReplayResults)
         caps.values = {160.0, 140.0, 170.0};
         cluster::ClusterResult res = cm.replay(caps);
         core::Telemetry tel = cm.aggregateTelemetry();
-        // Sharding must not swallow per-node observations: still one
-        // per (node, interval).
+        // One per-node observation per (node, interval).
         EXPECT_EQ(tel.timer("cluster.node_step").count, 15u);
         return std::tuple(res.totalEnergy, res.aggregatePerf,
                           res.avgClusterPower);
     };
-    auto base = replayWithShards(1, 1);
-    EXPECT_EQ(base, replayWithShards(1, 64));
-    EXPECT_EQ(base, replayWithShards(4, 1));
-    EXPECT_EQ(base, replayWithShards(4, 2)); // ragged final shard
+    auto base = resultAt(1);
+    EXPECT_EQ(base, resultAt(3));
+    EXPECT_EQ(base, resultAt(4));
 }
 
 TEST(DeterminismGuard, SchedulerParallelMatchesSerialBitForBit)

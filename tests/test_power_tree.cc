@@ -4,7 +4,7 @@
  * replay: split exactness, per-level cap conservation (including
  * under oversubscription and E1-E4 storms), incremental-vs-fresh
  * resolution equivalence, O(depth) pruning, and flat-vs-tree /
- * serial-vs-sharded bit-identity.
+ * serial-vs-parallel bit-identity.
  */
 
 #include <gtest/gtest.h>
@@ -360,15 +360,14 @@ TEST(ClusterTree, EventStormKeepsConservationAndCompletes)
     EXPECT_GT(res.totalEnergy, 0.0);
 }
 
-TEST(ClusterTree, ShardedStepIsBitIdenticalAcrossShardSizeAndWidth)
+TEST(ClusterTree, StepIsBitIdenticalAcrossWidths)
 {
-    auto replayWith = [](int shard_size, unsigned width) {
+    auto replayAt = [](unsigned width) {
         ScopedPoolWidth pool(width);
         ClusterConfig cfg;
         cfg.servers = 6;
         cfg.topology = Topology::Tree;
         cfg.treeDepth = 2;
-        cfg.shardSize = shard_size;
         cfg.faults.setAmbientRate(0.05); // crashes must replay too
         ClusterManager cm(cfg);
         cm.populateDefault();
@@ -378,11 +377,9 @@ TEST(ClusterTree, ShardedStepIsBitIdenticalAcrossShardSizeAndWidth)
                           tel.counter("fault.node_crash"),
                           tel.counter("degraded.node_isolated"));
     };
-    auto base = replayWith(1, 1);
-    EXPECT_EQ(base, replayWith(64, 1));
-    EXPECT_EQ(base, replayWith(1, 4));
-    EXPECT_EQ(base, replayWith(64, 4));
-    EXPECT_EQ(base, replayWith(3, 4)); // ragged final shard
+    auto base = replayAt(1);
+    EXPECT_EQ(base, replayAt(2));
+    EXPECT_EQ(base, replayAt(4));
 }
 
 } // namespace

@@ -4,8 +4,8 @@
  * it: the event registry, TraceSink fold/merge semantics, the binary
  * record-log container, reads by registry name, the decision-ring
  * bound across merges, JSON escaping/non-finite hygiene, and
- * TelemetryShards-style parallel publish against a reference fold of
- * the published stream.
+ * parallel publish into one bus per work index against a reference
+ * fold of the published stream.
  */
 
 #include <gtest/gtest.h>
@@ -18,6 +18,7 @@
 #include <map>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "core/telemetry.hh"
 #include "trace/log.hh"
@@ -31,7 +32,6 @@ namespace
 
 using core::DecisionRecord;
 using core::Telemetry;
-using core::TelemetryShards;
 using core::TimerStat;
 
 // --- Event registry ------------------------------------------------
@@ -249,13 +249,13 @@ TEST(TelemetryTrace, JsonNonFiniteNumbersAreNull)
 
 // --- Parallel publish against a reference fold ----------------------
 
-constexpr std::size_t kShards = 8;
+constexpr std::size_t kBuses = 8;
 
-/** Shard @p s's publish stream, handed to @p count / @p observe one
+/** Bus @p s's publish stream, handed to @p count / @p observe one
  * publish at a time. */
 template <typename Count, typename Observe>
 void
-shardStream(std::size_t s, Count &&count, Observe &&observe)
+busStream(std::size_t s, Count &&count, Observe &&observe)
 {
     for (std::size_t i = 0; i < 200; ++i) {
         count(trace::EventId::ControlPolls, 1);
@@ -268,17 +268,17 @@ shardStream(std::size_t s, Count &&count, Observe &&observe)
     }
 }
 
-/** Publish every shard's stream in parallel, plus one decision record
- * per shard, and merge the shards in index order. */
+/** Publish every bus's stream in parallel, plus one decision record
+ * per bus, and merge the buses in index order. */
 Telemetry
-publishSharded(unsigned width)
+publishPerBus(unsigned width)
 {
     util::ThreadPool::configureGlobal(width);
-    TelemetryShards shards(kShards);
+    std::vector<Telemetry> buses(kBuses);
     util::ThreadPool::global().parallelFor(
-        shards.size(), [&](std::size_t s) {
-            Telemetry &bus = shards.shard(s);
-            shardStream(
+        buses.size(), [&](std::size_t s) {
+            Telemetry &bus = buses[s];
+            busStream(
                 s,
                 [&](trace::EventId id, std::uint64_t d) {
                     bus.count(id, d);
@@ -286,7 +286,7 @@ publishSharded(unsigned width)
                 [&](trace::EventId id, Tick t) { bus.observe(id, t); });
             DecisionRecord rec;
             rec.when = static_cast<Tick>(s);
-            rec.trigger = "shard-" + std::to_string(s);
+            rec.trigger = "bus-" + std::to_string(s);
             rec.policy = "p";
             rec.plan = "q";
             rec.mode = "m";
@@ -294,7 +294,8 @@ publishSharded(unsigned width)
         });
     util::ThreadPool::configureGlobal(0);
     Telemetry merged;
-    shards.mergeInto(merged);
+    for (const Telemetry &bus : buses)
+        merged.merge(bus);
     return merged;
 }
 
@@ -305,8 +306,8 @@ TEST(TelemetryTrace, TraceAndLegacyAggregateIdentically)
     // timer.
     std::map<std::string, std::uint64_t> want_counters;
     std::map<std::string, TimerStat> want_timers;
-    for (std::size_t s = 0; s < kShards; ++s) {
-        shardStream(
+    for (std::size_t s = 0; s < kBuses; ++s) {
+        busStream(
             s,
             [&](trace::EventId id, std::uint64_t d) {
                 want_counters[std::string(trace::eventName(id))] += d;
@@ -322,7 +323,7 @@ TEST(TelemetryTrace, TraceAndLegacyAggregateIdentically)
 
     for (unsigned width : {1u, 4u}) {
         SCOPED_TRACE("pool width " + std::to_string(width));
-        Telemetry bus = publishSharded(width);
+        Telemetry bus = publishPerBus(width);
 
         EXPECT_EQ(bus.counters(), want_counters);
 
@@ -336,12 +337,12 @@ TEST(TelemetryTrace, TraceAndLegacyAggregateIdentically)
             EXPECT_EQ(got.max, want.max) << name;
         }
 
-        // Decision logs append in shard-index merge order.
+        // Decision logs append in bus-index merge order.
         const auto &log = bus.decisions();
-        ASSERT_EQ(log.size(), kShards);
-        for (std::size_t s = 0; s < kShards; ++s) {
+        ASSERT_EQ(log.size(), kBuses);
+        for (std::size_t s = 0; s < kBuses; ++s) {
             EXPECT_EQ(log[s].when, static_cast<Tick>(s));
-            EXPECT_EQ(log[s].trigger, "shard-" + std::to_string(s));
+            EXPECT_EQ(log[s].trigger, "bus-" + std::to_string(s));
         }
     }
 }
