@@ -224,7 +224,7 @@ ClusterManager::accountManagedReplay(ClusterResult &result) const
     result.perfPerKw =
         result.aggregatePerf / (result.avgClusterPower / 1000.0);
     core::TimerStat spatial =
-        pool->aggregateTimer(trace::EventId::AllocatorSpatial);
+        aggregateTelemetry().timer(trace::EventId::AllocatorSpatial);
     result.allocatorCalls = spatial.count;
     result.allocatorSeconds = toSeconds(spatial.total);
 }

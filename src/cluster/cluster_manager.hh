@@ -240,9 +240,11 @@ class ClusterManager
     Watts uncappedDemandEstimate() const;
 
     /**
-     * Cluster-scope telemetry: every node's control-plane bus folded
-     * into one, plus the cluster driver's own counters (migrations,
-     * parked app-steps).  Empty before replay().
+     * Cluster-scope telemetry: every node's control-plane counters
+     * and timers folded into one, plus the cluster driver's own
+     * counters (migrations, parked app-steps).  Decision records
+     * stay on each node's bus; the rollup holds none.  Empty before
+     * replay().
      */
     core::Telemetry aggregateTelemetry() const;
 

@@ -183,21 +183,6 @@ NodePool::aggregateTelemetry() const
     return cluster;
 }
 
-core::TimerStat
-NodePool::aggregateTimer(trace::EventId id) const
-{
-    core::TimerStat agg = pool_tel.timer(id);
-    for (const Node &node : node_list) {
-        if (!node.manager)
-            continue;
-        core::TimerStat t = node.manager->telemetry().timer(id);
-        agg.count += t.count;
-        agg.total += t.total;
-        agg.max = std::max(agg.max, t.max);
-    }
-    return agg;
-}
-
 void
 NodePool::foldTrace(trace::TraceSink &out) const
 {

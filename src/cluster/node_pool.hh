@@ -131,15 +131,12 @@ class NodePool
 
     /**
      * Cluster-scope telemetry: the pool's bus and every managed
-     * node's bus folded into one (counters and timers add up,
-     * decision records append in node order).
+     * node's bus folded into one (counters and timers add up) —
+     * O(nodes × #events).  Decision records stay on each node's bus
+     * (`pool[i].manager->telemetry().decisions()`); the rollup holds
+     * none.
      */
     core::Telemetry aggregateTelemetry() const;
-
-    /** Cluster-wide fold of one timer across the pool bus and every
-     * managed node — cheaper than folding whole buses when a driver
-     * only wants a single rollup: O(nodes) dense array reads. */
-    core::TimerStat aggregateTimer(trace::EventId id) const;
 
     /**
      * Fold the pool bus plus every managed node's registered

@@ -3,9 +3,10 @@
 #include <algorithm>
 #include <cmath>
 #include <fstream>
-#include <sstream>
+#include <utility>
 
 #include "util/logging.hh"
+#include "util/parse.hh"
 
 namespace psm::cluster
 {
@@ -103,52 +104,86 @@ saveTraceCsv(const PowerTrace &trace, const std::string &path)
         fatal("short write to '%s'", path.c_str());
 }
 
-PowerTrace
-loadTraceCsv(const std::string &path)
+bool
+loadTraceCsv(const std::string &path, PowerTrace &out, std::string *error)
 {
+    std::size_t line_no = 0;
+    auto fail = [&](const std::string &msg) {
+        if (error != nullptr) {
+            *error = "trace '" + path + "'" +
+                     (line_no > 0 ? " line " + std::to_string(line_no)
+                                  : std::string()) +
+                     ": " + msg;
+        }
+        return false;
+    };
+    // One field of a row, trailing blanks (and a CRLF's '\r') trimmed;
+    // parseFiniteDouble rejects anything else after the number.
+    auto field = [](const std::string &line, std::size_t from,
+                    std::size_t to) {
+        std::string f = line.substr(from, to - from);
+        f.erase(f.find_last_not_of(" \t\r") + 1);
+        return f;
+    };
+
     std::ifstream in(path);
     if (!in)
-        fatal("cannot read trace from '%s'", path.c_str());
+        return fail("cannot be read");
 
     PowerTrace trace;
     std::string line;
-    std::vector<double> seconds;
-    bool first = true;
+    double prev_t = 0.0, step = 0.0;
+    bool header_checked = false;
     while (std::getline(in, line)) {
-        if (line.empty())
+        ++line_no;
+        if (line.find_first_not_of(" \t\r") == std::string::npos)
             continue;
-        if (first) {
-            first = false;
+        if (!header_checked) {
+            header_checked = true;
             // Skip a header row if present.
-            if (line.find_first_not_of("0123456789.,+-eE \t") !=
+            if (line.find_first_not_of("0123456789.,+-eE \t\r") !=
                 std::string::npos) {
                 continue;
             }
         }
-        std::istringstream row(line);
+        std::size_t comma = line.find(',');
+        if (comma == std::string::npos ||
+            line.find(',', comma + 1) != std::string::npos)
+            return fail("expected 'seconds,watts', got '" + line + "'");
+        std::string t_text = field(line, 0, comma);
+        std::string w_text = field(line, comma + 1, line.size());
         double t = 0.0, w = 0.0;
-        char comma = 0;
-        if (!(row >> t >> comma >> w) || comma != ',')
-            fatal("malformed trace row '%s' in '%s'", line.c_str(),
-                  path.c_str());
-        seconds.push_back(t);
+        if (!util::parseFiniteDouble(t_text.c_str(), t))
+            return fail("seconds '" + t_text + "' is not a finite number");
+        if (!util::parseFiniteDouble(w_text.c_str(), w))
+            return fail("watts '" + w_text + "' is not a finite number");
+        if (w < 0.0)
+            return fail("watts '" + w_text + "' is negative");
+
+        if (trace.values.size() == 1) {
+            step = t - prev_t;
+            if (!(step > 0.0))
+                return fail("timestamps must increase");
+            // Round as toTicks() does, but refuse what it cannot
+            // represent instead of truncating or overflowing.
+            double ticks = step * static_cast<double>(ticksPerSecond);
+            if (ticks + 0.5 < 1.0)
+                return fail("step rounds to zero ticks");
+            if (!(ticks + 0.5 < static_cast<double>(maxTick)))
+                return fail("step does not fit a Tick");
+        } else if (!trace.values.empty() &&
+                   std::abs((t - prev_t) - step) > 1e-6 * step) {
+            return fail("not uniformly spaced");
+        }
+        prev_t = t;
         trace.values.push_back(w);
     }
+    line_no = 0; // file-level errors name no line
     if (trace.values.size() < 2)
-        fatal("trace '%s' needs at least two points", path.c_str());
-
-    double step = seconds[1] - seconds[0];
-    if (step <= 0.0)
-        fatal("trace '%s' timestamps must increase", path.c_str());
-    for (std::size_t i = 1; i < seconds.size(); ++i) {
-        if (std::abs((seconds[i] - seconds[i - 1]) - step) >
-            1e-6 * step) {
-            fatal("trace '%s' is not uniformly spaced at row %zu",
-                  path.c_str(), i);
-        }
-    }
+        return fail("needs at least two points");
     trace.interval = toTicks(step);
-    return trace;
+    out = std::move(trace);
+    return true;
 }
 
 PowerTrace

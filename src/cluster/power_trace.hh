@@ -72,10 +72,15 @@ void saveTraceCsv(const PowerTrace &trace, const std::string &path);
 
 /**
  * Load a trace from CSV as written by saveTraceCsv() (or any
- * two-column "seconds,watts" file with uniform spacing).  Calls
- * fatal() on unreadable files or non-uniform timestamps.
+ * two-column "seconds,watts" file with uniform spacing, one optional
+ * header row).  Each field must be a whole finite number; watts must
+ * be non-negative, timestamps must increase uniformly, and the step
+ * must round to a Tick in [1, maxTick).  On failure returns false,
+ * leaves @p out untouched and, when @p error is non-null, fills it
+ * with a diagnostic naming the file and the 1-based line.
  */
-PowerTrace loadTraceCsv(const std::string &path);
+bool loadTraceCsv(const std::string &path, PowerTrace &out,
+                  std::string *error);
 
 /**
  * Load-following peak-shaving caps for a steady-state population.

@@ -125,8 +125,10 @@ class ClusterScheduler
     Tick now() const { return clock; }
 
     /**
-     * Cluster-scope telemetry: every node's control-plane bus plus
-     * the scheduler's own placement counters, folded into one.
+     * Cluster-scope telemetry: every node's control-plane counters
+     * and timers plus the scheduler's own placement counters, folded
+     * into one.  Decision records stay on each node's bus; the
+     * rollup holds none.
      */
     core::Telemetry aggregateTelemetry() const;
 

@@ -118,15 +118,6 @@ Telemetry::intern(const std::string &s)
 }
 
 void
-Telemetry::pushPacked(const PackedDecision &d)
-{
-    packed_log.push_back(d);
-    while (packed_log.size() > maxDecisions)
-        packed_log.pop_front();
-    ++decision_gen;
-}
-
-void
 Telemetry::record(DecisionRecord rec)
 {
     PackedDecision d;
@@ -139,7 +130,10 @@ Telemetry::record(DecisionRecord rec)
     d.policy = intern(rec.policy);
     d.plan = intern(rec.plan);
     d.mode_name = intern(rec.mode);
-    pushPacked(d);
+    packed_log.push_back(d);
+    while (packed_log.size() > maxDecisions)
+        packed_log.pop_front();
+    ++decision_gen;
 }
 
 const std::deque<DecisionRecord> &
@@ -203,13 +197,6 @@ void
 Telemetry::merge(const Telemetry &other)
 {
     trace_sink.mergeFrom(other.trace_sink);
-    for (PackedDecision d : other.packed_log) {
-        d.trigger = intern(other.intern_table[d.trigger]);
-        d.policy = intern(other.intern_table[d.policy]);
-        d.plan = intern(other.intern_table[d.plan]);
-        d.mode_name = intern(other.intern_table[d.mode_name]);
-        pushPacked(d);
-    }
 }
 
 void

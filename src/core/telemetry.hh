@@ -66,8 +66,8 @@ using TimerStat = trace::TimerAgg;
 
 /**
  * The bus itself.  Not thread-safe: each bus has one writer at a time
- * (a parallel pool step gives every node its own bus and folds them
- * after the join); cheap enough to leave attached in benches.
+ * (a parallel pool step gives every node its own bus); cheap enough
+ * to leave attached in benches.
  */
 class Telemetry
 {
@@ -128,11 +128,11 @@ class Telemetry
     const std::map<std::string, TimerStat> &timers() const;
 
     /**
-     * Fold another bus into this one: counters and timers add up,
-     * gauges keep the incoming sample, decision records append
-     * (oldest dropped once past maxDecisions).  Used to aggregate
-     * per-node telemetry at cluster scope; a dense O(#events) array
-     * fold plus the decision append.
+     * Fold another bus's aggregates into this one: counters and
+     * timers add up, gauges keep the incoming sample.  Decision
+     * records are not copied; they stay on the bus that recorded
+     * them.  Used to aggregate per-node telemetry at cluster scope; a
+     * dense O(#events) array fold.
      */
     void merge(const Telemetry &other);
 
@@ -190,7 +190,6 @@ class Telemetry
     mutable std::uint64_t decision_view_gen = ~0ULL;
 
     std::uint32_t intern(const std::string &s);
-    void pushPacked(const PackedDecision &d);
 };
 
 } // namespace psm::core

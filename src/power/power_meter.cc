@@ -8,13 +8,8 @@
 namespace psm::power
 {
 
-PowerMeter::PowerMeter(Tick history_resolution)
-    : resolution(history_resolution)
-{
-}
-
 void
-PowerMeter::push(Tick now, Tick dt, Watts power, Watts cap)
+PowerMeter::push(Tick dt, Watts power, Watts cap)
 {
     if (dt == 0)
         return;
@@ -36,25 +31,6 @@ PowerMeter::push(Tick now, Tick dt, Watts power, Watts cap)
         worst_overshoot = std::max(worst_overshoot, power - cap);
         violation_energy += energyOver(power - cap, dt);
     }
-
-    // Merge into the last history sample when it is still within the
-    // retention resolution and carries the same power/cap values, so
-    // steady-state periods compress to a single segment.
-    if (!samples.empty()) {
-        PowerSample &last = samples.back();
-        bool same = last.power == power && last.cap == cap;
-        bool fine = resolution > 0 && last.duration < resolution;
-        if (same || fine) {
-            // Blend power time-weighted when merging unequal samples.
-            double total = toSeconds(last.duration) + toSeconds(dt);
-            last.power = (last.power * toSeconds(last.duration) +
-                          power * toSeconds(dt)) / total;
-            last.cap = cap;
-            last.duration += dt;
-            return;
-        }
-    }
-    samples.push_back({now, dt, power, cap});
 }
 
 void
@@ -66,7 +42,6 @@ PowerMeter::reset()
     violation_energy = 0.0;
     last_good = 0.0;
     dropped = 0;
-    samples.clear();
 }
 
 double

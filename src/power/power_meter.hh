@@ -1,33 +1,25 @@
 /**
  * @file
- * Server power metering: time series, averages and cap-violation
- * accounting.
+ * Server power metering: averages and cap-violation accounting.
  *
  * The meter is fed one sample per simulation step (power held constant
- * over the step) and provides the aggregate views the evaluation needs:
- * time-weighted average draw, total energy, time spent above the cap,
- * and a downsampled history for the timeline figures (Fig. 11/12).
+ * over the step) and keeps only the aggregate views the evaluation
+ * needs: time-weighted average draw, total energy, peak draw and time
+ * spent above the cap.  Its footprint does not grow with simulated
+ * time; a figure that needs a power series samples totalEnergy() once
+ * per interval.
  */
 
 #ifndef PSM_POWER_POWER_METER_HH
 #define PSM_POWER_POWER_METER_HH
 
-#include <vector>
+#include <cstddef>
 
 #include "util/stats.hh"
 #include "util/units.hh"
 
 namespace psm::power
 {
-
-/** One point of the recorded power timeline. */
-struct PowerSample
-{
-    Tick time = 0;       ///< start of the interval
-    Tick duration = 0;   ///< interval length
-    Watts power = 0.0;   ///< server draw over the interval
-    Watts cap = 0.0;     ///< cap in force over the interval
-};
 
 /**
  * Accumulates the server's power draw against its (possibly changing)
@@ -36,18 +28,9 @@ struct PowerSample
 class PowerMeter
 {
   public:
-    /**
-     * @param history_resolution Minimum spacing between retained
-     *        history samples; finer-grained pushes are merged.  Zero
-     *        retains every sample.
-     */
-    explicit PowerMeter(Tick history_resolution = ticksPerMs * 100);
-
-    /**
-     * Record that the server drew @p power against @p cap for @p dt
-     * ticks starting at @p now.
-     */
-    void push(Tick now, Tick dt, Watts power, Watts cap);
+    /** Record that the server drew @p power against @p cap for @p dt
+     * ticks. */
+    void push(Tick dt, Watts power, Watts cap);
 
     /** Discard everything. */
     void reset();
@@ -69,9 +52,6 @@ class PowerMeter
     /** Energy drawn in excess of the cap (joules above the cap line). */
     Joules violationEnergy() const { return violation_energy; }
 
-    /** Downsampled timeline for plotting. */
-    const std::vector<PowerSample> &history() const { return samples; }
-
     /**
      * Samples that arrived non-finite or negative and were replaced
      * by the last accepted reading.
@@ -79,14 +59,12 @@ class PowerMeter
     std::size_t droppedSamples() const { return dropped; }
 
   private:
-    Tick resolution;
     TimeWeightedStats stats;
     Tick violation_time = 0;
     Watts worst_overshoot = 0.0;
     Joules violation_energy = 0.0;
     Watts last_good = 0.0;
     std::size_t dropped = 0;
-    std::vector<PowerSample> samples;
 };
 
 } // namespace psm::power

@@ -267,8 +267,7 @@ Server::step()
         battery_state->battery.rest(step_ticks);
     }
 
-    power_meter.push(clock, step_ticks, result.breakdown.wallPower(),
-                     power_cap);
+    power_meter.push(step_ticks, result.breakdown.wallPower(), power_cap);
 
     was_active = any_active;
     clock += step_ticks;

@@ -57,7 +57,7 @@ TEST(Telemetry, TimersTrackCountTotalMax)
     EXPECT_EQ(tel.timer("never").count, 0u);
 }
 
-TEST(Telemetry, MergeFoldsCountersTimersAndDecisions)
+TEST(Telemetry, MergeFoldsCountersAndTimers)
 {
     Telemetry a;
     a.count(trace::EventId::ControlPolls, 2);
@@ -78,8 +78,10 @@ TEST(Telemetry, MergeFoldsCountersTimersAndDecisions)
     EXPECT_EQ(a.counter("control.trim_replans"), 1u);
     EXPECT_EQ(a.timer("manager.reallocate").count, 2u);
     EXPECT_EQ(a.timer("manager.reallocate").max, 25);
-    ASSERT_EQ(a.decisions().size(), 2u);
-    EXPECT_EQ(a.decisions()[1].plan, "spatial-utility");
+    // Decision records stay on the bus that recorded them.
+    ASSERT_EQ(a.decisions().size(), 1u);
+    EXPECT_EQ(a.decisions()[0].plan, "idle");
+    ASSERT_EQ(b.decisions().size(), 1u);
 
     a.reset();
     EXPECT_EQ(a.counter("control.polls"), 0u);
@@ -406,6 +408,13 @@ TEST(NodePool, BuildsManagedNodesAndAggregatesTelemetry)
     EXPECT_EQ(cluster_tel.counter("manager.reallocations"),
               pool[0].manager->reallocationCount() +
                   pool[1].manager->reallocationCount());
+    // The rollup folds aggregates only: each decision record stays on
+    // the bus of the node that made it.
+    EXPECT_TRUE(cluster_tel.decisions().empty());
+    for (std::size_t s = 0; s < pool.size(); ++s) {
+        EXPECT_EQ(pool[s].manager->telemetry().decisions().size(),
+                  pool[s].manager->reallocationCount());
+    }
 }
 
 TEST(NodePool, ManagedNodesShareOneCorpus)

@@ -8,6 +8,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <string>
 
 #include "cluster/power_trace.hh"
 #include "core/manager.hh"
@@ -32,8 +33,18 @@ class TraceCsvTest : public ::testing::Test
         ::testing::TempDir() + "psm_trace_" +
         ::testing::UnitTest::GetInstance()->current_test_info()->name() +
         ".csv";
+    std::string error;
 
     void TearDown() override { std::remove(path.c_str()); }
+
+    /** Write @p text as the case's file and load it into @p trace; a
+     * refused file's diagnostic lands in error. */
+    bool
+    loadText(const std::string &text, cluster::PowerTrace &trace)
+    {
+        std::ofstream(path) << text;
+        return cluster::loadTraceCsv(path, trace, &error);
+    }
 };
 
 TEST_F(TraceCsvTest, RoundTripsThroughCsv)
@@ -43,7 +54,8 @@ TEST_F(TraceCsvTest, RoundTripsThroughCsv)
     cluster::PowerTrace original =
         cluster::generateDiurnalDemand(cfg);
     cluster::saveTraceCsv(original, path);
-    cluster::PowerTrace loaded = cluster::loadTraceCsv(path);
+    cluster::PowerTrace loaded;
+    ASSERT_TRUE(cluster::loadTraceCsv(path, loaded, &error)) << error;
 
     EXPECT_EQ(loaded.interval, original.interval);
     ASSERT_EQ(loaded.values.size(), original.values.size());
@@ -53,30 +65,59 @@ TEST_F(TraceCsvTest, RoundTripsThroughCsv)
 
 TEST_F(TraceCsvTest, LoadsHeaderlessFiles)
 {
-    std::ofstream out(path);
-    out << "0,100\n10,200\n20,300\n";
-    out.close();
-    cluster::PowerTrace t = cluster::loadTraceCsv(path);
+    cluster::PowerTrace t;
+    ASSERT_TRUE(loadText("0,100\n10,200\n20,300\n", t)) << error;
     EXPECT_EQ(t.interval, toTicks(10.0));
     EXPECT_DOUBLE_EQ(t.values[2], 300.0);
 }
 
 TEST_F(TraceCsvTest, RejectsNonUniformSpacing)
 {
-    std::ofstream out(path);
-    out << "0,100\n10,200\n15,300\n";
-    out.close();
-    EXPECT_DEATH(cluster::loadTraceCsv(path), "uniformly spaced");
+    cluster::PowerTrace t;
+    EXPECT_FALSE(loadText("0,100\n10,200\n15,300\n", t));
+    EXPECT_NE(error.find("line 3: not uniformly spaced"),
+              std::string::npos)
+        << error;
+    EXPECT_TRUE(t.values.empty()); // untouched on failure
 }
 
 TEST_F(TraceCsvTest, RejectsMissingAndMalformedFiles)
 {
-    EXPECT_DEATH(cluster::loadTraceCsv("/nonexistent/trace.csv"),
-                 "cannot read");
-    std::ofstream out(path);
-    out << "watts only\nnot,numbers,here\n";
-    out.close();
-    EXPECT_DEATH(cluster::loadTraceCsv(path), "");
+    cluster::PowerTrace t;
+    EXPECT_FALSE(cluster::loadTraceCsv("/nonexistent/trace.csv", t,
+                                       &error));
+    EXPECT_EQ(error, "trace '/nonexistent/trace.csv': cannot be read");
+    EXPECT_FALSE(loadText("watts only\nnot,numbers,here\n", t));
+    EXPECT_NE(error.find("line 2: expected 'seconds,watts'"),
+              std::string::npos)
+        << error;
+    EXPECT_FALSE(loadText("0,100\n", t));
+    EXPECT_NE(error.find("needs at least two points"), std::string::npos)
+        << error;
+}
+
+TEST_F(TraceCsvTest, RejectsBadValuesAndSteps)
+{
+    struct Case
+    {
+        const char *text;
+        const char *diagnostic;
+    };
+    const Case cases[] = {
+        {"0,100\n10,200abc\n", "line 2: watts '200abc' is not"},
+        {"0,100\n10,-5\n", "line 2: watts '-5' is negative"},
+        {"0,100\n1e999,200\n", "line 2: seconds '1e999' is not"},
+        {"0,100\nnan,200\n", "line 2: seconds 'nan' is not"},
+        // Steps toTicks() would overflow or round to zero.
+        {"0,100\n1e300,200\n", "line 2: step does not fit a Tick"},
+        {"0,100\n1e-9,200\n", "line 2: step rounds to zero ticks"},
+    };
+    for (const Case &c : cases) {
+        SCOPED_TRACE(c.text);
+        cluster::PowerTrace t;
+        EXPECT_FALSE(loadText(c.text, t));
+        EXPECT_NE(error.find(c.diagnostic), std::string::npos) << error;
+    }
 }
 
 // --- Latency model -------------------------------------------------------

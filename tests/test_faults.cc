@@ -194,10 +194,10 @@ TEST(Faults, AmbientEnvVarArmsManagersUnlessPlanIsExplicit)
 
 TEST(Faults, MeterSanitizesGarbageSamples)
 {
-    power::PowerMeter meter(0);
-    meter.push(0, 100, 50.0, 100.0);
-    meter.push(100, 100, std::nan(""), 100.0);
-    meter.push(200, 100, -5.0, 100.0);
+    power::PowerMeter meter;
+    meter.push(100, 50.0, 100.0);
+    meter.push(100, std::nan(""), 100.0);
+    meter.push(100, -5.0, 100.0);
     EXPECT_EQ(meter.droppedSamples(), 2u);
     // Garbage is replaced by the last accepted reading, keeping the
     // aggregates finite and the averages sane.

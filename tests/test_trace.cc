@@ -169,37 +169,28 @@ TEST(TelemetryTrace, StringNamesRouteToDenseSlots)
     EXPECT_EQ(tel.counters().at("control.polls"), 5u);
 }
 
-// --- Decision ring bound across merge ------------------------------
+// --- Decision ring bound -------------------------------------------
 
-TEST(TelemetryTrace, DecisionRingBoundHeldAcrossMerge)
+TEST(TelemetryTrace, DecisionRingDropsOldest)
 {
-    auto fill = [](Telemetry &tel, Tick base, std::size_t n) {
-        DecisionRecord rec;
-        rec.policy = "app-res-aware";
-        rec.plan = "spatial-utility";
-        rec.mode = "space";
-        rec.trigger = "refresh";
-        for (std::size_t i = 0; i < n; ++i) {
-            rec.when = base + static_cast<Tick>(i);
-            tel.record(rec);
-        }
-    };
-    const std::size_t n = Telemetry::maxDecisions - 1000;
-    Telemetry a;
-    Telemetry b;
-    fill(a, 0, n);
-    fill(b, 1u << 20, n);
-    ASSERT_EQ(a.decisions().size(), n);
+    DecisionRecord rec;
+    rec.policy = "app-res-aware";
+    rec.plan = "spatial-utility";
+    rec.mode = "space";
+    rec.trigger = "refresh";
+    const std::size_t n = Telemetry::maxDecisions + 1000;
+    Telemetry tel;
+    for (std::size_t i = 0; i < n; ++i) {
+        rec.when = static_cast<Tick>(i);
+        tel.record(rec);
+    }
 
-    // Two near-full logs: the merged ring must stay bounded, keeping
-    // the newest records (all of b's survive, a's oldest drop).
-    a.merge(b);
-    const auto &log = a.decisions();
+    // Past maxDecisions the ring keeps the newest records.
+    const auto &log = tel.decisions();
     ASSERT_EQ(log.size(), Telemetry::maxDecisions);
-    const std::size_t dropped = 2 * n - Telemetry::maxDecisions;
-    EXPECT_EQ(log.front().when, static_cast<Tick>(dropped));
-    EXPECT_EQ(log.back().when,
-              static_cast<Tick>((1u << 20) + n - 1));
+    EXPECT_EQ(log.front().when,
+              static_cast<Tick>(n - Telemetry::maxDecisions));
+    EXPECT_EQ(log.back().when, static_cast<Tick>(n - 1));
     EXPECT_EQ(log.back().plan, "spatial-utility");
 }
 
@@ -269,8 +260,8 @@ busStream(std::size_t s, Count &&count, Observe &&observe)
 }
 
 /** Publish every bus's stream in parallel, plus one decision record
- * per bus, and merge the buses in index order. */
-Telemetry
+ * per bus. */
+std::vector<Telemetry>
 publishPerBus(unsigned width)
 {
     util::ThreadPool::configureGlobal(width);
@@ -293,10 +284,7 @@ publishPerBus(unsigned width)
             bus.record(rec);
         });
     util::ThreadPool::configureGlobal(0);
-    Telemetry merged;
-    for (const Telemetry &bus : buses)
-        merged.merge(bus);
-    return merged;
+    return buses;
 }
 
 TEST(TelemetryTrace, TraceAndLegacyAggregateIdentically)
@@ -323,7 +311,10 @@ TEST(TelemetryTrace, TraceAndLegacyAggregateIdentically)
 
     for (unsigned width : {1u, 4u}) {
         SCOPED_TRACE("pool width " + std::to_string(width));
-        Telemetry bus = publishPerBus(width);
+        std::vector<Telemetry> buses = publishPerBus(width);
+        Telemetry bus;
+        for (const Telemetry &b : buses)
+            bus.merge(b);
 
         EXPECT_EQ(bus.counters(), want_counters);
 
@@ -337,12 +328,13 @@ TEST(TelemetryTrace, TraceAndLegacyAggregateIdentically)
             EXPECT_EQ(got.max, want.max) << name;
         }
 
-        // Decision logs append in bus-index merge order.
-        const auto &log = bus.decisions();
-        ASSERT_EQ(log.size(), kBuses);
+        // Decision records stay on the bus that recorded them.
+        EXPECT_TRUE(bus.decisions().empty());
         for (std::size_t s = 0; s < kBuses; ++s) {
-            EXPECT_EQ(log[s].when, static_cast<Tick>(s));
-            EXPECT_EQ(log[s].trigger, "bus-" + std::to_string(s));
+            const auto &log = buses[s].decisions();
+            ASSERT_EQ(log.size(), 1u);
+            EXPECT_EQ(log[0].when, static_cast<Tick>(s));
+            EXPECT_EQ(log[0].trigger, "bus-" + std::to_string(s));
         }
     }
 }
