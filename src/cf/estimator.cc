@@ -18,8 +18,8 @@ constexpr double hbFloor = 1e-6;
 
 UtilityEstimator::UtilityEstimator(const power::PlatformConfig &config,
                                    AlsConfig als)
-    : config(config), als_config(als), columns(config.knobSpace()),
-      n_cols(columns.size())
+    : config(config), als_config(als), columns(knobSpaceOf(config)),
+      n_cols(columns->size())
 {
     als_config.validate();
     psm_assert(n_cols > 0);
@@ -29,7 +29,7 @@ const power::KnobSetting &
 UtilityEstimator::setting(std::size_t c) const
 {
     psm_assert(c < n_cols);
-    return columns[c];
+    return (*columns)[c];
 }
 
 std::size_t
@@ -37,7 +37,7 @@ UtilityEstimator::columnOf(const power::KnobSetting &raw) const
 {
     power::KnobSetting s = config.clampSetting(raw);
     for (std::size_t c = 0; c < n_cols; ++c) {
-        const power::KnobSetting &k = columns[c];
+        const power::KnobSetting &k = (*columns)[c];
         if (std::abs(k.freq - s.freq) < 1e-6 && k.cores == s.cores &&
             std::abs(k.dramPower - s.dramPower) < 1e-6) {
             return c;

@@ -60,6 +60,10 @@ class UtilityEstimator
     /** The knob setting of column @p c. */
     const power::KnobSetting &setting(std::size_t c) const;
 
+    /** Every column's knob setting: cf::knobSpaceOf(platform), so on
+     * the default platform the same storage every Profiler reads. */
+    const KnobSpace &knobSpace() const { return columns; }
+
     /** Column index of a (clamped, quantized) knob setting. */
     std::size_t columnOf(const power::KnobSetting &s) const;
 
@@ -110,7 +114,7 @@ class UtilityEstimator
   private:
     const power::PlatformConfig &config;
     AlsConfig als_config;
-    std::vector<power::KnobSetting> columns;
+    KnobSpace columns;
     std::size_t n_cols;
 
     std::vector<std::string> names;

@@ -7,10 +7,22 @@
 namespace psm::cf
 {
 
+KnobSpace
+knobSpaceOf(const power::PlatformConfig &config)
+{
+    if (&config == &power::defaultPlatform()) {
+        static const KnobSpace shared =
+            std::make_shared<const std::vector<power::KnobSetting>>(
+                config.knobSpace());
+        return shared;
+    }
+    return std::make_shared<const std::vector<power::KnobSetting>>(
+        config.knobSpace());
+}
+
 Profiler::Profiler(const power::PlatformConfig &config,
                    double noise_stddev)
-    : config(config), noise(noise_stddev),
-      columns(config.knobSpace())
+    : noise(noise_stddev), columns(knobSpaceOf(config))
 {
     psm_assert(noise >= 0.0);
 }
@@ -28,9 +40,9 @@ Profiler::measureOne(const perf::PerfModel &model, std::size_t column,
                      Rng &rng, double cpu_scale,
                      double mem_scale) const
 {
-    psm_assert(column < columns.size());
-    perf::OperatingPoint op = model.evaluate(columns[column], 1.0, 1.0,
-                                             cpu_scale, mem_scale);
+    psm_assert(column < columns->size());
+    perf::OperatingPoint op = model.evaluate(
+        (*columns)[column], 1.0, 1.0, cpu_scale, mem_scale);
     Measurement m;
     m.column = column;
     m.power = noisy(op.totalPower(), rng);
@@ -55,9 +67,9 @@ Profiler::measureAll(const perf::PerfModel &model,
                      std::vector<double> &power_row,
                      std::vector<double> &hb_row, Rng &rng) const
 {
-    power_row.resize(columns.size());
-    hb_row.resize(columns.size());
-    for (std::size_t c = 0; c < columns.size(); ++c) {
+    power_row.resize(columns->size());
+    hb_row.resize(columns->size());
+    for (std::size_t c = 0; c < columns->size(); ++c) {
         Measurement m = measureOne(model, c, rng);
         power_row[c] = m.power;
         hb_row[c] = m.hbRate;

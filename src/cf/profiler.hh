@@ -13,6 +13,7 @@
 #ifndef PSM_CF_PROFILER_HH
 #define PSM_CF_PROFILER_HH
 
+#include <memory>
 #include <vector>
 
 #include "matrix.hh"
@@ -22,6 +23,19 @@
 
 namespace psm::cf
 {
+
+/** The knob settings the CF columns index, shared read-only. */
+using KnobSpace = std::shared_ptr<const std::vector<power::KnobSetting>>;
+
+/**
+ * The knob space of @p config.  The default platform is immutable and
+ * lives as long as the process, so its space is enumerated once and
+ * every call on it returns that one vector: every node's Profiler and
+ * the corpus they share read the same 10 KB.  Any other platform is a
+ * mutable value whose address does not identify its contents, so each
+ * call on one enumerates a new vector.
+ */
+KnobSpace knobSpaceOf(const power::PlatformConfig &config);
 
 /** One online measurement of an application at one knob setting. */
 struct Measurement
@@ -49,10 +63,10 @@ class Profiler
     /** The knob settings column c refers to. */
     const std::vector<power::KnobSetting> &settings() const
     {
-        return columns;
+        return *columns;
     }
 
-    std::size_t columnCount() const { return columns.size(); }
+    std::size_t columnCount() const { return columns->size(); }
 
     /**
      * Measure one application at one column.
@@ -84,9 +98,8 @@ class Profiler
                     std::vector<double> &hb_row, Rng &rng) const;
 
   private:
-    const power::PlatformConfig &config;
     double noise;
-    std::vector<power::KnobSetting> columns;
+    KnobSpace columns;
 
     double noisy(double value, Rng &rng) const;
 };

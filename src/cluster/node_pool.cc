@@ -62,11 +62,13 @@ NodePool::NodePool(const NodePoolConfig &config)
     auto n = static_cast<std::size_t>(config.servers);
     node_list.resize(n);
     // Profile the corpus once, outside the parallel build, and share
-    // it read-only with every node: noiseless profiling makes the
-    // rows depend only on the platform every node runs and the
-    // profiles.  Doing it here also keeps a workload() typo's fatal()
-    // (with the valid-name list) out of a pool task.
+    // it and its server-average curve read-only with every node:
+    // noiseless profiling makes the rows depend only on the platform
+    // every node runs and the profiles.  Doing it here also keeps a
+    // workload() typo's fatal() (with the valid-name list) out of a
+    // pool task.
     std::shared_ptr<const cf::UtilityEstimator> corpus;
+    std::shared_ptr<const core::UtilityCurve> server_average;
     if (config.managed && config.seedWorkloadCorpus) {
         std::vector<perf::AppProfile> profiles;
         for (const std::string &name : config.corpusWorkloads)
@@ -75,9 +77,11 @@ NodePool::NodePool(const NodePoolConfig &config)
             power::defaultPlatform(),
             profiles.empty() ? perf::workloadLibrary() : profiles,
             config.manager.als);
+        server_average = core::makeServerAverageCurve(*corpus);
     }
-    // Nodes share only the corpus and immutable platform/workload
-    // tables, so build them in parallel.
+    // Nodes share only the corpus, its server-average curve and
+    // immutable platform/workload tables (the knob space among them),
+    // so build them in parallel.
     util::ThreadPool::global().parallelFor(n, [&](std::size_t s) {
         Node &node = node_list[s];
         node.server = std::make_unique<sim::Server>();
@@ -92,7 +96,7 @@ NodePool::NodePool(const NodePoolConfig &config)
             node.manager = std::make_unique<core::ServerManager>(
                 *node.server, mc);
             if (corpus)
-                node.manager->seedCorpus(corpus);
+                node.manager->seedCorpus(corpus, server_average);
         }
     });
 }

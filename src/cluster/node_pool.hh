@@ -7,9 +7,10 @@
  * identical simulated servers, each optionally wrapped in the
  * per-server control plane (ServerManager) with a deterministic
  * per-node seed.  The managed nodes share one CF corpus, profiled
- * from the workload library once per pool.  The pool builds them
- * once, uniformly, and offers cluster-scope rollups (total energy,
- * merged telemetry) over whatever the drivers did.
+ * from the workload library once per pool, and the server-average
+ * curve built from it; each node holds only the state it owns.  The
+ * pool builds them once, uniformly, and offers cluster-scope rollups
+ * (total energy, merged telemetry) over whatever the drivers did.
  */
 
 #ifndef PSM_CLUSTER_NODE_POOL_HH

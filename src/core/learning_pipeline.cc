@@ -16,21 +16,27 @@ LearningPipeline::LearningPipeline(sim::Server &server,
         fatal("sampleFraction must lie in (0, 1]");
 }
 
+std::shared_ptr<const UtilityCurve>
+makeServerAverageCurve(const cf::UtilityEstimator &corpus)
+{
+    if (corpus.corpusSize() == 0)
+        return nullptr;
+    return std::make_shared<const UtilityCurve>(
+        "server-average", *corpus.knobSpace(),
+        averageSurfaces(corpus.corpusSurfaces()), KnobFreedom::All);
+}
+
 void
 LearningPipeline::seedCorpus(
-    std::shared_ptr<const cf::UtilityEstimator> corpus)
+    std::shared_ptr<const cf::UtilityEstimator> corpus,
+    std::shared_ptr<const UtilityCurve> server_average)
 {
     psm_assert(corpus &&
                corpus->columnCount() == profiler.columnCount());
     cf_corpus = std::move(corpus);
-    if (cf_corpus->corpusSize() == 0) {
-        server_avg_curve.reset();
-    } else {
-        server_avg_curve.emplace(
-            "server-average", profiler.settings(),
-            averageSurfaces(cf_corpus->corpusSurfaces()),
-            KnobFreedom::All);
-    }
+    server_avg_curve = server_average
+                           ? std::move(server_average)
+                           : makeServerAverageCurve(*cf_corpus);
     if (tel) {
         tel->count(trace::EventId::LearningCorpusApps,
                    cf_corpus->corpusSize());

@@ -5,11 +5,11 @@
  *
  * It holds everything the framework knows about application
  * utilities: the exhaustively profiled corpus of previously seen
- * applications (read-only, and shared by every node of a NodePool),
- * the online sparse-sampling calibration of newly arrived (or phase-
- * changed) applications, the CF estimation that turns sparse samples
- * into full utility surfaces, and the server-average surface used by
- * the Server+Res-Aware baseline.
+ * applications and the server-average curve the Server+Res-Aware
+ * baseline reads (both read-only, and shared by every node of a
+ * NodePool), the online sparse-sampling calibration of newly arrived
+ * (or phase-changed) applications, and the CF estimation that turns
+ * sparse samples into full utility surfaces.
  *
  * The decision layers above consume it through two calls:
  * calibrated(id) and utilityFor(id, freedom).  Calibration wall-clock
@@ -59,6 +59,16 @@ struct LearningConfig
 };
 
 /**
+ * The server-average curve over @p corpus: every corpus surface
+ * averaged cell-wise into one application-agnostic frontier (the
+ * utility Server+Res-Aware reads).  Null for an empty corpus.  Like
+ * the corpus it never changes, so one curve can serve every pipeline
+ * seeded with that corpus.
+ */
+std::shared_ptr<const UtilityCurve>
+makeServerAverageCurve(const cf::UtilityEstimator &corpus);
+
+/**
  * Per-server learning pipeline.  The server reference is used for
  * profiling measurements and the simulation clock; it must outlive
  * the pipeline.
@@ -78,8 +88,14 @@ class LearningPipeline
      * read-only, so pipelines may share it.  When later estimating an
      * application that is itself in the corpus, its own row is left
      * out of the fit (leave-one-out).
+     *
+     * @param server_average makeServerAverageCurve(*corpus), when the
+     *        caller shares one curve among the pipelines it seeds
+     *        with this corpus; null builds the curve here.
      */
-    void seedCorpus(std::shared_ptr<const cf::UtilityEstimator> corpus);
+    void seedCorpus(std::shared_ptr<const cf::UtilityEstimator> corpus,
+                    std::shared_ptr<const UtilityCurve> server_average =
+                        nullptr);
 
     /**
      * The installed corpus: null until seeded, except that an
@@ -91,11 +107,19 @@ class LearningPipeline
         return cf_corpus;
     }
 
-    /** Server-average utility curve over the corpus (nullopt while
-     * the corpus is empty). */
-    const std::optional<UtilityCurve> &serverAverageCurve() const
+    /** Server-average utility curve over the corpus (null while the
+     * corpus is empty). */
+    const UtilityCurve *serverAverageCurve() const
     {
-        return server_avg_curve;
+        return server_avg_curve.get();
+    }
+
+    /** The knob setting of each surface column; on the default
+     * platform, one vector every pipeline and corpus shares
+     * (cf::knobSpaceOf). */
+    const std::vector<power::KnobSetting> &settings() const
+    {
+        return profiler.settings();
     }
 
     /** Register an application with the pipeline. */
@@ -168,7 +192,7 @@ class LearningPipeline
     cf::Sampler sampler;
 
     std::shared_ptr<const cf::UtilityEstimator> cf_corpus;
-    std::optional<UtilityCurve> server_avg_curve;
+    std::shared_ptr<const UtilityCurve> server_avg_curve;
 
     struct AppLearning
     {

@@ -1,11 +1,32 @@
 #include "manager.hh"
 
 #include <algorithm>
+#include <limits>
 
 #include "util/logging.hh"
 
 namespace psm::core
 {
+
+namespace
+{
+
+/** @p seconds as whole microseconds for a u64 gauge, saturating: NaN
+ * and negative inputs read 0, and anything from 2^64 us up reads the
+ * largest value, where a plain cast would be undefined. */
+std::uint64_t
+gaugeMicros(double seconds)
+{
+    constexpr double limit = 18446744073709551616.0; // 2^64, exact
+    double us = seconds * 1e6;
+    if (!(us > 0.0))
+        return 0;
+    if (us >= limit)
+        return std::numeric_limits<std::uint64_t>::max();
+    return static_cast<std::uint64_t>(us);
+}
+
+} // namespace
 
 double
 AppRecord::normalizedPerf(Tick now) const
@@ -96,9 +117,10 @@ ServerManager::seedCorpus(const std::vector<perf::AppProfile> &profiles)
 
 void
 ServerManager::seedCorpus(
-    std::shared_ptr<const cf::UtilityEstimator> corpus)
+    std::shared_ptr<const cf::UtilityEstimator> corpus,
+    std::shared_ptr<const UtilityCurve> server_average)
 {
-    pipeline.seedCorpus(std::move(corpus));
+    pipeline.seedCorpus(std::move(corpus), std::move(server_average));
 }
 
 int
@@ -258,8 +280,7 @@ ServerManager::reallocate(const std::string &trigger)
         in.knobsAvailable = false;
         tel.count(trace::EventId::FaultActuationStuck);
     }
-    if (pipeline.serverAverageCurve())
-        in.serverAverage = &*pipeline.serverAverageCurve();
+    in.serverAverage = pipeline.serverAverageCurve();
     in.surfaceEpoch = pipeline.surfaceEpoch();
 
     if (cap > 0.0) {
@@ -430,7 +451,7 @@ ServerManager::syncRecords()
         interactive_published = {arrivals, completions, violations};
         tel.gauge(trace::EventId::InteractiveQueueDepth, depth);
         tel.gauge(trace::EventId::InteractiveP99Us,
-                  static_cast<std::uint64_t>(worst_p99 * 1e6));
+                  gaugeMicros(worst_p99));
     }
 }
 

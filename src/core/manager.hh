@@ -174,9 +174,12 @@ class ServerManager : private ControlLoop::Delegate
     /**
      * Share a corpus already profiled by cf::profileCorpus on this
      * server's platform with config().als — how a NodePool seeds
-     * every node from one profiling pass.
+     * every node from one profiling pass — and, when given, its
+     * makeServerAverageCurve() (null builds one for this node).
      */
-    void seedCorpus(std::shared_ptr<const cf::UtilityEstimator> corpus);
+    void seedCorpus(std::shared_ptr<const cf::UtilityEstimator> corpus,
+                    std::shared_ptr<const UtilityCurve> server_average =
+                        nullptr);
 
     /**
      * Admit an application (event E2).  Calibration, if the policy

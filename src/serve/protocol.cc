@@ -1,7 +1,5 @@
 #include "protocol.hh"
 
-#include <cmath>
-
 namespace psm::serve
 {
 
@@ -140,7 +138,8 @@ decodeEventRequest(const std::vector<std::uint8_t> &payload,
         return false;
     out.appClass = static_cast<AppClass>(cls);
     out.sloP99 = r.f64();
-    if (!std::isfinite(out.sloP99) || out.sloP99 < 0.0)
+    // Written so that NaN fails it.
+    if (!(out.sloP99 >= 0.0 && out.sloP99 <= maxSloP99))
         return false;
     return r.good() && r.atEnd();
 }

@@ -54,6 +54,14 @@ enum class AppClass : std::uint8_t
 /** Printable class name. */
 std::string appClassName(AppClass cls);
 
+/**
+ * Largest p99 SLO override an Arrival may carry, in seconds.  An hour
+ * is far past any latency-critical tail target, and it keeps the
+ * request queue's histogram span (32 x SLO) and the microsecond p99
+ * gauge finite; decode rejects anything larger.
+ */
+constexpr double maxSloP99 = 3600.0;
+
 /** Status of an EVENT's reply. */
 enum class ReplyStatus : std::uint8_t
 {
@@ -84,8 +92,8 @@ struct EventRequest
     /** Arrival: which workload library `workload` indexes (v2). */
     AppClass appClass = AppClass::Batch;
     /** Arrival: p99 SLO override in seconds for interactive arrivals;
-     * 0 keeps the profile's calibrated SLO (v2).  Must be finite and
-     * non-negative — decode rejects anything else. */
+     * 0 keeps the profile's calibrated SLO (v2).  Must lie in
+     * [0, maxSloP99] — decode rejects anything else, NaN included. */
     double sloP99 = 0.0;
 };
 

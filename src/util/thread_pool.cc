@@ -153,7 +153,12 @@ ThreadPool::parallelFor(std::size_t n,
             n_queued.fetch_add(1, std::memory_order_relaxed);
         }
     }
-    cv_work.notify_all();
+    // Wake one worker per queued chunk: a 2-index call queues one
+    // chunk, and waking every idle worker for it only makes the
+    // losers re-check an empty queue and sleep again.
+    std::size_t wake = std::min(chunks - 1, workers.size());
+    for (std::size_t w = 0; w < wake; ++w)
+        cv_work.notify_one();
 
     // The caller takes the first chunk, then helps with the rest.
     run(0, std::min(n, chunk));

@@ -134,7 +134,7 @@ TEST(LearningPipeline, OracleCalibrationIsImmediate)
     Telemetry tel;
     LearningPipeline pipe(server, lc, &tel);
     pipe.seedCorpus(cf::profileCorpus(server.platform(), workloadLibrary()));
-    ASSERT_TRUE(pipe.serverAverageCurve().has_value());
+    ASSERT_NE(pipe.serverAverageCurve(), nullptr);
 
     int id = server.admit(workload("stream"));
     pipe.track(id, "stream");
@@ -430,6 +430,54 @@ TEST(NodePool, ManagedNodesShareOneCorpus)
     EXPECT_EQ(corpus->corpusSize(), workloadLibrary().size());
     for (std::size_t s = 1; s < pool.size(); ++s)
         EXPECT_EQ(pool[s].manager->learning().corpus().get(), corpus);
+}
+
+TEST(NodePool, NodesShareOneKnobSpaceAndServerAverageCurve)
+{
+    // A node holds only what it owns.  Every node's profiler and the
+    // shared corpus read one knob-space vector, and the pool builds
+    // the server-average curve once for all of its nodes.
+    cluster::NodePoolConfig pc;
+    pc.servers = 4;
+    pc.serverCap = 100.0;
+    pc.manager.policy = PolicyKind::ServerResAware;
+    cluster::NodePool pool(pc);
+    const LearningPipeline &first = pool[0].manager->learning();
+    const std::vector<power::KnobSetting> *space = &first.settings();
+    EXPECT_EQ(space, first.corpus()->knobSpace().get());
+    EXPECT_EQ(space->size(), defaultPlatform().knobSpace().size());
+    const UtilityCurve *avg = first.serverAverageCurve();
+    ASSERT_NE(avg, nullptr);
+    for (std::size_t s = 1; s < pool.size(); ++s) {
+        const LearningPipeline &lp = pool[s].manager->learning();
+        EXPECT_EQ(&lp.settings(), space);
+        EXPECT_EQ(lp.serverAverageCurve(), avg);
+    }
+
+    // Server+Res-Aware reads the shared curve from parallel node
+    // steps, and every node decides as a lone manager seeded with its
+    // own copy of the corpus does.
+    for (auto &node : pool)
+        node.manager->addApp(workload("stream"));
+    pool.runAll(toTicks(2.0));
+    sim::Server lone_server;
+    lone_server.setCap(100.0);
+    ManagerConfig lone_cfg = pc.manager;
+    lone_cfg.seed = pc.seedBase;
+    ServerManager lone(lone_server, lone_cfg);
+    lone.seedCorpus(workloadLibrary());
+    EXPECT_NE(lone.learning().serverAverageCurve(), avg);
+    lone.addApp(workload("stream"));
+    lone.run(toTicks(2.0));
+    EXPECT_GT(lone.records().front().beats, 0.0);
+    for (auto &node : pool) {
+        const Telemetry &tel = node.manager->telemetry();
+        EXPECT_GT(tel.counter("selector.server-avg-space") +
+                      tel.counter("selector.server-avg-time"),
+                  0u);
+        EXPECT_EQ(node.manager->records().front().beats,
+                  lone.records().front().beats);
+    }
 }
 
 TEST(NodePool, RawPoolHasNoManagers)

@@ -9,6 +9,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
 #include <limits>
 #include <string>
 #include <vector>
@@ -304,6 +306,26 @@ TEST(ServeWire, EventRequestCarriesClassAndSlo)
         serve::encodeEventRequest(inf_ev);
     EXPECT_FALSE(serve::decodeEventRequest(inf_bytes, back));
 
+    // So is a finite one past the documented maximum: 1e300 s would
+    // put the queue's p99 beyond the microsecond gauge, and 1e308 s
+    // overflows its histogram span to inf (a NaN p99).  The maximum
+    // itself and 0 (keep the profile's SLO) still decode.
+    for (double slo : {serve::maxSloP99 * 2.0, 1e300, 1e308,
+                       -serve::maxSloP99, std::nan("")}) {
+        serve::EventRequest big = ev;
+        big.sloP99 = slo;
+        EXPECT_FALSE(serve::decodeEventRequest(
+            serve::encodeEventRequest(big), back))
+            << "slo " << slo;
+    }
+    for (double slo : {0.0, serve::maxSloP99}) {
+        serve::EventRequest edge = ev;
+        edge.sloP99 = slo;
+        ASSERT_TRUE(serve::decodeEventRequest(
+            serve::encodeEventRequest(edge), back));
+        EXPECT_EQ(back.sloP99, slo);
+    }
+
     // Truncated v1-style frames (no class/SLO tail) fail loudly.
     std::vector<std::uint8_t> truncated(
         bytes.begin(), bytes.end() - 9);
@@ -345,6 +367,31 @@ TEST(ManagerInteractive, RecordsTrackQueueAndSloAttainment)
               0u);
     EXPECT_GT(manager.telemetry().counter("interactive.completions"),
               0u);
+}
+
+TEST(ManagerInteractive, P99GaugeSaturatesForAnSloPastTheWireMaximum)
+{
+    // The wire refuses such SLOs, but an in-process profile may carry
+    // one.  With a 1e300 s SLO the p99 reads ~3.9e297 s, past any u64
+    // microsecond count: the gauge saturates instead of casting out
+    // of range.
+    sim::Server server;
+    server.setCap(100.0);
+    core::ManagerConfig cfg;
+    cfg.oracleUtilities = true;
+    core::ServerManager manager(server, cfg);
+    perf::AppProfile huge = perf::interactiveLibrary()[1];
+    huge.sloP99 = 1e300;
+    int iid = manager.addApp(huge);
+    manager.run(toTicks(5.0));
+
+    const core::AppRecord rec = manager.records().front();
+    ASSERT_EQ(rec.id, iid);
+    ASSERT_GT(rec.requestCompletions, 0u);
+    EXPECT_TRUE(std::isfinite(rec.requestP99));
+    EXPECT_GT(rec.requestP99 * 1e6, 18446744073709551616.0);
+    EXPECT_EQ(manager.telemetry().counter("interactive.p99_us"),
+              std::numeric_limits<std::uint64_t>::max());
 }
 
 } // namespace

@@ -5,7 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <vector>
 
@@ -249,9 +251,93 @@ TEST_P(HistogramPercentileProperty, WithinOneBinOfExact)
     EXPECT_NEAR(h.percentile(p), percentileOf(xs, p), 0.03);
 }
 
+/**
+ * Reference histogram: the same binning and percentile walk as
+ * Histogram, with 64-bit bin counts.
+ */
+struct WideCountHistogram
+{
+    double lo;
+    double hi;
+    std::vector<std::uint64_t> counts;
+    std::uint64_t total = 0;
+
+    void
+    push(double x)
+    {
+        if (std::isnan(x))
+            return;
+        double n = static_cast<double>(counts.size());
+        double scaled =
+            std::clamp((x - lo) / (hi - lo) * n, 0.0, n - 1.0);
+        ++counts[static_cast<std::size_t>(scaled)];
+        ++total;
+    }
+
+    double
+    percentile(double p) const
+    {
+        if (total == 0 || std::isnan(p))
+            return 0.0;
+        p = std::clamp(p, 0.0, 100.0);
+        auto target = static_cast<std::uint64_t>(
+            p / 100.0 * static_cast<double>(total - 1));
+        double width = (hi - lo) / static_cast<double>(counts.size());
+        std::uint64_t seen = 0;
+        for (std::size_t b = 0; b < counts.size(); ++b) {
+            seen += counts[b];
+            if (seen > target) {
+                return lo + (hi - lo) * static_cast<double>(b) /
+                                static_cast<double>(counts.size()) +
+                       width / 2.0;
+            }
+        }
+        return hi;
+    }
+};
+
+TEST_P(HistogramPercentileProperty, MatchesWideCountReference)
+{
+    // 32-bit bins must change no count and no percentile: over seeded
+    // spans, bin counts and sample mixes (in range, past both edges,
+    // infinite and NaN), every bin and the percentile equal the
+    // 64-bit-count reference exactly.
+    double p = GetParam();
+    for (std::uint64_t seed = 1; seed <= 24; ++seed) {
+        Rng rng(seed);
+        double lo = rng.uniform(-5.0, 5.0);
+        double hi = lo + rng.uniform(0.001, 100.0);
+        const std::size_t bin_choices[] = {1, 7, 50, 4096};
+        std::size_t bins = bin_choices[seed % 4];
+        Histogram h(lo, hi, bins);
+        WideCountHistogram ref{lo, hi,
+                               std::vector<std::uint64_t>(bins, 0)};
+        int samples = rng.uniformInt(1, 20000);
+        for (int i = 0; i < samples; ++i) {
+            double u = rng.uniform();
+            double x = std::nan("");
+            if (u < 0.80)
+                x = rng.uniform(lo, hi);
+            else if (u < 0.90)
+                x = hi + rng.exponential(1.0 / (hi - lo));
+            else if (u < 0.97)
+                x = lo - rng.exponential(1.0);
+            else if (u < 0.99)
+                x = std::numeric_limits<double>::infinity();
+            h.push(x);
+            ref.push(x);
+        }
+        ASSERT_EQ(h.totalSamples(), ref.total) << "seed " << seed;
+        for (std::size_t b = 0; b < bins; ++b)
+            ASSERT_EQ(h.binSamples(b), ref.counts[b]) << "seed " << seed;
+        EXPECT_EQ(h.percentile(p), ref.percentile(p)) << "seed " << seed;
+    }
+}
+
 INSTANTIATE_TEST_SUITE_P(Sweep, HistogramPercentileProperty,
                          ::testing::Values(5.0, 25.0, 50.0, 75.0,
-                                           95.0, 99.0));
+                                           95.0, 99.0, 0.0, 99.9,
+                                           100.0));
 
 } // namespace
 } // namespace psm
