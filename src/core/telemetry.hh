@@ -17,8 +17,8 @@
  *
  * The bus is a thin façade over the trace core (src/trace): publishers
  * name events by compile-time id (trace::EventId) and each publish
- * appends one fixed-size binary TraceRecord to a private ring buffer —
- * no allocation, no string hashing — with aggregation folded post hoc.
+ * updates that event's slot in a dense per-event aggregate array in
+ * place — no allocation, no string hashing, no buffering.
  * Reads may still name an event by its registry string: counter(name),
  * timer(name) and the name-ordered counters()/timers() views resolve
  * through trace::lookupEvent(), and a name outside the registry reads

@@ -261,7 +261,11 @@ ServeEngine::applyPhaseChange(const EventRequest &ev)
 {
     if (!validNode(ev.node))
         return {ReplyStatus::BadRequest, -1, -1};
-    if (!(ev.cpuScale > 0.0) || !(ev.memScale > 0.0))
+    // Written so that NaN fails it.
+    auto in_bound = [](double scale) {
+        return scale >= 1.0 / maxPhaseScale && scale <= maxPhaseScale;
+    };
+    if (!in_bound(ev.cpuScale) || !in_bound(ev.memScale))
         return {ReplyStatus::BadRequest, ev.node, ev.appId};
     sim::Server &srv = *pool_[static_cast<std::size_t>(ev.node)].server;
     if (!srv.hasApp(ev.appId) || srv.app(ev.appId).finished())

@@ -62,6 +62,18 @@ std::string appClassName(AppClass cls);
  */
 constexpr double maxSloP99 = 3600.0;
 
+/**
+ * Largest factor a PhaseChange may scale an app's compute or memory
+ * work by, either way: both scales must lie in
+ * [1/maxPhaseScale, maxPhaseScale], and the engine answers BadRequest
+ * otherwise, NaN and infinities included.  The bound keeps the perf
+ * model's time per heartbeat a positive normal number: an infinite
+ * scale makes it infinite (and the served bandwidth inf x 0 = NaN),
+ * and a subnormal one underflows it to zero.  A thousandfold phase
+ * shift is far past any workload phase.
+ */
+constexpr double maxPhaseScale = 1e3;
+
 /** Status of an EVENT's reply. */
 enum class ReplyStatus : std::uint8_t
 {
@@ -84,8 +96,10 @@ struct EventRequest
     std::int32_t appId = -1;  ///< PhaseChange/Kill target
     std::uint32_t workload = 0; ///< Arrival: workloadLibrary() index
     double value = 0.0;       ///< seconds (Advance) or watts (E1)
-    double cpuScale = 1.0;    ///< PhaseChange compute multiplier
-    double memScale = 1.0;    ///< PhaseChange memory multiplier
+    /** PhaseChange compute and memory multipliers, each within
+     * [1/maxPhaseScale, maxPhaseScale]. */
+    double cpuScale = 1.0;
+    double memScale = 1.0;
     /** Wall-clock budget in microseconds; 0 = no deadline.  A request
      * still queued when it lapses is answered Expired, not applied. */
     std::uint32_t deadlineUs = 0;

@@ -21,8 +21,7 @@ EventQueue::runUntil(Tick now)
         // invalidating top()).  priority_queue::top() is const, but
         // popping immediately after makes the moved-from state
         // unobservable — this avoids re-allocating the callback and
-        // label on every fire, which matters once open-loop arrival
-        // streams keep the queue hot.
+        // label on every fire.
         Event ev = std::move(const_cast<Event &>(heap.top()));
         heap.pop();
         ev.cb(ev.when);

@@ -65,58 +65,10 @@ lookupEvent(std::string_view name, EventId &out)
 }
 
 void
-TraceSink::fold() const
-{
-    for (const TraceRecord &rec : ring) {
-        auto ix = static_cast<std::size_t>(rec.event);
-        touched_flags[ix] = 1;
-        switch (static_cast<EventKind>(rec.kind)) {
-          case EventKind::Counter:
-            counter_agg[ix] += rec.value;
-            break;
-          case EventKind::Timer: {
-            TimerAgg &t = timer_agg[ix];
-            ++t.count;
-            t.total += rec.value;
-            t.max = std::max(t.max, rec.value);
-            break;
-          }
-          case EventKind::Gauge:
-            counter_agg[ix] = rec.value;
-            break;
-        }
-    }
-    ring.clear();
-}
-
-std::uint64_t
-TraceSink::counterValue(EventId id) const
-{
-    fold();
-    return counter_agg[static_cast<std::size_t>(id)];
-}
-
-TimerAgg
-TraceSink::timerValue(EventId id) const
-{
-    fold();
-    return timer_agg[static_cast<std::size_t>(id)];
-}
-
-bool
-TraceSink::touched(EventId id) const
-{
-    fold();
-    return touched_flags[static_cast<std::size_t>(id)] != 0;
-}
-
-void
 TraceSink::mergeFrom(const TraceSink &other)
 {
     if (other.empty())
         return;
-    fold();
-    other.fold();
     for (std::size_t i = 0; i < kEventCount; ++i) {
         if (!other.touched_flags[i])
             continue;
@@ -144,7 +96,6 @@ TraceSink::mergeFrom(const TraceSink &other)
 void
 TraceSink::reset()
 {
-    ring.clear();
     seq_counter = 0;
     counter_agg.fill(0);
     timer_agg.fill(TimerAgg{});

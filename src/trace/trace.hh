@@ -1,16 +1,15 @@
 /**
  * @file
- * The trace core: compile-time event ids, fixed-size binary trace
- * records and single-writer ring-buffer sinks with a post-hoc merge.
+ * The trace core: compile-time event ids and single-writer sinks of
+ * dense per-event aggregates with a post-hoc merge.
  *
  * This layer is the storage behind the Telemetry bus.  Publishing
- * appends one 16-byte TraceRecord to a private ring — no allocation,
- * no string hashing, no map walk — and aggregation happens post hoc:
- * the ring is folded into dense per-event arrays when it fills, when
- * a value is read, or when sinks merge.  Merging two sinks is an
- * O(#events) array add, which is what keeps cluster-scope folds over
- * per-node buses flat as the cluster layer scales toward thousands
- * of nodes.
+ * updates one slot of a fixed per-event array in place — no
+ * allocation, no string hashing, no map walk — so a sink's size is
+ * set by the event registry, not by how much was published.  Merging
+ * two sinks is an O(#events) array add, which is what keeps
+ * cluster-scope folds over per-node buses flat as the cluster layer
+ * scales toward thousands of nodes.
  *
  * The event registry lives in events.def (X-macro): one dense id per
  * name the control plane publishes.  Readers that name an event by
@@ -25,11 +24,11 @@
 #ifndef PSM_TRACE_TRACE_HH
 #define PSM_TRACE_TRACE_HH
 
+#include <algorithm>
 #include <array>
 #include <cstddef>
 #include <cstdint>
 #include <string_view>
-#include <vector>
 
 namespace psm::trace
 {
@@ -71,22 +70,6 @@ EventKind eventKind(EventId id);
  */
 bool lookupEvent(std::string_view name, EventId &out);
 
-/**
- * One published observation, fixed-size and binary: what travels
- * through the ring buffers and what a binary trace dump would write.
- */
-struct TraceRecord
-{
-    std::uint16_t event = 0; ///< EventId
-    std::uint8_t kind = 0;   ///< EventKind (self-describing streams)
-    std::uint8_t flags = 0;  ///< reserved
-    std::uint32_t seq = 0;   ///< per-sink publish sequence
-    std::uint64_t value = 0; ///< delta (Counter), ticks (Timer), sample (Gauge)
-};
-
-static_assert(sizeof(TraceRecord) == 16,
-              "TraceRecord must stay fixed-size and 16 bytes");
-
 /** Aggregate of one Timer event. */
 struct TimerAgg
 {
@@ -96,61 +79,63 @@ struct TimerAgg
 };
 
 /**
- * A single-writer trace sink: one bounded ring of TraceRecords plus
- * the dense aggregate arrays the ring folds into.
- *
- * Publish paths (count/observe/gauge) only append to the ring; all
- * aggregate reads fold lazily.  The ring is allocated on first
- * publish, so an untouched sink costs only its (zeroed) aggregate
- * arrays.
+ * A single-writer trace sink: dense aggregate arrays, one slot per
+ * registered event, that every publish updates in place.
  */
 class TraceSink
 {
   public:
-    /** Records buffered before an automatic fold. */
-    static constexpr std::size_t kDefaultRingCapacity = 256;
-
-    explicit TraceSink(std::size_t ring_capacity = kDefaultRingCapacity)
-        : ring_capacity(ring_capacity ? ring_capacity : 1)
-    {
-    }
-
     /** Bump a Counter event. */
     void
     count(EventId id, std::uint64_t delta = 1)
     {
-        push(id, EventKind::Counter, delta);
+        counter_agg[touch(id)] += delta;
     }
 
     /** Observe one duration under a Timer event. */
     void
     observe(EventId id, std::uint64_t ticks)
     {
-        push(id, EventKind::Timer, ticks);
+        TimerAgg &t = timer_agg[touch(id)];
+        ++t.count;
+        t.total += ticks;
+        t.max = std::max(t.max, ticks);
     }
 
     /** Sample a Gauge event (last write wins). */
     void
     gauge(EventId id, std::uint64_t value)
     {
-        push(id, EventKind::Gauge, value);
+        counter_agg[touch(id)] = value;
     }
 
     /** Counter total (or last Gauge sample) for @p id. */
-    std::uint64_t counterValue(EventId id) const;
+    std::uint64_t
+    counterValue(EventId id) const
+    {
+        return counter_agg[static_cast<std::size_t>(id)];
+    }
 
     /** Timer aggregate for @p id (zeroes when never observed). */
-    TimerAgg timerValue(EventId id) const;
+    TimerAgg
+    timerValue(EventId id) const
+    {
+        return timer_agg[static_cast<std::size_t>(id)];
+    }
 
     /** True once @p id was published at least once (even with a zero
      * delta). */
-    bool touched(EventId id) const;
+    bool
+    touched(EventId id) const
+    {
+        return touched_flags[static_cast<std::size_t>(id)] != 0;
+    }
 
     /** True when nothing was ever published. */
     bool empty() const { return seq_counter == 0; }
 
-    /** Total records published into this sink (monotonic; reads of
-     * this double as a cheap change-detection generation). */
+    /** Total publishes into this sink (monotonic; reads of this double
+     * as a cheap change-detection generation). */
     std::uint64_t publishSeq() const { return seq_counter; }
 
     /**
@@ -164,19 +149,11 @@ class TraceSink
     /** Drop everything. */
     void reset();
 
-    /**
-     * Drain the ring into the dense aggregates.  Publishing folds
-     * automatically when the ring fills; readers fold lazily.  Const
-     * because aggregation is observable state, not logical state.
-     */
-    void fold() const;
-
     /** Visit every touched event in id order: f(EventId). */
     template <typename F>
     void
     forEachTouched(F &&f) const
     {
-        fold();
         for (std::size_t i = 0; i < kEventCount; ++i) {
             if (touched_flags[i])
                 f(static_cast<EventId>(i));
@@ -184,28 +161,19 @@ class TraceSink
     }
 
   private:
-    std::size_t ring_capacity;
     std::uint64_t seq_counter = 0;
-    mutable std::vector<TraceRecord> ring;
+    std::array<std::uint64_t, kEventCount> counter_agg{};
+    std::array<TimerAgg, kEventCount> timer_agg{};
+    std::array<std::uint8_t, kEventCount> touched_flags{};
 
-    mutable std::array<std::uint64_t, kEventCount> counter_agg{};
-    mutable std::array<TimerAgg, kEventCount> timer_agg{};
-    mutable std::array<std::uint8_t, kEventCount> touched_flags{};
-
-    void
-    push(EventId id, EventKind kind, std::uint64_t value)
+    /** Count one publish of @p id and return its slot. */
+    std::size_t
+    touch(EventId id)
     {
-        if (ring.capacity() == 0)
-            ring.reserve(ring_capacity);
-        if (ring.size() >= ring_capacity)
-            fold();
-        TraceRecord rec;
-        rec.event = static_cast<std::uint16_t>(id);
-        rec.kind = static_cast<std::uint8_t>(kind);
-        rec.seq = static_cast<std::uint32_t>(seq_counter);
-        rec.value = value;
-        ring.push_back(rec);
+        auto ix = static_cast<std::size_t>(id);
+        touched_flags[ix] = 1;
         ++seq_counter;
+        return ix;
     }
 };
 

@@ -9,8 +9,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <deque>
+#include <iterator>
 #include <limits>
 #include <string>
 #include <vector>
@@ -23,8 +26,11 @@
 #include "perf/perf_model.hh"
 #include "perf/workloads.hh"
 #include "serve/protocol.hh"
+#include "sim/event_queue.hh"
 #include "sim/request_queue.hh"
 #include "sim/server.hh"
+#include "util/random.hh"
+#include "util/stats.hh"
 #include "util/thread_pool.hh"
 
 namespace psm
@@ -126,6 +132,189 @@ TEST(RequestQueue, AgreesWithLatencyModelAtLowUtilization)
     EXPECT_NEAR(q.meanResponse(), mean, 0.2 * mean);
 }
 
+/**
+ * Test oracle: a request queue that stores every queued request in a
+ * deque and fires arrivals through a sim::EventQueue.
+ * sim::RequestQueue keeps only the head and replays the seeded draw
+ * stream there, so the two must agree bit for bit.
+ */
+class DequeRequestQueue
+{
+  public:
+    DequeRequestQueue(const perf::AppProfile &profile, std::uint64_t seed)
+        : offered_load(profile.offeredLoad),
+          hb_per_request(profile.hbPerRequest), slo_p99(profile.sloP99),
+          rng(seed), response_hist(0.0, 32.0 * profile.sloP99, 4096)
+    {
+        next_arrival_s = rng.exponential(offered_load);
+        events.schedule(toTicks(next_arrival_s),
+                        [this](Tick) { onArrival(); }, "arrival");
+    }
+
+    void
+    advance(Tick from, Tick to, double hb_rate)
+    {
+        Tick t = from;
+        while (true) {
+            Tick next = events.nextEventTime();
+            Tick seg_end = std::min(std::max(next, t), to);
+            serve(t, seg_end, hb_rate);
+            t = seg_end;
+            if (next > to)
+                break;
+            events.runUntil(next);
+        }
+    }
+
+    std::size_t depth() const { return pending.size(); }
+
+  private:
+    struct Request
+    {
+        double arrivalSec;
+        double workHb;
+    };
+
+    void
+    onArrival()
+    {
+        ++arrived;
+        pending.push_back(
+            Request{next_arrival_s, rng.exponential(1.0 / hb_per_request)});
+        next_arrival_s += rng.exponential(offered_load);
+        events.schedule(toTicks(next_arrival_s),
+                        [this](Tick) { onArrival(); }, "arrival");
+    }
+
+    void
+    serve(Tick t0, Tick t1, double hb_rate)
+    {
+        if (t1 <= t0)
+            return;
+        double end_s = toSeconds(t1);
+        if (hb_rate <= 0.0) {
+            served_until_s = end_s;
+            return;
+        }
+        double now_s = std::max(served_until_s, toSeconds(t0));
+        while (!pending.empty()) {
+            Request &head = pending.front();
+            double start_s = std::max(now_s, head.arrivalSec);
+            double finish_s = start_s + head.workHb / hb_rate;
+            if (finish_s > end_s) {
+                double served = std::max(0.0, end_s - start_s) * hb_rate;
+                head.workHb = std::max(0.0, head.workHb - served);
+                break;
+            }
+            now_s = finish_s;
+            double response = finish_s - head.arrivalSec;
+            ++done;
+            if (response > slo_p99)
+                ++violations;
+            response_sum += response;
+            response_hist.push(response);
+            pending.pop_front();
+        }
+        served_until_s = end_s;
+    }
+
+    double offered_load;
+    double hb_per_request;
+    double slo_p99;
+    Rng rng;
+    sim::EventQueue events;
+    double next_arrival_s = 0.0;
+    double served_until_s = 0.0;
+    std::deque<Request> pending;
+
+  public:
+    std::uint64_t arrived = 0;
+    std::uint64_t done = 0;
+    std::uint64_t violations = 0;
+    double response_sum = 0.0;
+    Histogram response_hist;
+};
+
+/** Every statistic of @p q equals the oracle's, histogram bins too. */
+::testing::AssertionResult
+sameQueueState(const sim::RequestQueue &q, const DequeRequestQueue &ref)
+{
+    double ref_mean =
+        ref.done > 0 ? ref.response_sum / static_cast<double>(ref.done)
+                     : 0.0;
+    if (q.arrivals() != ref.arrived || q.completed() != ref.done ||
+        q.sloViolations() != ref.violations || q.depth() != ref.depth() ||
+        q.meanResponse() != ref_mean ||
+        q.p99() != ref.response_hist.percentile(99.0))
+        return ::testing::AssertionFailure()
+               << "arrivals " << q.arrivals() << "/" << ref.arrived
+               << ", completed " << q.completed() << "/" << ref.done
+               << ", violations " << q.sloViolations() << "/"
+               << ref.violations << ", depth " << q.depth() << "/"
+               << ref.depth() << ", mean " << q.meanResponse() << "/"
+               << ref_mean << ", p99 " << q.p99() << "/"
+               << ref.response_hist.percentile(99.0);
+    const Histogram &h = q.responseTimes();
+    for (std::size_t b = 0; b < h.binCount(); ++b) {
+        if (h.binSamples(b) != ref.response_hist.binSamples(b))
+            return ::testing::AssertionFailure()
+                   << "bin " << b << ": " << h.binSamples(b) << "/"
+                   << ref.response_hist.binSamples(b);
+    }
+    return ::testing::AssertionSuccess();
+}
+
+TEST(RequestQueue, MatchesDequeOracleAfterEveryStep)
+{
+    for (const perf::AppProfile &p : perf::interactiveLibrary()) {
+        for (std::uint64_t seed : {1ULL, 42ULL, 0xfeedULL}) {
+            SCOPED_TRACE(p.name + " seed " + std::to_string(seed));
+            sim::RequestQueue q(p, seed);
+            DequeRequestQueue ref(p, seed);
+            const double offered_work = p.offeredLoad * p.hbPerRequest;
+            const Tick gap = std::max<Tick>(1, toTicks(1.0 / p.offeredLoad));
+            // Step lengths from zero and one tick, through a third of a
+            // mean arrival gap, to many gaps per step.
+            const Tick lengths[] = {1, gap / 3, toTicks(0.01), 4 * gap, 0,
+                                    toTicks(0.25), gap, 2};
+            // The app joins late, so the first step fires the arrivals
+            // drawn before it.
+            Tick t = toTicks(1.5);
+            std::size_t step = 0, empty_steps = 0;
+            std::uint64_t max_depth = 0;
+            auto run = [&](int steps, auto rate_of) {
+                for (int i = 0; i < steps; ++i, ++step) {
+                    Tick next = t + lengths[step % std::size(lengths)];
+                    double rate = rate_of(i);
+                    q.advance(t, next, rate);
+                    ref.advance(t, next, rate);
+                    t = next;
+                    ::testing::AssertionResult same = sameQueueState(q, ref);
+                    if (!same)
+                        return same << " after step " << step;
+                    max_depth = std::max<std::uint64_t>(max_depth, q.depth());
+                    empty_steps += q.depth() == 0;
+                }
+                return ::testing::AssertionSuccess();
+            };
+            // Sustained overload: service at 0.8x the offered work.
+            ASSERT_TRUE(run(300, [&](int) { return 0.8 * offered_work; }));
+            // Stalled service (a suspended app's idle queue).
+            ASSERT_TRUE(run(40, [](int) { return 0.0; }));
+            // Alternating overload and headroom.
+            ASSERT_TRUE(run(300, [&](int i) {
+                return (i % 2 ? 1.3 : 0.8) * offered_work;
+            }));
+            // Drain the backlog, then keep up with the arrivals.
+            std::size_t empty_before_drain = empty_steps;
+            ASSERT_TRUE(run(400, [&](int) { return 20.0 * offered_work; }));
+            EXPECT_GT(empty_steps, empty_before_drain);
+            EXPECT_GT(max_depth, 20u);
+            EXPECT_GT(q.completed(), 0u);
+        }
+    }
+}
+
 TEST(InteractiveSlo, FromProfileOnlyValidForInteractive)
 {
     core::InteractiveSlo batch =
@@ -182,17 +371,17 @@ mixedPoolRun()
     return recordStats(pool);
 }
 
+struct ScopedPoolWidth
+{
+    explicit ScopedPoolWidth(unsigned width)
+    {
+        util::ThreadPool::configureGlobal(width);
+    }
+    ~ScopedPoolWidth() { util::ThreadPool::configureGlobal(0); }
+};
+
 TEST(InteractiveDeterminism, BitIdenticalAcrossWidths)
 {
-    struct ScopedPoolWidth
-    {
-        explicit ScopedPoolWidth(unsigned width)
-        {
-            util::ThreadPool::configureGlobal(width);
-        }
-        ~ScopedPoolWidth() { util::ThreadPool::configureGlobal(0); }
-    };
-
     std::vector<double> reference;
     for (unsigned width : {1u, 4u}) {
         ScopedPoolWidth scoped(width);
@@ -277,6 +466,47 @@ TEST(InteractiveCluster, MixedPopulationReplaysUnderEachPolicy)
         EXPECT_GT(r.aggregatePerf, 0.0);
         EXPECT_LE(r.aggregatePerf, 1.01);
         EXPECT_GT(r.avgClusterPower, 0.0);
+    }
+}
+
+TEST(InteractiveCluster, DiurnalReplayPinnedAtWidthsOneAndFour)
+{
+    // The perfbench cluster-diurnal configuration (depth-3 tree,
+    // oversubscription 1.25, demand-aware splits, CF learning, one
+    // service per server, load-following caps at a 30% shave of a
+    // 48 x 3 s diurnal trace) at 16 servers.  The services run
+    // overloaded (about 24.5k requests are still queued at the end),
+    // so this pins interactive queues under backlog at cluster scope:
+    // a queue change that moves one response time moves these.
+    cluster::TraceConfig tc;
+    tc.seed = 1;
+    tc.points = 48;
+    tc.interval = toTicks(3.0);
+    const cluster::PowerTrace demand = cluster::generateDiurnalDemand(tc);
+    for (unsigned width : {1u, 4u}) {
+        SCOPED_TRACE("width " + std::to_string(width));
+        ScopedPoolWidth scoped(width);
+        cluster::ClusterConfig cc;
+        cc.policy = cluster::ClusterPolicy::EqualOurs;
+        cc.servers = 16;
+        cc.topology = cluster::Topology::Tree;
+        cc.treeDepth = 3;
+        cc.oversubscription = 1.25;
+        cc.demandAwareSplit = true;
+        cc.interactivePerServer = 1;
+        cluster::ClusterManager mgr(cc);
+        mgr.populateDefault();
+        cluster::ClusterResult r = mgr.replay(cluster::loadFollowingCaps(
+            demand, mgr.uncappedDemandEstimate(), 0.30));
+        core::Telemetry tel = mgr.aggregateTelemetry();
+        // 17 significant digits: each literal is exactly the double.
+        EXPECT_EQ(r.aggregatePerf, 0.31455451394133216);
+        EXPECT_EQ(r.capViolationFraction, 0.012586805555555554);
+        EXPECT_EQ(tel.counter(trace::EventId::InteractiveArrivals), 197116u);
+        EXPECT_EQ(tel.counter(trace::EventId::InteractiveCompletions),
+                  172571u);
+        EXPECT_EQ(tel.counter(trace::EventId::InteractiveSloViolations),
+                  113509u);
     }
 }
 

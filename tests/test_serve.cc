@@ -20,6 +20,7 @@
 #include <limits>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <cstdio>
@@ -334,6 +335,33 @@ TEST(ServeEngineTest, KillAndPhaseChangeValidateTargets)
     phase.cpuScale = 1.5;
     phase.memScale = 0.5;
     EXPECT_EQ(eng.apply(phase).status, ReplyStatus::Ok);
+
+    // Each scale must be a finite factor within the wire bound: a
+    // +inf scale makes the next step's bandwidth inf x 0 = NaN, and a
+    // subnormal pair underflows the per-heartbeat time to 0.
+    const double inf = std::numeric_limits<double>::infinity();
+    const double lo = 1.0 / serve::maxPhaseScale;
+    const double hi = serve::maxPhaseScale;
+    for (double bad : {inf, -inf, std::nan(""), 5e-324, 0.0, -1.0,
+                       std::nextafter(lo, 0.0), std::nextafter(hi, inf)}) {
+        for (int field = 0; field < 2; ++field) {
+            EventRequest edge = phase;
+            (field ? edge.memScale : edge.cpuScale) = bad;
+            EXPECT_EQ(eng.apply(edge).status, ReplyStatus::BadRequest)
+                << (field ? "memScale " : "cpuScale ") << bad;
+        }
+    }
+    phase.cpuScale = phase.memScale = 5e-324;
+    EXPECT_EQ(eng.apply(phase).status, ReplyStatus::BadRequest);
+    // The bound's own edges are accepted and step cleanly.
+    for (auto [cpu, mem] : {std::pair{lo, lo}, std::pair{hi, hi},
+                            std::pair{lo, hi}, std::pair{hi, lo}}) {
+        phase.cpuScale = cpu;
+        phase.memScale = mem;
+        EXPECT_EQ(eng.apply(phase).status, ReplyStatus::Ok);
+        eng.commit();
+    }
+
     phase.appId = 12345;
     EXPECT_EQ(eng.apply(phase).status, ReplyStatus::Rejected);
     phase.node = 9;
@@ -346,6 +374,79 @@ TEST(ServeEngineTest, KillAndPhaseChangeValidateTargets)
     EXPECT_EQ(eng.apply(kill).status, ReplyStatus::Ok);
     // Already dead.
     EXPECT_EQ(eng.apply(kill).status, ReplyStatus::Rejected);
+}
+
+TEST(ServeEngineTest, NumericWireFieldEdgesNeverAbort)
+{
+    // Every op x numeric field x edge value, against a batch and an
+    // interactive target: each case goes through the wire codec as
+    // the daemon receives it, what decodes is applied, committed and
+    // advanced on a fresh 1-node engine, and every reply must be a
+    // status.  Oracle utilities keep ALS out of the loop.  Without
+    // the engine's phase bound, a +inf memScale aborts the next step.
+    const double inf = std::numeric_limits<double>::infinity();
+    const double edges[] = {std::nan(""), inf,   -inf,   0.0,    -0.0,
+                            5e-324, -5e-324, 1e-300, 1e308, -1e308,
+                            -1.0,   599.9,   600.0,  600.1, 1e-7};
+    std::vector<EventRequest> cases;
+    for (EventOp op : {EventOp::Advance, EventOp::CapChange,
+                       EventOp::Arrival, EventOp::PhaseChange,
+                       EventOp::Kill}) {
+        EventRequest base;
+        base.op = op;
+        for (double EventRequest::*field :
+             {&EventRequest::value, &EventRequest::cpuScale,
+              &EventRequest::memScale, &EventRequest::sloP99}) {
+            for (double v : edges) {
+                EventRequest ev = base;
+                ev.*field = v;
+                cases.push_back(ev);
+            }
+        }
+        base.cpuScale = base.memScale = 5e-324;
+        cases.push_back(base);
+    }
+
+    serve::EngineConfig cfg = smallEngine(1);
+    cfg.manager.oracleUtilities = true;
+    std::size_t applied = 0;
+    for (serve::AppClass target :
+         {serve::AppClass::Batch, serve::AppClass::Interactive}) {
+        for (const EventRequest &c : cases) {
+            ServeEngine eng(cfg);
+            EventRequest arrive;
+            arrive.op = EventOp::Arrival;
+            arrive.node = 0;
+            arrive.appClass = target;
+            auto placed = eng.apply(arrive);
+            ASSERT_EQ(placed.status, ReplyStatus::Ok);
+
+            EventRequest ev = c;
+            ev.node = 0;
+            ev.appId = placed.appId;
+            ev.appClass = target;
+            ev.workload = 1; // an Arrival admits a second app
+            EventRequest wire;
+            if (!serve::decodeEventRequest(serve::encodeEventRequest(ev),
+                                           wire))
+                continue; // the daemon answers "malformed EVENT"
+            ++applied;
+            ReplyStatus st = eng.apply(wire).status;
+            EXPECT_TRUE(st == ReplyStatus::Ok ||
+                        st == ReplyStatus::Rejected ||
+                        st == ReplyStatus::BadRequest)
+                << serve::eventOpName(ev.op) << " value " << ev.value
+                << " cpuScale " << ev.cpuScale << " memScale "
+                << ev.memScale << " sloP99 " << ev.sloP99;
+            eng.commit();
+            EventRequest adv;
+            adv.op = EventOp::Advance;
+            adv.value = 1.0;
+            EXPECT_EQ(eng.apply(adv).status, ReplyStatus::Ok);
+            eng.commit();
+        }
+    }
+    EXPECT_GT(applied, cases.size());
 }
 
 TEST(ServeEngineTest, AdvanceBoundsChecked)

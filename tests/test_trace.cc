@@ -56,23 +56,21 @@ TEST(TraceRegistry, NamesRoundTripToDenseIds)
 TEST(TraceSink, FoldAndMergeSemantics)
 {
     trace::TraceSink a;
-    // Push well past the ring capacity: the automatic fold must keep
-    // aggregates exact.
-    for (std::size_t i = 0;
-         i < trace::TraceSink::kDefaultRingCapacity * 3 + 17; ++i)
+    constexpr std::uint64_t polls = 785;
+    for (std::uint64_t i = 0; i < polls; ++i)
         a.count(trace::EventId::ControlPolls);
     a.observe(trace::EventId::ManagerReallocate, 10);
     a.observe(trace::EventId::ManagerReallocate, 4);
     a.gauge(trace::EventId::PoolInflight, 5);
 
-    EXPECT_EQ(a.counterValue(trace::EventId::ControlPolls),
-              trace::TraceSink::kDefaultRingCapacity * 3 + 17);
+    EXPECT_EQ(a.counterValue(trace::EventId::ControlPolls), polls);
     trace::TimerAgg t = a.timerValue(trace::EventId::ManagerReallocate);
     EXPECT_EQ(t.count, 2u);
     EXPECT_EQ(t.total, 14u);
     EXPECT_EQ(t.max, 10u);
     EXPECT_TRUE(a.touched(trace::EventId::PoolInflight));
     EXPECT_FALSE(a.touched(trace::EventId::FaultMeterNan));
+    EXPECT_EQ(a.publishSeq(), polls + 3);
 
     trace::TraceSink b;
     b.count(trace::EventId::ControlPolls, 3);
@@ -80,8 +78,8 @@ TEST(TraceSink, FoldAndMergeSemantics)
     b.gauge(trace::EventId::PoolInflight, 9);
 
     a.mergeFrom(b);
-    EXPECT_EQ(a.counterValue(trace::EventId::ControlPolls),
-              trace::TraceSink::kDefaultRingCapacity * 3 + 20);
+    EXPECT_EQ(a.counterValue(trace::EventId::ControlPolls), polls + 3);
+    EXPECT_EQ(a.publishSeq(), polls + 6);
     t = a.timerValue(trace::EventId::ManagerReallocate);
     EXPECT_EQ(t.count, 3u);
     EXPECT_EQ(t.total, 34u);
