@@ -43,8 +43,9 @@ struct AlsConfig
 };
 
 /**
- * Solve a symmetric positive definite k x k system A x = b in place
- * via Cholesky decomposition.  Exposed for testing.
+ * Solve a symmetric positive definite k x k system A x = b via
+ * Cholesky decomposition, with the factor and substitution steps the
+ * fit uses.  Exposed for testing.
  *
  * @return The solution vector.
  */
@@ -91,6 +92,14 @@ class AlsModel
     std::size_t sweeps_run = 0;
 
     double rawPredict(std::size_t r, std::size_t c) const;
+
+    /**
+     * Alternate bias and ridge factor updates over the observed
+     * cells.  Rows (or columns) with identical observation lists
+     * share one Gram matrix and Cholesky factor per half-sweep, and
+     * every sum keeps the operand order of a separate solve per row
+     * and per column, so the fit is bit-identical to one.
+     */
     void fit(const MaskedMatrix &data);
 };
 

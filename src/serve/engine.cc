@@ -1,6 +1,5 @@
 #include "engine.hh"
 
-#include <cmath>
 #include <cstring>
 
 #include "esd/battery.hh"
@@ -204,8 +203,7 @@ ServeEngine::applyAdvance(const EventRequest &ev)
 ApplyOutcome
 ServeEngine::applyCapChange(const EventRequest &ev)
 {
-    // A cap is a finite number of watts; NaN passes a plain `< 0`.
-    if (!std::isfinite(ev.value) || ev.value < 0.0)
+    if (!validCap(ev.value))
         return {ReplyStatus::BadRequest, -1, -1};
     if (ev.node == -1) {
         // Broadcast: the cluster driver lowering every cap at once.

@@ -1,10 +1,18 @@
 #include "protocol.hh"
 
+#include <cmath>
+
 namespace psm::serve
 {
 
 using net::WireReader;
 using net::WireWriter;
+
+bool
+validCap(double watts)
+{
+    return std::isfinite(watts) && watts >= 0.0;
+}
 
 std::string
 eventOpName(EventOp op)

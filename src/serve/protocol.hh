@@ -74,6 +74,13 @@ constexpr double maxSloP99 = 3600.0;
  */
 constexpr double maxPhaseScale = 1e3;
 
+/**
+ * Whether @p watts is a power cap the engine accepts: finite and
+ * non-negative.  A CapChange event, a capture Config's serverCap and
+ * psm-served's --cap all apply this rule; NaN passes a plain `< 0`.
+ */
+bool validCap(double watts);
+
 /** Status of an EVENT's reply. */
 enum class ReplyStatus : std::uint8_t
 {

@@ -128,6 +128,16 @@ decodeCaptureConfig(const std::vector<std::uint8_t> &payload,
         return fail("measurementNoise must be finite and >= 0");
     if (m.controlPeriod == 0)
         return fail("controlPeriod must be positive");
+    if (!validCap(cfg.serverCap))
+        return fail("serverCap must be finite and >= 0");
+    // A NaN maxAdvance lets every Advance through the engine's bound.
+    if (!(std::isfinite(cfg.maxAdvance) && cfg.maxAdvance > 0.0))
+        return fail("maxAdvance must be finite and > 0");
+    // Either one NaN makes the first allocation's budget NaN.
+    if (!std::isfinite(m.budgetGuard))
+        return fail("budgetGuard must be finite");
+    if (!std::isfinite(m.trimGain))
+        return fail("trimGain must be finite");
     if (info->kind == core::PolicyKind::ServerResAware &&
         seed_corpus == 0)
         return fail("policy " + info->cliName +

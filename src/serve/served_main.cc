@@ -112,7 +112,8 @@ main(int argc, char **argv)
         } else if (arg == "--cap") {
             const char *value = next();
             if (!util::parseFiniteDouble(value,
-                                         cfg.engine.serverCap))
+                                         cfg.engine.serverCap) ||
+                !serve::validCap(cfg.engine.serverCap))
                 badValue(arg, value);
         } else if (arg == "--policy") {
             const char *value = next();

@@ -7,8 +7,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <set>
+#include <string>
 
+#include "als_oracle.hh"
 #include "cf/als.hh"
 #include "cf/cross_validation.hh"
 #include "cf/estimator.hh"
@@ -156,6 +159,83 @@ TEST(AlsDeath, ConfigValidation)
     AlsConfig bad;
     bad.rank = 0;
     EXPECT_DEATH(AlsModel(m, bad), "rank");
+}
+
+/** Bit-for-bit equality (EXPECT_EQ would take -0.0 for 0.0). */
+bool
+sameBits(double a, double b)
+{
+    return std::memcmp(&a, &b, sizeof a) == 0;
+}
+
+/** A rows x cols matrix observing each cell with probability
+ * @p density, values uniform in [5, 50). */
+MaskedMatrix
+randomMasked(std::size_t rows, std::size_t cols, double density, Rng &rng)
+{
+    MaskedMatrix m(rows, cols);
+    for (std::size_t r = 0; r < rows; ++r)
+        for (std::size_t c = 0; c < cols; ++c)
+            if (rng.chance(density))
+                m.observe(r, c, rng.uniform(5.0, 50.0));
+    return m;
+}
+
+TEST(Als, MatchesJointOracleBitForBit)
+{
+    struct Case
+    {
+        std::string what;
+        MaskedMatrix data;
+        AlsConfig cfg;
+    };
+    std::vector<Case> cases;
+    Rng rng(2024);
+    // Fig. 7's rank ablation, on random masks where most column
+    // patterns differ.
+    for (std::size_t rank : {1, 2, 3, 4, 6, 8}) {
+        AlsConfig cfg;
+        cfg.rank = rank;
+        cases.push_back({"rank " + std::to_string(rank),
+                         randomMasked(12, 60, 0.3, rng), cfg});
+    }
+    // The estimator's shape: 11 dense corpus rows and one sparse row
+    // over the 432-column knob space.
+    for (double fraction : {0.03, 0.10, 0.20}) {
+        MaskedMatrix m = randomMasked(11, 432, 1.0, rng);
+        m.appendEmptyRow();
+        for (std::size_t c = 0; c < m.cols(); ++c)
+            if (rng.chance(fraction))
+                m.observe(11, c, rng.uniform(5.0, 50.0));
+        cases.push_back({"estimator shape at " + std::to_string(fraction),
+                         m, {}});
+    }
+    MaskedMatrix holes = randomMasked(10, 30, 0.4, rng);
+    for (std::size_t c = 0; c < holes.cols(); ++c)
+        holes.unobserve(4, c);
+    for (std::size_t r = 0; r < holes.rows(); ++r)
+        holes.unobserve(r, 7);
+    cases.push_back({"empty row and column", holes, {}});
+    MaskedMatrix one(5, 7);
+    one.observe(2, 3, 9.5);
+    cases.push_back({"one observed cell", one, {}});
+    cases.push_back({"fully observed", randomMasked(6, 20, 1.0, rng), {}});
+    cases.push_back({"all empty", MaskedMatrix(4, 9), {}});
+
+    for (const Case &k : cases) {
+        SCOPED_TRACE(k.what);
+        AlsModel model(k.data, k.cfg);
+        JointAlsOracle oracle(k.data, k.cfg);
+        EXPECT_EQ(model.sweepsRun(), oracle.sweepsRun());
+        EXPECT_TRUE(sameBits(model.trainRmse(k.data),
+                             oracle.trainRmse(k.data)));
+        std::size_t differ = 0;
+        for (std::size_t r = 0; r < k.data.rows(); ++r)
+            for (std::size_t c = 0; c < k.data.cols(); ++c)
+                differ += !sameBits(model.predict(r, c),
+                                    oracle.predict(r, c));
+        EXPECT_EQ(differ, 0u);
+    }
 }
 
 // --- Sampler -----------------------------------------------------------------
@@ -317,6 +397,42 @@ TEST(Estimator, LeaveOneOutPredictsHeldOutAppWell)
     UtilitySurface loo = full->estimate(samples, target);
     EXPECT_EQ(loo.power, s.power);
     EXPECT_EQ(loo.hbRate, s.hbRate);
+}
+
+TEST(Estimator, MatchesJointOracleForEveryApp)
+{
+    // Every library and interactive app, estimated from noisy 10%
+    // samples against the full corpus, with and without leaving
+    // itself out, must match the oracle's fits bit for bit.
+    const auto &plat = defaultPlatform();
+    auto corpus = profileCorpus(plat, perf::workloadLibrary());
+    std::vector<std::string> names;
+    for (const auto &p : perf::workloadLibrary())
+        names.push_back(p.name);
+    std::vector<perf::AppProfile> apps = perf::workloadLibrary();
+    for (const auto &p : perf::interactiveLibrary())
+        apps.push_back(p);
+
+    Profiler prof(plat, 0.02);
+    Sampler sampler(plat);
+    Rng rng(31);
+    for (const auto &p : apps) {
+        perf::PerfModel model(plat, p);
+        auto samples = prof.measure(model, sampler.select(0.10, rng), rng);
+        for (const std::string &exclude : {std::string(), p.name}) {
+            SCOPED_TRACE(p.name + (exclude.empty() ? " in the corpus"
+                                                   : " left out"));
+            UtilitySurface got = corpus->estimate(samples, exclude);
+            UtilitySurface want =
+                oracleEstimate(*corpus, names, samples, exclude);
+            EXPECT_EQ(got.sampledColumns, want.sampledColumns);
+            std::size_t differ = 0;
+            for (std::size_t c = 0; c < corpus->columnCount(); ++c)
+                differ += !sameBits(got.power[c], want.power[c]) +
+                          !sameBits(got.hbRate[c], want.hbRate[c]);
+            EXPECT_EQ(differ, 0u);
+        }
+    }
 }
 
 // --- Cross validation -------------------------------------------------------

@@ -175,11 +175,15 @@ TEST(PolicyRegistry, CaptureConfigRejectsInvalidSampling)
 TEST(PolicyRegistry, CaptureConfigRefusesFieldsThatAbortTheReplay)
 {
     // Each record is sealed by the encoder, so only the field check
-    // can refuse it.  Each used to decode, then abort the replay:
-    // LearningPipeline and ControlLoop fatal(), cf::Profiler's
-    // assert, and PlanSelector's fatal() on the first Server+Res-Aware
-    // decision without a corpus.
+    // can refuse it.  Each used to decode, then abort or run away in
+    // the replay: LearningPipeline and ControlLoop fatal(),
+    // cf::Profiler's assert, PlanSelector's fatal() on the first
+    // Server+Res-Aware decision without a corpus, the allocator's
+    // `dynamic_budget >= 0` assert on a NaN guard band or trim, and a
+    // NaN maxAdvance that lets any Advance through (1e300 s reaches
+    // toTicks out of range).
     constexpr double nan = std::numeric_limits<double>::quiet_NaN();
+    constexpr double inf = std::numeric_limits<double>::infinity();
     using Engine = serve::EngineConfig;
     struct Case
     {
@@ -204,6 +208,17 @@ TEST(PolicyRegistry, CaptureConfigRefusesFieldsThatAbortTheReplay)
              c.manager.policy = PolicyKind::ServerResAware;
              c.seedCorpus = false;
          }},
+        {"budgetGuard", [](Engine &c) { c.manager.budgetGuard = nan; }},
+        {"budgetGuard", [](Engine &c) { c.manager.budgetGuard = inf; }},
+        {"trimGain", [](Engine &c) { c.manager.trimGain = nan; }},
+        {"trimGain", [](Engine &c) { c.manager.trimGain = -inf; }},
+        {"serverCap", [](Engine &c) { c.serverCap = nan; }},
+        {"serverCap", [](Engine &c) { c.serverCap = inf; }},
+        {"serverCap", [](Engine &c) { c.serverCap = -1.0; }},
+        {"maxAdvance", [](Engine &c) { c.maxAdvance = nan; }},
+        {"maxAdvance", [](Engine &c) { c.maxAdvance = inf; }},
+        {"maxAdvance", [](Engine &c) { c.maxAdvance = 0.0; }},
+        {"maxAdvance", [](Engine &c) { c.maxAdvance = -1.0; }},
     };
     for (const Case &k : cases) {
         serve::EngineConfig cfg;
@@ -220,6 +235,7 @@ TEST(PolicyRegistry, CaptureConfigRefusesFieldsThatAbortTheReplay)
     serve::EngineConfig edge;
     edge.manager.sampleFraction = 1.0;
     edge.manager.measurementNoise = 0.0;
+    edge.serverCap = 0.0;
     serve::EngineConfig decoded;
     EXPECT_TRUE(serve::decodeCaptureConfig(
         serve::encodeCaptureConfig(edge), decoded, nullptr));
