@@ -10,6 +10,7 @@
  */
 
 #include <cstdio>
+#include <string_view>
 
 #include "core/manager.hh"
 #include "perf/workloads.hh"
@@ -65,8 +66,9 @@ main()
     std::printf("\nevent log (%zu events):\n",
                 manager.eventLog().size());
     for (const auto &ev : manager.eventLog()) {
-        std::printf("  [%6s] %s%s\n", formatTime(ev.when).c_str(),
-                    core::eventKindName(ev.kind).c_str(),
+        std::string_view kind = core::eventKindName(ev.kind);
+        std::printf("  [%6s] %.*s%s\n", formatTime(ev.when).c_str(),
+                    static_cast<int>(kind.size()), kind.data(),
                     ev.appId >= 0 && server.hasApp(ev.appId)
                         ? (" " + server.app(ev.appId).name()).c_str()
                         : "");

@@ -187,16 +187,6 @@ NodePool::aggregateTelemetry() const
     return cluster;
 }
 
-void
-NodePool::foldTrace(trace::TraceSink &out) const
-{
-    pool_tel.foldInto(out);
-    for (const Node &node : node_list) {
-        if (node.manager)
-            node.manager->telemetry().foldInto(out);
-    }
-}
-
 std::vector<NodePool::NodeSnapshot>
 NodePool::snapshot() const
 {

@@ -132,19 +132,13 @@ class NodePool
 
     /**
      * Cluster-scope telemetry: the pool's bus and every managed
-     * node's bus folded into one (counters and timers add up) —
-     * O(nodes × #events).  Decision records stay on each node's bus
-     * (`pool[i].manager->telemetry().decisions()`); the rollup holds
-     * none.
+     * node's bus folded into one in node order (counters and timers
+     * add up) — O(nodes × #events).  Decision records stay on each
+     * node's bus (`pool[i].manager->telemetry().decisions()`); the
+     * rollup holds none.  The serving layer's STATS snapshot reads
+     * this fold.
      */
     core::Telemetry aggregateTelemetry() const;
-
-    /**
-     * Fold the pool bus plus every managed node's registered
-     * aggregates into one dense trace sink — O(nodes × #events).
-     * The serving layer builds its STATS snapshot from this.
-     */
-    void foldTrace(trace::TraceSink &out) const;
 
     /** Read-only per-node view for external observers (the serving
      * layer's telemetry path reads this instead of walking live

@@ -110,7 +110,6 @@ class PowerTree
 
     /** The dynamic cluster cap the root divides (peak shaving). */
     void setRootCap(Watts cap);
-    Watts rootCap() const { return root_cap; }
 
     /**
      * Update one leaf's demand weight.  O(depth * fanout): resums
@@ -200,7 +199,6 @@ class PowerTree
     std::vector<std::vector<char>> level_active;
 
     int build(int level, std::size_t lo, std::size_t hi, int parent);
-    void recomputeCapacity(int ix);
     void resolveNode(int ix, Watts budget);
     void splitBudget(const Node &n, Watts budget,
                      std::vector<Watts> &out);

@@ -7,7 +7,7 @@
 namespace psm::core
 {
 
-std::string
+std::string_view
 eventKindName(EventKind kind)
 {
     switch (kind) {

@@ -16,6 +16,7 @@
 #define PSM_CORE_ACCOUNTANT_HH
 
 #include <map>
+#include <string_view>
 #include <vector>
 
 #include "sim/server.hh"
@@ -34,8 +35,8 @@ enum class EventKind
     Drift,     ///< E4
 };
 
-/** Printable event name ("E1-cap-change", ...). */
-std::string eventKindName(EventKind kind);
+/** Printable event name ("E1-cap-change", ...), in static storage. */
+std::string_view eventKindName(EventKind kind);
 
 /** One raised event. */
 struct AccountantEvent

@@ -145,7 +145,7 @@ ControlLoop::poll()
     if (tel)
         tel->count(trace::EventId::ControlPolls);
     bool need_realloc = false;
-    std::string trigger;
+    std::string_view trigger;
 
     if (updateCapTrim()) {
         need_realloc = true;

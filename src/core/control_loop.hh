@@ -14,7 +14,7 @@
 #ifndef PSM_CORE_CONTROL_LOOP_HH
 #define PSM_CORE_CONTROL_LOOP_HH
 
-#include <string>
+#include <string_view>
 #include <vector>
 
 #include "accountant.hh"
@@ -64,8 +64,9 @@ class ControlLoop
         /** Deliver due calibrations.
          * @return Whether any finished (-> re-allocate). */
         virtual bool onCalibrationsDue() = 0;
-        /** Re-run selection + actuation under the current trim. */
-        virtual void reallocate(const std::string &trigger) = 0;
+        /** Re-run selection + actuation under the current trim.
+         * @p trigger names the cause and points at static storage. */
+        virtual void reallocate(std::string_view trigger) = 0;
     };
 
     ControlLoop(sim::Server &server, Coordinator &coordinator,

@@ -23,6 +23,7 @@
 #ifndef PSM_CORE_COORDINATOR_HH
 #define PSM_CORE_COORDINATOR_HH
 
+#include <cstdint>
 #include <optional>
 #include <string>
 #include <vector>
@@ -36,7 +37,7 @@ namespace psm::core
 {
 
 /** Coordination regimes. */
-enum class CoordinationMode
+enum class CoordinationMode : std::uint8_t
 {
     Idle,        ///< nothing scheduled
     Space,       ///< simultaneous execution under the cap (R3a)

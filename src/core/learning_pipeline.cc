@@ -44,18 +44,12 @@ LearningPipeline::seedCorpus(
 }
 
 void
-LearningPipeline::track(int id, const std::string &name)
-{
-    AppLearning a;
-    a.name = name;
-    apps.emplace(id, std::move(a));
-}
-
-void
 LearningPipeline::track(int id, const perf::AppProfile &profile)
 {
-    track(id, profile.name);
-    apps.at(id).slo = InteractiveSlo::fromProfile(profile);
+    AppLearning a;
+    a.name = profile.name;
+    auto it = apps.emplace(id, std::move(a)).first;
+    it->second.slo = InteractiveSlo::fromProfile(profile);
 }
 
 void

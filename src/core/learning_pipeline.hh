@@ -122,14 +122,10 @@ class LearningPipeline
         return profiler.settings();
     }
 
-    /** Register an application with the pipeline. */
-    void track(int id, const std::string &name);
-
     /**
-     * Register an application carrying its full profile.  Interactive
+     * Register an application with the pipeline.  Interactive
      * profiles additionally record their SLO spec, so utilityFor()
-     * hands the allocator an SLO-shaped curve; batch profiles behave
-     * exactly like the name-only overload.
+     * hands the allocator an SLO-shaped curve.
      */
     void track(int id, const perf::AppProfile &profile);
 

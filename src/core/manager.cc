@@ -239,7 +239,7 @@ ServerManager::onCalibrationsDue()
 }
 
 void
-ServerManager::reallocate(const std::string &trigger)
+ServerManager::reallocate(std::string_view trigger)
 {
     ++realloc_count;
     const power::PlatformConfig &plat = srv.platform();
@@ -316,14 +316,14 @@ ServerManager::reallocate(const std::string &trigger)
     DecisionRecord rec;
     rec.when = srv.now();
     rec.trigger = trigger;
-    rec.policy = policyName(cfg.policy);
-    rec.plan = planChoiceName(d.choice);
-    rec.mode = coordinationModeName(coord.mode());
+    rec.policy = cfg.policy;
+    rec.plan = d.choice;
+    rec.mode = coord.mode();
+    rec.apps = static_cast<std::uint32_t>(ids.size());
     rec.objective = d.objective;
     rec.budget = in.budget;
-    rec.apps = ids.size();
     rec.latency = last_realloc_latency;
-    tel.record(std::move(rec));
+    tel.record(rec);
     tel.observe(trace::EventId::ManagerReallocate, srv.now() - started);
     tel.count(trace::EventId::ManagerReallocations);
 }

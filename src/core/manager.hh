@@ -298,7 +298,7 @@ class ServerManager : private ControlLoop::Delegate
     void onDeparture(const AccountantEvent &ev) override;
     bool onDrift(int app_id) override;
     bool onCalibrationsDue() override;
-    void reallocate(const std::string &trigger) override;
+    void reallocate(std::string_view trigger) override;
 
     /** Refresh heartbeat counts of live records. */
     void syncRecords();

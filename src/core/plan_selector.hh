@@ -34,7 +34,7 @@ namespace psm::core
 {
 
 /** Every plan shape the control plane can decide on. */
-enum class PlanChoice
+enum class PlanChoice : std::uint8_t
 {
     /** Suspend everything: no feasible plan at this budget. */
     Idle,

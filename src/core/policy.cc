@@ -7,10 +7,6 @@
 namespace psm::core
 {
 
-// The name/capability switch tables that used to live here moved into
-// the PolicyRegistry; these wrappers keep the old call sites (and the
-// old invalid-kind panic semantics) intact.
-
 std::string
 policyName(PolicyKind kind)
 {

@@ -8,6 +8,7 @@
 #ifndef PSM_CORE_POLICY_HH
 #define PSM_CORE_POLICY_HH
 
+#include <cstdint>
 #include <string>
 
 #include "power/platform.hh"
@@ -23,7 +24,7 @@ namespace psm::core
  * policy (names, capability flags, custom planners) lives in the
  * PolicyRegistry.
  */
-enum class PolicyKind
+enum class PolicyKind : std::uint8_t
 {
     /**
      * Baseline 1: fair (equal) power split, enforced with package

@@ -135,11 +135,6 @@ struct AllocatorConfig
  */
 class AllocatorCache
 {
-  public:
-    /** Drop the memoized solve (next use rebuilds). */
-    void invalidate() { valid = false; }
-
-  private:
     friend class PowerAllocator;
 
     bool valid = false;

@@ -4,6 +4,10 @@
 #include <cstdio>
 #include <ostream>
 
+#include "coordinator.hh"
+#include "plan_selector.hh"
+#include "policy.hh"
+
 namespace psm::core
 {
 
@@ -14,7 +18,7 @@ namespace
  * character below 0x20 (named escapes where JSON has them, \u00XX
  * otherwise) — decision triggers may carry arbitrary text. */
 std::string
-jsonEscape(const std::string &s)
+jsonEscape(std::string_view s)
 {
     std::string out;
     out.reserve(s.size());
@@ -81,12 +85,6 @@ Telemetry::counter(const std::string &name) const
     return counter(id);
 }
 
-std::uint64_t
-Telemetry::counter(trace::EventId id) const
-{
-    return trace_sink.counterValue(id);
-}
-
 TimerStat
 Telemetry::timer(const std::string &name) const
 {
@@ -97,128 +95,61 @@ Telemetry::timer(const std::string &name) const
     return timer(id);
 }
 
-TimerStat
-Telemetry::timer(trace::EventId id) const
-{
-    return trace_sink.timerValue(id);
-}
-
-// --- decision records ----------------------------------------------
-
-std::uint32_t
-Telemetry::intern(const std::string &s)
-{
-    auto it = intern_ids.find(s);
-    if (it != intern_ids.end())
-        return it->second;
-    auto id = static_cast<std::uint32_t>(intern_table.size());
-    intern_table.push_back(s);
-    intern_ids.emplace(s, id);
-    return id;
-}
-
-void
-Telemetry::record(DecisionRecord rec)
-{
-    PackedDecision d;
-    d.when = rec.when;
-    d.latency = rec.latency;
-    d.objective = rec.objective;
-    d.budget = rec.budget;
-    d.apps = rec.apps;
-    d.trigger = intern(rec.trigger);
-    d.policy = intern(rec.policy);
-    d.plan = intern(rec.plan);
-    d.mode_name = intern(rec.mode);
-    packed_log.push_back(d);
-    while (packed_log.size() > maxDecisions)
-        packed_log.pop_front();
-    ++decision_gen;
-}
-
-const std::deque<DecisionRecord> &
-Telemetry::decisions() const
-{
-    if (decision_view_gen != decision_gen) {
-        decision_view.clear();
-        for (const PackedDecision &d : packed_log) {
-            DecisionRecord rec;
-            rec.when = d.when;
-            rec.trigger = intern_table[d.trigger];
-            rec.policy = intern_table[d.policy];
-            rec.plan = intern_table[d.plan];
-            rec.mode = intern_table[d.mode_name];
-            rec.objective = d.objective;
-            rec.budget = d.budget;
-            rec.apps = static_cast<std::size_t>(d.apps);
-            rec.latency = d.latency;
-            decision_view.push_back(std::move(rec));
-        }
-        decision_view_gen = decision_gen;
-    }
-    return decision_view;
-}
-
-// --- aggregate views -----------------------------------------------
-
-const std::map<std::string, std::uint64_t> &
+std::map<std::string, std::uint64_t>
 Telemetry::counters() const
 {
-    if (counter_view_seq != trace_sink.publishSeq()) {
-        counter_view.clear();
-        trace_sink.forEachTouched([&](trace::EventId id) {
-            if (trace::eventKind(id) != trace::EventKind::Timer) {
-                counter_view[std::string(trace::eventName(id))] =
-                    trace_sink.counterValue(id);
-            }
-        });
-        counter_view_seq = trace_sink.publishSeq();
-    }
-    return counter_view;
+    std::map<std::string, std::uint64_t> out;
+    forEachTouched([&](trace::EventId id) {
+        if (trace::eventKind(id) != trace::EventKind::Timer)
+            out.emplace(trace::eventName(id), counter(id));
+    });
+    return out;
 }
 
-const std::map<std::string, TimerStat> &
+std::map<std::string, TimerStat>
 Telemetry::timers() const
 {
-    if (timer_view_seq != trace_sink.publishSeq()) {
-        timer_view.clear();
-        trace_sink.forEachTouched([&](trace::EventId id) {
-            if (trace::eventKind(id) == trace::EventKind::Timer)
-                timer_view[std::string(trace::eventName(id))] = timer(id);
-        });
-        timer_view_seq = trace_sink.publishSeq();
-    }
-    return timer_view;
+    std::map<std::string, TimerStat> out;
+    forEachTouched([&](trace::EventId id) {
+        if (trace::eventKind(id) == trace::EventKind::Timer)
+            out.emplace(trace::eventName(id), timer(id));
+    });
+    return out;
 }
 
-// --- merge / fold ---------------------------------------------------
+// --- decision records / merge -----------------------------------------
+
+void
+Telemetry::record(const DecisionRecord &rec)
+{
+    decision_log.push_back(rec);
+    if (decision_log.size() > maxDecisions)
+        decision_log.pop_front();
+}
 
 void
 Telemetry::merge(const Telemetry &other)
 {
-    trace_sink.mergeFrom(other.trace_sink);
-}
-
-void
-Telemetry::foldInto(trace::TraceSink &out) const
-{
-    out.mergeFrom(trace_sink);
-}
-
-void
-Telemetry::reset()
-{
-    trace_sink.reset();
-    packed_log.clear();
-    intern_table.clear();
-    intern_ids.clear();
-    decision_view.clear();
-    counter_view.clear();
-    timer_view.clear();
-    ++decision_gen;
-    counter_view_seq = ~0ULL;
-    timer_view_seq = ~0ULL;
-    decision_view_gen = ~0ULL;
+    other.forEachTouched([&](trace::EventId id) {
+        auto i = static_cast<std::size_t>(id);
+        touched_flag[i] = 1;
+        switch (trace::eventKind(id)) {
+          case trace::EventKind::Counter:
+            counter_value[i] += other.counter_value[i];
+            break;
+          case trace::EventKind::Timer: {
+            TimerStat &t = timer_value[i];
+            const TimerStat &o = other.timer_value[i];
+            t.count += o.count;
+            t.total += o.total;
+            t.max = std::max(t.max, o.max);
+            break;
+          }
+          case trace::EventKind::Gauge:
+            counter_value[i] = other.counter_value[i];
+            break;
+        }
+    });
 }
 
 // --- dumps ----------------------------------------------------------
@@ -236,12 +167,13 @@ Telemetry::dumpText(std::ostream &os) const
            << " total=" << toSeconds(t.total) << "s"
            << " max=" << toSeconds(t.max) << "s\n";
     }
-    const auto &log = decisions();
-    os << "decisions (" << log.size() << "):\n";
-    for (const auto &d : log) {
+    os << "decisions (" << decision_log.size() << "):\n";
+    for (const DecisionRecord &d : decision_log) {
         os << "  t=" << toSeconds(d.when) << "s"
-           << " trigger=" << d.trigger << " policy=" << d.policy
-           << " plan=" << d.plan << " mode=" << d.mode
+           << " trigger=" << d.trigger
+           << " policy=" << policyName(d.policy)
+           << " plan=" << planChoiceName(d.plan)
+           << " mode=" << coordinationModeName(d.mode)
            << " objective=" << d.objective << " budget=" << d.budget
            << "W apps=" << d.apps
            << " latency=" << toSeconds(d.latency) << "s\n";
@@ -269,12 +201,15 @@ Telemetry::dumpJson(std::ostream &os) const
     }
     os << "},\"decisions\":[";
     first = true;
-    for (const auto &d : decisions()) {
+    for (const DecisionRecord &d : decision_log) {
         os << (first ? "" : ",") << "{\"when_s\":" << toSeconds(d.when)
            << ",\"trigger\":\"" << jsonEscape(d.trigger) << "\""
-           << ",\"policy\":\"" << jsonEscape(d.policy) << "\""
-           << ",\"plan\":\"" << jsonEscape(d.plan) << "\""
-           << ",\"mode\":\"" << jsonEscape(d.mode) << "\""
+           << ",\"policy\":\"" << jsonEscape(policyName(d.policy))
+           << "\""
+           << ",\"plan\":\"" << jsonEscape(planChoiceName(d.plan))
+           << "\""
+           << ",\"mode\":\""
+           << jsonEscape(coordinationModeName(d.mode)) << "\""
            << ",\"objective\":";
         jsonNumber(os, d.objective);
         os << ",\"budget_w\":";

@@ -15,12 +15,13 @@
  *    (trigger, policy, selected plan, resulting coordination mode,
  *    objective, budget, latency).
  *
- * The bus is a thin façade over the trace core (src/trace): publishers
- * name events by compile-time id (trace::EventId) and each publish
- * updates that event's slot in a dense per-event aggregate array in
- * place — no allocation, no string hashing, no buffering.
+ * The bus is the one telemetry store.  Publishers name events by
+ * compile-time id (trace::EventId, registered in trace/events.def),
+ * and each publish updates that event's slot in three dense per-event
+ * arrays in place — no allocation, no string hashing, no buffering.
+ * Decision records are kept as published, in a fixed-size typed form.
  * Reads may still name an event by its registry string: counter(name),
- * timer(name) and the name-ordered counters()/timers() views resolve
+ * timer(name) and the name-ordered counters()/timers() maps resolve
  * through trace::lookupEvent(), and a name outside the registry reads
  * as zero.
  *
@@ -33,12 +34,15 @@
 #ifndef PSM_CORE_TELEMETRY_HH
 #define PSM_CORE_TELEMETRY_HH
 
+#include <algorithm>
+#include <array>
+#include <cstddef>
 #include <cstdint>
 #include <deque>
 #include <iosfwd>
 #include <map>
 #include <string>
-#include <vector>
+#include <string_view>
 
 #include "trace/trace.hh"
 #include "util/units.hh"
@@ -46,23 +50,37 @@
 namespace psm::core
 {
 
+enum class PolicyKind : std::uint8_t;       // policy.hh
+enum class PlanChoice : std::uint8_t;       // plan_selector.hh
+enum class CoordinationMode : std::uint8_t; // coordinator.hh
+
 /** One allocation decision as observed on the bus. */
 struct DecisionRecord
 {
-    Tick when = 0;          ///< simulated time of the decision
-    std::string trigger;    ///< comma-joined causes ("E1-cap-change",
-                            ///< "refresh", "trim", "calibration", ...)
-    std::string policy;     ///< policyName() of the deciding manager
-    std::string plan;       ///< planChoiceName() of the selected plan
-    std::string mode;       ///< coordinationModeName() after actuation
-    double objective = 0.0; ///< expected Eq. 1 objective of the plan
-    Watts budget = 0.0;     ///< dynamic budget the plan divided
-    std::size_t apps = 0;   ///< active applications at decision time
-    Tick latency = 0;       ///< allocation latency (calibration+decision)
+    Tick when = 0;            ///< simulated time of the decision
+    std::string_view trigger; ///< static-storage cause ("E1-cap-change",
+                              ///< "refresh", "cap-trim", ...)
+    PolicyKind policy{};      ///< the deciding manager's policy
+    PlanChoice plan{};        ///< the selected plan
+    CoordinationMode mode{};  ///< coordination mode after actuation
+    std::uint32_t apps = 0;   ///< active applications at decision time
+    double objective = 0.0;   ///< expected Eq. 1 objective of the plan
+    Watts budget = 0.0;       ///< dynamic budget the plan divided
+    Tick latency = 0;         ///< allocation latency (calibration+decision)
 };
 
+// One cluster-diurnal replay keeps 81,208 records across its buses; a
+// record must not outgrow the 56 bytes that costs today.
+static_assert(sizeof(DecisionRecord) <= 56,
+              "DecisionRecord grew past 56 bytes");
+
 /** Aggregate of one timer: observation count, total and max ticks. */
-using TimerStat = trace::TimerAgg;
+struct TimerStat
+{
+    std::uint64_t count = 0;
+    std::uint64_t total = 0;
+    std::uint64_t max = 0;
+};
 
 /**
  * The bus itself.  Not thread-safe: each bus has one writer at a time
@@ -78,25 +96,28 @@ class Telemetry
     void
     count(trace::EventId id, std::uint64_t delta = 1)
     {
-        trace_sink.count(id, delta);
+        counter_value[touch(id)] += delta;
     }
 
     /** Observe one duration. */
     void
     observe(trace::EventId id, Tick elapsed)
     {
-        trace_sink.observe(id, elapsed);
+        TimerStat &t = timer_value[touch(id)];
+        ++t.count;
+        t.total += elapsed;
+        t.max = std::max(t.max, elapsed);
     }
 
     /** Sample a last-value gauge. */
     void
-    gauge(trace::EventId id, std::uint64_t value)
+    gauge(trace::EventId id, std::uint64_t sample)
     {
-        trace_sink.gauge(id, value);
+        counter_value[touch(id)] = sample;
     }
 
     /** Publish one allocation decision record. */
-    void record(DecisionRecord rec);
+    void record(const DecisionRecord &rec);
 
     // --- reading ------------------------------------------------------
 
@@ -105,43 +126,64 @@ class Telemetry
     std::uint64_t counter(const std::string &name) const;
 
     /** Read a counter (or gauge) by id. */
-    std::uint64_t counter(trace::EventId id) const;
+    std::uint64_t
+    counter(trace::EventId id) const
+    {
+        return counter_value[static_cast<std::size_t>(id)];
+    }
 
     /** Read a timer's aggregate by registry name (zeroes when never
      * observed or not a registered timer). */
     TimerStat timer(const std::string &name) const;
 
     /** Read a timer's aggregate by id. */
-    TimerStat timer(trace::EventId id) const;
+    TimerStat
+    timer(trace::EventId id) const
+    {
+        return timer_value[static_cast<std::size_t>(id)];
+    }
 
-    /** All decision records, oldest first (bounded ring), materialized
-     * from the packed log; the reference stays valid until the next
-     * publish or merge. */
-    const std::deque<DecisionRecord> &decisions() const;
+    /** True once @p id was published at least once (even with a zero
+     * delta). */
+    bool
+    touched(trace::EventId id) const
+    {
+        return touched_flag[static_cast<std::size_t>(id)] != 0;
+    }
 
-    /** Every touched counter and gauge, name-ordered.  Same view rules
-     * as decisions(). */
-    const std::map<std::string, std::uint64_t> &counters() const;
+    /** Visit every touched event in id order: f(EventId). */
+    template <typename F>
+    void
+    forEachTouched(F &&f) const
+    {
+        for (std::size_t i = 0; i < trace::kEventCount; ++i) {
+            if (touched_flag[i])
+                f(static_cast<trace::EventId>(i));
+        }
+    }
 
-    /** Every touched timer, name-ordered.  Same view rules as
-     * decisions(). */
-    const std::map<std::string, TimerStat> &timers() const;
+    /** All decision records, oldest first (bounded ring). */
+    const std::deque<DecisionRecord> &
+    decisions() const
+    {
+        return decision_log;
+    }
+
+    /** Every touched counter and gauge, name-ordered. */
+    std::map<std::string, std::uint64_t> counters() const;
+
+    /** Every touched timer, name-ordered. */
+    std::map<std::string, TimerStat> timers() const;
 
     /**
      * Fold another bus's aggregates into this one: counters and
-     * timers add up, gauges keep the incoming sample.  Decision
-     * records are not copied; they stay on the bus that recorded
-     * them.  Used to aggregate per-node telemetry at cluster scope; a
-     * dense O(#events) array fold.
+     * timers add up, and a gauge takes the incoming sample only when
+     * @p other published one.  Decision records are not copied; they
+     * stay on the bus that recorded them.  Used to aggregate per-node
+     * telemetry at cluster scope; a dense O(#events) array fold whose
+     * order is the caller's, so the result is deterministic.
      */
     void merge(const Telemetry &other);
-
-    /** Fold this bus's aggregates into a raw trace sink (the serving
-     * layer's snapshot path). */
-    void foldInto(trace::TraceSink &out) const;
-
-    /** Drop everything. */
-    void reset();
 
     /** Human-readable dump (counters, timers, recent decisions). */
     void dumpText(std::ostream &os) const;
@@ -158,38 +200,20 @@ class Telemetry
     static constexpr std::size_t maxDecisions = 65536;
 
   private:
-    /** One decision in fixed-size binary form: strings interned into
-     * the bus-local string table. */
-    struct PackedDecision
+    /** Counter total or last gauge sample, per event. */
+    std::array<std::uint64_t, trace::kEventCount> counter_value{};
+    std::array<TimerStat, trace::kEventCount> timer_value{};
+    std::array<std::uint8_t, trace::kEventCount> touched_flag{};
+    std::deque<DecisionRecord> decision_log;
+
+    /** Mark @p id published and return its slot. */
+    std::size_t
+    touch(trace::EventId id)
     {
-        Tick when = 0;
-        Tick latency = 0;
-        double objective = 0.0;
-        Watts budget = 0.0;
-        std::uint64_t apps = 0;
-        std::uint32_t trigger = 0; ///< intern ids
-        std::uint32_t policy = 0;
-        std::uint32_t plan = 0;
-        std::uint32_t mode_name = 0;
-    };
-
-    trace::TraceSink trace_sink;
-
-    /** Decision storage: packed records + interned strings. */
-    std::deque<PackedDecision> packed_log;
-    std::vector<std::string> intern_table;
-    std::map<std::string, std::uint32_t> intern_ids;
-    std::uint64_t decision_gen = 0;
-
-    // Materialized read views, rebuilt when stale.
-    mutable std::deque<DecisionRecord> decision_view;
-    mutable std::map<std::string, std::uint64_t> counter_view;
-    mutable std::map<std::string, TimerStat> timer_view;
-    mutable std::uint64_t counter_view_seq = ~0ULL;
-    mutable std::uint64_t timer_view_seq = ~0ULL;
-    mutable std::uint64_t decision_view_gen = ~0ULL;
-
-    std::uint32_t intern(const std::string &s);
+        auto ix = static_cast<std::size_t>(id);
+        touched_flag[ix] = 1;
+        return ix;
+    }
 };
 
 } // namespace psm::core

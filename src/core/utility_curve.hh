@@ -117,9 +117,6 @@ class UtilityCurve
     const std::vector<UtilityPoint> &points() const { return frontier; }
     bool empty() const { return frontier.empty(); }
 
-    /** Uncapped (max-setting) heartbeat rate used for normalization. */
-    double uncappedHbRate() const { return nocap_rate; }
-
     /** The interactive-SLO spec shaping perfNorm; nullopt for
      * throughput (batch) curves. */
     const std::optional<InteractiveSlo> &interactiveSlo() const

@@ -60,9 +60,6 @@ class DramPowerModel
      */
     GBps servedBandwidth(GBps offered, Watts budget) const;
 
-    /** Peak wire bandwidth of one channel. */
-    GBps peakBandwidth() const { return config.channelBandwidth; }
-
   private:
     const PlatformConfig &config;
 };

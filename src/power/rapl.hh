@@ -76,7 +76,6 @@ class RaplDomain
     void clearPowerLimit();
 
     bool limitEnabled() const { return limited; }
-    Watts powerLimit() const { return limit; }
 
     /** Average power over the enforcement window (0 if empty). */
     Watts windowAveragePower() const;

@@ -100,12 +100,6 @@ ServeEngine::stopCapture()
     }
 }
 
-bool
-ServeEngine::capturing() const
-{
-    return capture_ && capture_->isOpen();
-}
-
 std::uint64_t
 ServeEngine::surfaceEpochSum() const
 {
@@ -364,24 +358,23 @@ ServeEngine::fillSnapshot(StatsSnapshot &snap,
         snap.allocatorPasses += node.reallocations;
     }
     snap.simNow = pool_[0].server->now();
-    // One dense trace fold across the pool (plus the service bus when
-    // given) instead of per-key string-map walks: every registered
-    // counter the cluster touched lands in the snapshot, so QUERY can
-    // reach anything by name.  Timers ride along as name.count /
-    // name.total_us / name.max_us triplets (1 tick = 100 us).
-    trace::TraceSink sink;
-    pool_.foldTrace(sink);
+    // One dense fold across the pool (plus the service bus when
+    // given): every registered counter the cluster touched lands in
+    // the snapshot, so QUERY can reach anything by name.  Timers ride
+    // along as name.count / name.total_us / name.max_us triplets
+    // (1 tick = 100 us).
+    core::Telemetry bus = pool_.aggregateTelemetry();
     if (extra)
-        extra->foldInto(sink);
-    sink.forEachTouched([&](trace::EventId id) {
+        bus.merge(*extra);
+    bus.forEachTouched([&](trace::EventId id) {
         std::string name(trace::eventName(id));
         if (trace::eventKind(id) == trace::EventKind::Timer) {
-            trace::TimerAgg agg = sink.timerValue(id);
-            snap.counters[name + ".count"] = agg.count;
-            snap.counters[name + ".total_us"] = agg.total * 100;
-            snap.counters[name + ".max_us"] = agg.max * 100;
+            core::TimerStat t = bus.timer(id);
+            snap.counters[name + ".count"] = t.count;
+            snap.counters[name + ".total_us"] = t.total * 100;
+            snap.counters[name + ".max_us"] = t.max * 100;
         } else {
-            snap.counters[name] = sink.counterValue(id);
+            snap.counters[name] = bus.counter(id);
         }
     });
 }

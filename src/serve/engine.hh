@@ -105,8 +105,8 @@ class ServeEngine
     /**
      * Fill the simulation-side fields of a service snapshot: scalar
      * rollups plus every registered trace counter the cluster touched
-     * (timers as name.count/.total_us/.max_us triplets), folded
-     * through one dense trace sink.
+     * (timers as name.count/.total_us/.max_us triplets), read from
+     * the pool's aggregateTelemetry() fold.
      *
      * @param extra Optional service-level bus (serve.* and pool.*
      *        gauges) folded into the same emit.
@@ -135,8 +135,6 @@ class ServeEngine
 
     /** Flush and close the capture (no-op when none is open). */
     void stopCapture();
-
-    bool capturing() const;
 
     cluster::NodePool &pool() { return pool_; }
     const EngineConfig &config() const { return cfg; }

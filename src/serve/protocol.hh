@@ -63,6 +63,14 @@ std::string appClassName(AppClass cls);
 constexpr double maxSloP99 = 3600.0;
 
 /**
+ * Largest node count an engine accepts: the largest managed pool any
+ * bench builds (bench_cluster_scale's full replay).  A capture Config
+ * and psm-served's --nodes both refuse more, so a corrupt or hostile
+ * count cannot size the node vector before one server is built.
+ */
+constexpr int maxNodes = 4096;
+
+/**
  * Largest factor a PhaseChange may scale an app's compute or memory
  * work by, either way: both scales must lie in
  * [1/maxPhaseScale, maxPhaseScale], and the engine answers BadRequest

@@ -104,8 +104,9 @@ decodeCaptureConfig(const std::vector<std::uint8_t> &payload,
         return fail("Config fields truncated");
     if (!c.atEnd())
         return fail("trailing bytes after Config fields");
-    if (nodes == 0)
-        return fail("Config has zero nodes");
+    if (nodes == 0 || nodes > static_cast<std::uint32_t>(maxNodes))
+        return fail("Config nodes must lie in [1, " +
+                    std::to_string(maxNodes) + "]");
     // The policy byte is the PolicyKind wire id; resolve it through
     // the registry instead of a blind enum cast so captures from
     // builds with policies this binary does not register are refused

@@ -107,8 +107,8 @@ main(int argc, char **argv)
             if (!util::parsePort(value, port))
                 badValue(arg, value);
         } else if (arg == "--nodes") {
-            cfg.engine.nodes = static_cast<int>(parseCount(
-                arg, next(), 1, std::numeric_limits<int>::max()));
+            cfg.engine.nodes = static_cast<int>(
+                parseCount(arg, next(), 1, serve::maxNodes));
         } else if (arg == "--cap") {
             const char *value = next();
             if (!util::parseFiniteDouble(value,

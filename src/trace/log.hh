@@ -39,8 +39,6 @@ class LogWriter
      * failure (the writer stays unusable). */
     bool open(const std::string &path);
 
-    bool isOpen() const { return out.is_open(); }
-
     /** Append one record. */
     bool writeRecord(std::uint8_t type,
                      const std::vector<std::uint8_t> &payload);

@@ -1,6 +1,5 @@
 #include "trace.hh"
 
-#include <algorithm>
 #include <unordered_map>
 
 namespace psm::trace
@@ -11,12 +10,6 @@ namespace
 
 constexpr std::string_view kEventNames[] = {
 #define PSM_TRACE_EVENT(id, kind, name) name,
-#include "events.def"
-#undef PSM_TRACE_EVENT
-};
-
-constexpr EventKind kEventKinds[] = {
-#define PSM_TRACE_EVENT(id, kind, name) EventKind::kind,
 #include "events.def"
 #undef PSM_TRACE_EVENT
 };
@@ -47,12 +40,6 @@ eventName(EventId id)
     return kEventNames[static_cast<std::size_t>(id)];
 }
 
-EventKind
-eventKind(EventId id)
-{
-    return kEventKinds[static_cast<std::size_t>(id)];
-}
-
 bool
 lookupEvent(std::string_view name, EventId &out)
 {
@@ -62,44 +49,6 @@ lookupEvent(std::string_view name, EventId &out)
         return false;
     out = it->second;
     return true;
-}
-
-void
-TraceSink::mergeFrom(const TraceSink &other)
-{
-    if (other.empty())
-        return;
-    for (std::size_t i = 0; i < kEventCount; ++i) {
-        if (!other.touched_flags[i])
-            continue;
-        touched_flags[i] = 1;
-        switch (kEventKinds[i]) {
-          case EventKind::Counter:
-            counter_agg[i] += other.counter_agg[i];
-            break;
-          case EventKind::Timer: {
-            TimerAgg &t = timer_agg[i];
-            const TimerAgg &o = other.timer_agg[i];
-            t.count += o.count;
-            t.total += o.total;
-            t.max = std::max(t.max, o.max);
-            break;
-          }
-          case EventKind::Gauge:
-            counter_agg[i] = other.counter_agg[i];
-            break;
-        }
-    }
-    seq_counter += other.seq_counter;
-}
-
-void
-TraceSink::reset()
-{
-    seq_counter = 0;
-    counter_agg.fill(0);
-    timer_agg.fill(TimerAgg{});
-    touched_flags.fill(0);
 }
 
 } // namespace psm::trace

@@ -63,14 +63,14 @@ TEST(Telemetry, MergeFoldsCountersAndTimers)
     a.count(trace::EventId::ControlPolls, 2);
     a.observe(trace::EventId::ManagerReallocate, 10);
     DecisionRecord rec;
-    rec.plan = "idle";
+    rec.plan = PlanChoice::Idle;
     a.record(rec);
 
     Telemetry b;
     b.count(trace::EventId::ControlPolls, 3);
     b.count(trace::EventId::ControlTrimReplans);
     b.observe(trace::EventId::ManagerReallocate, 25);
-    rec.plan = "spatial-utility";
+    rec.plan = PlanChoice::SpatialUtility;
     b.record(rec);
 
     a.merge(b);
@@ -80,12 +80,9 @@ TEST(Telemetry, MergeFoldsCountersAndTimers)
     EXPECT_EQ(a.timer("manager.reallocate").max, 25);
     // Decision records stay on the bus that recorded them.
     ASSERT_EQ(a.decisions().size(), 1u);
-    EXPECT_EQ(a.decisions()[0].plan, "idle");
+    EXPECT_EQ(a.decisions()[0].plan, PlanChoice::Idle);
     ASSERT_EQ(b.decisions().size(), 1u);
-
-    a.reset();
-    EXPECT_EQ(a.counter("control.polls"), 0u);
-    EXPECT_TRUE(a.decisions().empty());
+    EXPECT_EQ(b.decisions()[0].plan, PlanChoice::SpatialUtility);
 }
 
 TEST(Telemetry, DumpsContainTheirContent)
@@ -95,7 +92,7 @@ TEST(Telemetry, DumpsContainTheirContent)
     tel.observe(trace::EventId::AllocatorSpatial, toTicks(0.5));
     DecisionRecord rec;
     rec.trigger = "E1-cap-change";
-    rec.plan = "fair-rapl-space";
+    rec.plan = PlanChoice::FairRaplSpace;
     tel.record(rec);
 
     std::ostringstream text;
@@ -137,7 +134,7 @@ TEST(LearningPipeline, OracleCalibrationIsImmediate)
     ASSERT_NE(pipe.serverAverageCurve(), nullptr);
 
     int id = server.admit(workload("stream"));
-    pipe.track(id, "stream");
+    pipe.track(id, workload("stream"));
     EXPECT_FALSE(pipe.calibrated(id));
     EXPECT_TRUE(pipe.startCalibration(id));
     EXPECT_TRUE(pipe.calibrated(id));
@@ -157,7 +154,7 @@ TEST(LearningPipeline, OnlineCalibrationChargesWallClock)
     pipe.seedCorpus(cf::profileCorpus(server.platform(), workloadLibrary()));
 
     int id = server.admit(workload("kmeans"));
-    pipe.track(id, "kmeans");
+    pipe.track(id, workload("kmeans"));
     std::uint64_t e0 = pipe.surfaceEpoch();
     EXPECT_FALSE(pipe.startCalibration(id));
     EXPECT_FALSE(pipe.calibrated(id));
@@ -196,7 +193,7 @@ TEST(LearningPipeline, SurfaceEpochTracksRecalibrationsAndRearrivals)
 
     std::uint64_t e0 = pipe.surfaceEpoch();
     int id = server.admit(workload("stream"));
-    pipe.track(id, "stream");
+    pipe.track(id, workload("stream"));
     EXPECT_EQ(pipe.surfaceEpoch(), e0);
     EXPECT_TRUE(pipe.startCalibration(id)); // first install: bump
     EXPECT_EQ(pipe.surfaceEpoch(), e0 + 1);
@@ -208,7 +205,7 @@ TEST(LearningPipeline, SurfaceEpochTracksRecalibrationsAndRearrivals)
     pipe.forget(id);
     EXPECT_EQ(pipe.surfaceEpoch(), e0 + 2);
     int id2 = server.admit(workload("stream"));
-    pipe.track(id2, "stream");
+    pipe.track(id2, workload("stream"));
     EXPECT_EQ(pipe.surfaceEpoch(), e0 + 2);
     EXPECT_TRUE(pipe.startCalibration(id2));
     EXPECT_EQ(pipe.surfaceEpoch(), e0 + 3);
@@ -539,9 +536,10 @@ TEST(ControlPlane, ScriptedEventsLandOnTheTelemetryBus)
     bool saw_cap_trigger = false, saw_arrival = false,
          saw_departure = false, saw_drift = false;
     for (const DecisionRecord &d : tel.decisions()) {
-        EXPECT_EQ(d.policy, "App+Res-Aware");
-        EXPECT_FALSE(d.plan.empty());
-        EXPECT_FALSE(d.mode.empty());
+        EXPECT_EQ(d.policy, PolicyKind::AppResAware);
+        // Both names panic on a value outside their enum.
+        EXPECT_FALSE(planChoiceName(d.plan).empty());
+        EXPECT_FALSE(coordinationModeName(d.mode).empty());
         saw_cap_trigger |= d.trigger == "E1-cap-change";
         saw_arrival |= d.trigger == "E2-arrival";
         saw_departure |= d.trigger == "E3-departure";

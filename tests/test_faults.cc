@@ -15,6 +15,7 @@
 #include <cstdlib>
 #include <map>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -215,9 +216,9 @@ struct RecordingDelegate : core::ControlLoop::Delegate
     void onDeparture(const core::AccountantEvent &) override {}
     bool onDrift(int) override { return false; }
     bool onCalibrationsDue() override { return false; }
-    void reallocate(const std::string &trigger) override
+    void reallocate(std::string_view trigger) override
     {
-        triggers.push_back(trigger);
+        triggers.emplace_back(trigger);
     }
 };
 
@@ -352,8 +353,8 @@ TEST(Faults, StuckActuationDemotesToFairRapl)
     // knob-actuated utility plan.
     bool any_fair_rapl = false;
     for (const core::DecisionRecord &d : tel.decisions())
-        any_fair_rapl |= d.plan == "fair-rapl-space" ||
-                         d.plan == "fair-rapl-time";
+        any_fair_rapl |= d.plan == core::PlanChoice::FairRaplSpace ||
+                         d.plan == core::PlanChoice::FairRaplTime;
     EXPECT_TRUE(any_fair_rapl);
 }
 

@@ -179,9 +179,10 @@ TEST(PolicyRegistry, CaptureConfigRefusesFieldsThatAbortTheReplay)
     // the replay: LearningPipeline and ControlLoop fatal(),
     // cf::Profiler's assert, PlanSelector's fatal() on the first
     // Server+Res-Aware decision without a corpus, the allocator's
-    // `dynamic_budget >= 0` assert on a NaN guard band or trim, and a
+    // `dynamic_budget >= 0` assert on a NaN guard band or trim, a
     // NaN maxAdvance that lets any Advance through (1e300 s reaches
-    // toTicks out of range).
+    // toTicks out of range), and a node count past serve::maxNodes
+    // that sizes the pool's node vector before one server is built.
     constexpr double nan = std::numeric_limits<double>::quiet_NaN();
     constexpr double inf = std::numeric_limits<double>::infinity();
     using Engine = serve::EngineConfig;
@@ -219,6 +220,9 @@ TEST(PolicyRegistry, CaptureConfigRefusesFieldsThatAbortTheReplay)
         {"maxAdvance", [](Engine &c) { c.maxAdvance = inf; }},
         {"maxAdvance", [](Engine &c) { c.maxAdvance = 0.0; }},
         {"maxAdvance", [](Engine &c) { c.maxAdvance = -1.0; }},
+        {"nodes", [](Engine &c) { c.nodes = serve::maxNodes + 1; }},
+        // Encodes as 2^32 - 1, which an int cast wraps back to -1.
+        {"nodes", [](Engine &c) { c.nodes = -1; }},
     };
     for (const Case &k : cases) {
         serve::EngineConfig cfg;
@@ -236,6 +240,7 @@ TEST(PolicyRegistry, CaptureConfigRefusesFieldsThatAbortTheReplay)
     edge.manager.sampleFraction = 1.0;
     edge.manager.measurementNoise = 0.0;
     edge.serverCap = 0.0;
+    edge.nodes = serve::maxNodes;
     serve::EngineConfig decoded;
     EXPECT_TRUE(serve::decodeCaptureConfig(
         serve::encodeCaptureConfig(edge), decoded, nullptr));

@@ -18,6 +18,7 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <map>
 #include <string>
 #include <thread>
 #include <utility>
@@ -579,6 +580,19 @@ TEST(ServeEngineTest, SnapshotBuiltFromTraceAggregates)
     serve::StatsSnapshot with_extra;
     eng.fillSnapshot(with_extra, &service_bus);
     EXPECT_EQ(with_extra.counters.at("serve.shed"), 7u);
+
+    // The whole map is the pool's aggregateTelemetry() fold merged
+    // with the service bus: counters and gauges by name, each timer
+    // as its .count/.total_us/.max_us keys.
+    core::Telemetry want_bus = eng.pool().aggregateTelemetry();
+    want_bus.merge(service_bus);
+    std::map<std::string, std::uint64_t> want = want_bus.counters();
+    for (const auto &[name, t] : want_bus.timers()) {
+        want[name + ".count"] = t.count;
+        want[name + ".total_us"] = t.total * 100;
+        want[name + ".max_us"] = t.max * 100;
+    }
+    EXPECT_EQ(with_extra.counters, want);
 }
 
 // --- Record/replay -------------------------------------------------

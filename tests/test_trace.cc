@@ -1,11 +1,10 @@
 /**
  * @file
- * Tests for the binary trace core and the Telemetry façade riding on
- * it: the event registry, TraceSink fold/merge semantics, the binary
- * record-log container, reads by registry name, the decision-ring
- * bound across merges, JSON escaping/non-finite hygiene, and
- * parallel publish into one bus per work index against a reference
- * fold of the published stream.
+ * Tests for the trace event registry and the Telemetry store keyed by
+ * it: the registry, publish/merge semantics, the binary record-log
+ * container, reads by registry name, the decision-ring bound, JSON
+ * escaping/non-finite hygiene, and parallel publish into one bus per
+ * work index against a reference fold of the published stream.
  */
 
 #include <gtest/gtest.h>
@@ -20,6 +19,9 @@
 #include <string>
 #include <vector>
 
+#include "core/coordinator.hh"
+#include "core/plan_selector.hh"
+#include "core/policy.hh"
 #include "core/telemetry.hh"
 #include "trace/log.hh"
 #include "trace/trace.hh"
@@ -51,45 +53,48 @@ TEST(TraceRegistry, NamesRoundTripToDenseIds)
     EXPECT_FALSE(trace::lookupEvent("definitely.not.registered", out));
 }
 
-// --- TraceSink -----------------------------------------------------
+// --- Publish and merge -----------------------------------------------
 
-TEST(TraceSink, FoldAndMergeSemantics)
+TEST(Telemetry, FoldAndMergeSemantics)
 {
-    trace::TraceSink a;
+    Telemetry a;
     constexpr std::uint64_t polls = 785;
     for (std::uint64_t i = 0; i < polls; ++i)
         a.count(trace::EventId::ControlPolls);
     a.observe(trace::EventId::ManagerReallocate, 10);
     a.observe(trace::EventId::ManagerReallocate, 4);
     a.gauge(trace::EventId::PoolInflight, 5);
+    a.gauge(trace::EventId::ServeShed, 11);
+    // A zero-delta bump still marks the counter published.
+    a.count(trace::EventId::SelectorIdle, 0);
 
-    EXPECT_EQ(a.counterValue(trace::EventId::ControlPolls), polls);
-    trace::TimerAgg t = a.timerValue(trace::EventId::ManagerReallocate);
+    EXPECT_EQ(a.counter(trace::EventId::ControlPolls), polls);
+    TimerStat t = a.timer(trace::EventId::ManagerReallocate);
     EXPECT_EQ(t.count, 2u);
     EXPECT_EQ(t.total, 14u);
     EXPECT_EQ(t.max, 10u);
     EXPECT_TRUE(a.touched(trace::EventId::PoolInflight));
     EXPECT_FALSE(a.touched(trace::EventId::FaultMeterNan));
-    EXPECT_EQ(a.publishSeq(), polls + 3);
+    EXPECT_TRUE(a.touched(trace::EventId::SelectorIdle));
+    EXPECT_EQ(a.counters().count("selector.idle"), 1u);
+    EXPECT_EQ(a.counters().at("selector.idle"), 0u);
 
-    trace::TraceSink b;
+    Telemetry b;
     b.count(trace::EventId::ControlPolls, 3);
     b.observe(trace::EventId::ManagerReallocate, 20);
     b.gauge(trace::EventId::PoolInflight, 9);
 
-    a.mergeFrom(b);
-    EXPECT_EQ(a.counterValue(trace::EventId::ControlPolls), polls + 3);
-    EXPECT_EQ(a.publishSeq(), polls + 6);
-    t = a.timerValue(trace::EventId::ManagerReallocate);
+    a.merge(b);
+    EXPECT_EQ(a.counter(trace::EventId::ControlPolls), polls + 3);
+    t = a.timer(trace::EventId::ManagerReallocate);
     EXPECT_EQ(t.count, 3u);
     EXPECT_EQ(t.total, 34u);
     EXPECT_EQ(t.max, 20u);
-    // Gauges: the merged-in sink's sample wins.
-    EXPECT_EQ(a.counterValue(trace::EventId::PoolInflight), 9u);
-
-    a.reset();
-    EXPECT_TRUE(a.empty());
-    EXPECT_EQ(a.counterValue(trace::EventId::ControlPolls), 0u);
+    // Gauges: the merged-in bus's sample wins...
+    EXPECT_EQ(a.counter(trace::EventId::PoolInflight), 9u);
+    // ...but only where that bus published one.
+    EXPECT_EQ(a.counter(trace::EventId::ServeShed), 11u);
+    EXPECT_FALSE(a.touched(trace::EventId::FaultMeterNan));
 }
 
 // --- Binary record-log container -----------------------------------
@@ -172,9 +177,9 @@ TEST(TelemetryTrace, StringNamesRouteToDenseSlots)
 TEST(TelemetryTrace, DecisionRingDropsOldest)
 {
     DecisionRecord rec;
-    rec.policy = "app-res-aware";
-    rec.plan = "spatial-utility";
-    rec.mode = "space";
+    rec.policy = core::PolicyKind::AppResAware;
+    rec.plan = core::PlanChoice::SpatialUtility;
+    rec.mode = core::CoordinationMode::Space;
     rec.trigger = "refresh";
     const std::size_t n = Telemetry::maxDecisions + 1000;
     Telemetry tel;
@@ -189,7 +194,8 @@ TEST(TelemetryTrace, DecisionRingDropsOldest)
     EXPECT_EQ(log.front().when,
               static_cast<Tick>(n - Telemetry::maxDecisions));
     EXPECT_EQ(log.back().when, static_cast<Tick>(n - 1));
-    EXPECT_EQ(log.back().plan, "spatial-utility");
+    EXPECT_EQ(log.back().plan, core::PlanChoice::SpatialUtility);
+    EXPECT_EQ(log.back().mode, core::CoordinationMode::Space);
 }
 
 // --- JSON hygiene --------------------------------------------------
@@ -198,10 +204,7 @@ TEST(TelemetryTrace, JsonEscapesControlCharacters)
 {
     Telemetry tel;
     DecisionRecord rec;
-    rec.trigger = std::string("a\"b\\c\nd\te\rf\x01g\bh\ff");
-    rec.policy = "p";
-    rec.plan = "q";
-    rec.mode = "m";
+    rec.trigger = "a\"b\\c\nd\te\rf\x01g\bh\ff";
     tel.record(rec);
 
     std::ostringstream os;
@@ -220,9 +223,6 @@ TEST(TelemetryTrace, JsonNonFiniteNumbersAreNull)
     Telemetry tel;
     DecisionRecord rec;
     rec.trigger = "t";
-    rec.policy = "p";
-    rec.plan = "q";
-    rec.mode = "m";
     rec.objective = std::numeric_limits<double>::quiet_NaN();
     rec.budget = std::numeric_limits<double>::infinity();
     tel.record(rec);
@@ -275,17 +275,14 @@ publishPerBus(unsigned width)
                 [&](trace::EventId id, Tick t) { bus.observe(id, t); });
             DecisionRecord rec;
             rec.when = static_cast<Tick>(s);
-            rec.trigger = "bus-" + std::to_string(s);
-            rec.policy = "p";
-            rec.plan = "q";
-            rec.mode = "m";
+            rec.trigger = "bus";
             bus.record(rec);
         });
     util::ThreadPool::configureGlobal(0);
     return buses;
 }
 
-TEST(TelemetryTrace, TraceAndLegacyAggregateIdentically)
+TEST(TelemetryTrace, ParallelBusesAggregateLikeASerialFold)
 {
     // Reference: the plain name-keyed map fold of the same stream,
     // computed serially — per-event sums, and count/total/max per
@@ -316,7 +313,7 @@ TEST(TelemetryTrace, TraceAndLegacyAggregateIdentically)
 
         EXPECT_EQ(bus.counters(), want_counters);
 
-        const auto &timers = bus.timers();
+        const std::map<std::string, TimerStat> timers = bus.timers();
         ASSERT_EQ(timers.size(), want_timers.size());
         for (const auto &[name, want] : want_timers) {
             ASSERT_EQ(timers.count(name), 1u) << name;
@@ -326,13 +323,13 @@ TEST(TelemetryTrace, TraceAndLegacyAggregateIdentically)
             EXPECT_EQ(got.max, want.max) << name;
         }
 
-        // Decision records stay on the bus that recorded them.
+        // Decision records stay on the bus that recorded them; the
+        // record's time says which bus that was.
         EXPECT_TRUE(bus.decisions().empty());
         for (std::size_t s = 0; s < kBuses; ++s) {
             const auto &log = buses[s].decisions();
             ASSERT_EQ(log.size(), 1u);
             EXPECT_EQ(log[0].when, static_cast<Tick>(s));
-            EXPECT_EQ(log[0].trigger, "bus-" + std::to_string(s));
         }
     }
 }
