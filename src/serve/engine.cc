@@ -1,12 +1,9 @@
 #include "engine.hh"
 
-#include <cstring>
-
 #include "esd/battery.hh"
 #include "perf/workloads.hh"
 #include "replay.hh"
 #include "sim/application.hh"
-#include "trace/log.hh"
 #include "util/logging.hh"
 
 namespace psm::serve
@@ -30,36 +27,6 @@ poolConfig(const EngineConfig &cfg)
     return pc;
 }
 
-constexpr std::uint64_t kFnvOffset = 14695981039346656037ULL;
-constexpr std::uint64_t kFnvPrime = 1099511628211ULL;
-
-void
-mix(std::uint64_t &h, std::uint64_t v)
-{
-    for (int i = 0; i < 8; ++i) {
-        h ^= (v >> (i * 8)) & 0xff;
-        h *= kFnvPrime;
-    }
-}
-
-void
-mixF(std::uint64_t &h, double v)
-{
-    std::uint64_t bits;
-    std::memcpy(&bits, &v, sizeof(bits));
-    mix(h, bits);
-}
-
-void
-mixS(std::uint64_t &h, const std::string &s)
-{
-    mix(h, s.size());
-    for (char c : s) {
-        h ^= static_cast<std::uint8_t>(c);
-        h *= kFnvPrime;
-    }
-}
-
 } // namespace
 
 ServeEngine::ServeEngine(const EngineConfig &config)
@@ -76,15 +43,9 @@ ServeEngine::~ServeEngine()
 bool
 ServeEngine::startCapture(const std::string &path)
 {
-    auto writer = std::make_unique<trace::LogWriter>();
-    if (!writer->open(path)) {
+    auto writer = std::make_unique<CaptureWriter>();
+    if (!writer->open(path, cfg)) {
         warn("cannot open capture file %s", path.c_str());
-        return false;
-    }
-    if (!writer->writeRecord(
-            static_cast<std::uint8_t>(CaptureRecord::Config),
-            encodeCaptureConfig(cfg))) {
-        warn("cannot write capture config to %s", path.c_str());
         return false;
     }
     capture_ = std::move(writer);
@@ -177,11 +138,8 @@ ServeEngine::apply(const EventRequest &ev)
         out = applyKill(ev);
         break;
     }
-    if (capture_) {
-        capture_->writeRecord(
-            static_cast<std::uint8_t>(CaptureRecord::Event),
-            encodeCapturedEvent(CapturedEvent{ev, out}));
-    }
+    if (capture_)
+        capture_->event(ev, out);
     return out;
 }
 
@@ -284,12 +242,8 @@ ServeEngine::commit()
 {
     pool_.runAll(period);
     DecisionDigest d = digest();
-    if (capture_) {
-        capture_->writeRecord(
-            static_cast<std::uint8_t>(CaptureRecord::Commit),
-            encodeCapturedCommit(
-                CapturedCommit{d, surfaceEpochSum()}));
-    }
+    if (capture_)
+        capture_->commit(d, surfaceEpochSum());
     return d;
 }
 
@@ -297,29 +251,29 @@ DecisionDigest
 ServeEngine::digest() const
 {
     DecisionDigest d;
-    std::uint64_t h = kFnvOffset;
+    Fnv1a h;
     for (int ix = 0; ix < nodeCount(); ++ix) {
         const sim::Server &srv =
             *pool_[static_cast<std::size_t>(ix)].server;
         const core::ServerManager &mgr = managerAt(ix);
-        mix(h, static_cast<std::uint64_t>(ix));
-        mix(h, srv.now());
-        mixF(h, srv.cap());
-        mix(h, mgr.reallocationCount());
-        mix(h, mgr.eventLog().size());
-        mix(h, static_cast<std::uint64_t>(mgr.mode()));
+        h.u64(static_cast<std::uint64_t>(ix));
+        h.u64(srv.now());
+        h.f64(srv.cap());
+        h.u64(mgr.reallocationCount());
+        h.u64(mgr.eventLog().size());
+        h.u64(static_cast<std::uint64_t>(mgr.mode()));
         const core::Allocation &alloc = mgr.lastAllocation();
-        mix(h, alloc.apps.size());
-        mixF(h, alloc.dynamicBudget);
-        mixF(h, alloc.used);
-        mixF(h, alloc.objective);
+        h.u64(alloc.apps.size());
+        h.f64(alloc.dynamicBudget);
+        h.f64(alloc.used);
+        h.f64(alloc.objective);
         for (const core::AppAllocation &app : alloc.apps) {
-            mixS(h, app.app);
-            mixF(h, app.budget);
-            mixF(h, app.expectedPerf);
-            mix(h, app.scheduled() ? 1 : 0);
+            h.str(app.app);
+            h.f64(app.budget);
+            h.f64(app.expectedPerf);
+            h.u64(app.scheduled() ? 1 : 0);
             if (app.point)
-                mixF(h, app.point->power);
+                h.f64(app.point->power);
         }
         for (const sim::Application *app : srv.apps()) {
             if (!app->finished())
@@ -330,7 +284,7 @@ ServeEngine::digest() const
         if (ix == 0)
             d.simNow = srv.now();
     }
-    d.hash = h;
+    d.hash = h.value();
     return d;
 }
 

@@ -31,13 +31,10 @@
 #include "protocol.hh"
 #include "util/units.hh"
 
-namespace psm::trace
-{
-class LogWriter;
-}
-
 namespace psm::serve
 {
+
+class CaptureWriter;
 
 /** How to build the served cluster. */
 struct EngineConfig
@@ -143,7 +140,7 @@ class ServeEngine
     EngineConfig cfg;
     cluster::NodePool pool_;
     Tick period;
-    std::unique_ptr<trace::LogWriter> capture_;
+    std::unique_ptr<CaptureWriter> capture_;
 
     core::ServerManager &managerAt(int ix);
     const core::ServerManager &managerAt(int ix) const;

@@ -73,15 +73,49 @@ validOp(std::uint8_t raw)
 }
 
 bool
-validStatus(std::uint8_t raw)
-{
-    return raw <= static_cast<std::uint8_t>(ReplyStatus::BadRequest);
-}
-
-bool
 validClass(std::uint8_t raw)
 {
     return raw <= static_cast<std::uint8_t>(AppClass::Interactive);
+}
+
+} // namespace
+
+void
+putEventRequest(WireWriter &w, const EventRequest &ev)
+{
+    w.putU8(static_cast<std::uint8_t>(ev.op));
+    w.putI32(ev.node);
+    w.putI32(ev.appId);
+    w.putU32(ev.workload);
+    w.putF64(ev.value);
+    w.putF64(ev.cpuScale);
+    w.putF64(ev.memScale);
+    w.putU32(ev.deadlineUs);
+    w.putU8(static_cast<std::uint8_t>(ev.appClass));
+    w.putF64(ev.sloP99);
+}
+
+bool
+getEventRequest(WireReader &r, EventRequest &out)
+{
+    std::uint8_t op = r.u8();
+    if (!validOp(op))
+        return false;
+    out.op = static_cast<EventOp>(op);
+    out.node = r.i32();
+    out.appId = r.i32();
+    out.workload = r.u32();
+    out.value = r.f64();
+    out.cpuScale = r.f64();
+    out.memScale = r.f64();
+    out.deadlineUs = r.u32();
+    std::uint8_t cls = r.u8();
+    if (!validClass(cls))
+        return false;
+    out.appClass = static_cast<AppClass>(cls);
+    out.sloP99 = r.f64();
+    // Written so that NaN fails it.
+    return out.sloP99 >= 0.0 && out.sloP99 <= maxSloP99;
 }
 
 void
@@ -106,22 +140,21 @@ getDigest(WireReader &r)
     return d;
 }
 
-} // namespace
+bool
+getReplyStatus(WireReader &r, ReplyStatus &out)
+{
+    std::uint8_t raw = r.u8();
+    if (raw > static_cast<std::uint8_t>(ReplyStatus::BadRequest))
+        return false;
+    out = static_cast<ReplyStatus>(raw);
+    return true;
+}
 
 std::vector<std::uint8_t>
 encodeEventRequest(const EventRequest &ev)
 {
     WireWriter w;
-    w.putU8(static_cast<std::uint8_t>(ev.op));
-    w.putI32(ev.node);
-    w.putI32(ev.appId);
-    w.putU32(ev.workload);
-    w.putF64(ev.value);
-    w.putF64(ev.cpuScale);
-    w.putF64(ev.memScale);
-    w.putU32(ev.deadlineUs);
-    w.putU8(static_cast<std::uint8_t>(ev.appClass));
-    w.putF64(ev.sloP99);
+    putEventRequest(w, ev);
     return w.take();
 }
 
@@ -130,26 +163,7 @@ decodeEventRequest(const std::vector<std::uint8_t> &payload,
                    EventRequest &out)
 {
     WireReader r(payload);
-    std::uint8_t op = r.u8();
-    if (!validOp(op))
-        return false;
-    out.op = static_cast<EventOp>(op);
-    out.node = r.i32();
-    out.appId = r.i32();
-    out.workload = r.u32();
-    out.value = r.f64();
-    out.cpuScale = r.f64();
-    out.memScale = r.f64();
-    out.deadlineUs = r.u32();
-    std::uint8_t cls = r.u8();
-    if (!validClass(cls))
-        return false;
-    out.appClass = static_cast<AppClass>(cls);
-    out.sloP99 = r.f64();
-    // Written so that NaN fails it.
-    if (!(out.sloP99 >= 0.0 && out.sloP99 <= maxSloP99))
-        return false;
-    return r.good() && r.atEnd();
+    return getEventRequest(r, out) && r.good() && r.atEnd();
 }
 
 std::vector<std::uint8_t>
@@ -169,10 +183,8 @@ decodeEventReply(const std::vector<std::uint8_t> &payload,
                  EventReply &out)
 {
     WireReader r(payload);
-    std::uint8_t status = r.u8();
-    if (!validStatus(status))
+    if (!getReplyStatus(r, out.status))
         return false;
-    out.status = static_cast<ReplyStatus>(status);
     out.node = r.i32();
     out.appId = r.i32();
     out.batched = r.u32();

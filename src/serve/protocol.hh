@@ -16,6 +16,8 @@
 #ifndef PSM_SERVE_PROTOCOL_HH
 #define PSM_SERVE_PROTOCOL_HH
 
+#include <bit>
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <string>
@@ -126,6 +128,52 @@ struct EventRequest
     double sloP99 = 0.0;
 };
 
+/**
+ * 64-bit FNV-1a, fed a byte at a time: the fold behind
+ * DecisionDigest::hash and the capture Config fingerprint.  Integers
+ * go in as their eight little-endian bytes and doubles as their
+ * IEEE-754 bit pattern, so a hash never depends on the host.
+ */
+class Fnv1a
+{
+  public:
+    void
+    byte(std::uint8_t b)
+    {
+        h = (h ^ b) * 1099511628211ULL;
+    }
+
+    void
+    bytes(const std::uint8_t *data, std::size_t n)
+    {
+        for (std::size_t i = 0; i < n; ++i)
+            byte(data[i]);
+    }
+
+    void
+    u64(std::uint64_t v)
+    {
+        for (int i = 0; i < 8; ++i)
+            byte(static_cast<std::uint8_t>(v >> (i * 8)));
+    }
+
+    void f64(double v) { u64(std::bit_cast<std::uint64_t>(v)); }
+
+    /** The length as a u64, then the characters. */
+    void
+    str(const std::string &s)
+    {
+        u64(s.size());
+        for (char c : s)
+            byte(static_cast<std::uint8_t>(c));
+    }
+
+    std::uint64_t value() const { return h; }
+
+  private:
+    std::uint64_t h = 14695981039346656037ULL;
+};
+
 /** Bit-exact summary of the cluster's decision state. */
 struct DecisionDigest
 {
@@ -223,6 +271,24 @@ struct QueryReply
 // Every decode returns false on malformed payloads (truncated,
 // trailing bytes, out-of-range enums) and leaves the output in an
 // unspecified state.
+//
+// The put/get helpers are the field-level codecs the whole-payload
+// ones are built from; the capture file (serve/replay.hh) writes its
+// records with them too.  A get returns false on an out-of-range
+// field; a truncated read latches the reader's fail flag, which the
+// caller checks once with good().
+
+/** The EVENT payload's fields, in wire order. */
+void putEventRequest(net::WireWriter &w, const EventRequest &ev);
+/** Refuses an op or class out of range and an sloP99 outside
+ * [0, maxSloP99], NaN included. */
+bool getEventRequest(net::WireReader &r, EventRequest &out);
+
+void putDigest(net::WireWriter &w, const DecisionDigest &d);
+DecisionDigest getDigest(net::WireReader &r);
+
+/** One status byte; refuses a value that names no ReplyStatus. */
+bool getReplyStatus(net::WireReader &r, ReplyStatus &out);
 
 std::vector<std::uint8_t> encodeEventRequest(const EventRequest &ev);
 bool decodeEventRequest(const std::vector<std::uint8_t> &payload,

@@ -4,26 +4,88 @@
 #include <sstream>
 
 #include "core/policy_registry.hh"
-#include "trace/log.hh"
 
 namespace psm::serve
 {
 
+using net::WireReader;
+using net::WireWriter;
+
 namespace
 {
+
+/** "PSMTRLOG" read as a little-endian u64: the file's first bytes. */
+constexpr std::uint64_t kFileMagic = 0x474F4C52544D5350ULL;
+/** Bump when the container layout changes. */
+constexpr std::uint32_t kFileVersion = 1;
+constexpr std::size_t kFileHeaderSize = 12;  ///< magic + version
+constexpr std::size_t kRecordHeaderSize = 5; ///< type + length
+/** 64 MiB: far beyond any sane capture record; bounds corrupt reads. */
+constexpr std::uint32_t kMaxRecordLength = 64u << 20;
 
 /** Bump when the Config payload layout changes. */
 constexpr std::uint8_t kConfigVersion = 2;
 
-std::uint64_t
-fingerprint(const std::vector<std::uint8_t> &bytes)
+/** Record types inside a capture. */
+enum class CaptureRecord : std::uint8_t
 {
-    std::uint64_t h = 14695981039346656037ULL;
-    for (std::uint8_t b : bytes) {
-        h ^= b;
-        h *= 1099511628211ULL;
-    }
-    return h;
+    Config = 1,
+    Event = 2,
+    Commit = 3,
+};
+
+std::uint64_t
+fingerprint(const std::uint8_t *bytes, std::size_t n)
+{
+    Fnv1a h;
+    h.bytes(bytes, n);
+    return h.value();
+}
+
+bool
+writeBytes(std::ofstream &out, const std::vector<std::uint8_t> &bytes)
+{
+    out.write(reinterpret_cast<const char *>(bytes.data()),
+              static_cast<std::streamsize>(bytes.size()));
+    return out.good();
+}
+
+bool
+writeRecord(std::ofstream &out, CaptureRecord type,
+            const std::vector<std::uint8_t> &payload)
+{
+    WireWriter head;
+    head.putU8(static_cast<std::uint8_t>(type));
+    head.putU32(static_cast<std::uint32_t>(payload.size()));
+    return writeBytes(out, head.bytes()) && writeBytes(out, payload);
+}
+
+/** Read up to @p n bytes; @return how many arrived. */
+std::size_t
+readBytes(std::ifstream &in, std::uint8_t *data, std::size_t n)
+{
+    in.read(reinterpret_cast<char *>(data),
+            static_cast<std::streamsize>(n));
+    return static_cast<std::size_t>(in.gcount());
+}
+
+bool
+getCapturedEvent(WireReader &r, CapturedEvent &ev)
+{
+    if (!getEventRequest(r, ev.request) ||
+        !getReplyStatus(r, ev.outcome.status))
+        return false;
+    ev.outcome.node = r.i32();
+    ev.outcome.appId = r.i32();
+    return r.good() && r.atEnd();
+}
+
+bool
+getCapturedCommit(WireReader &r, CapturedCommit &commit)
+{
+    commit.digest = getDigest(r);
+    commit.surfaceEpochSum = r.u64();
+    return r.good() && r.atEnd();
 }
 
 std::string
@@ -42,28 +104,28 @@ digestLine(const DecisionDigest &d, std::uint64_t epoch_sum)
 std::vector<std::uint8_t>
 encodeCaptureConfig(const EngineConfig &cfg)
 {
-    std::vector<std::uint8_t> buf;
-    trace::putU8(buf, kConfigVersion);
-    trace::putU32(buf, static_cast<std::uint32_t>(cfg.nodes));
-    trace::putF64(buf, cfg.serverCap);
-    trace::putU8(buf, cfg.esd ? 1 : 0);
-    trace::putU64(buf, cfg.seedBase);
-    trace::putU8(buf, cfg.seedCorpus ? 1 : 0);
-    trace::putF64(buf, cfg.maxAdvance);
+    WireWriter w;
+    w.putU8(kConfigVersion);
+    w.putU32(static_cast<std::uint32_t>(cfg.nodes));
+    w.putF64(cfg.serverCap);
+    w.putU8(cfg.esd ? 1 : 0);
+    w.putU64(cfg.seedBase);
+    w.putU8(cfg.seedCorpus ? 1 : 0);
+    w.putF64(cfg.maxAdvance);
     const core::ManagerConfig &m = cfg.manager;
-    trace::putU8(buf, static_cast<std::uint8_t>(m.policy));
-    trace::putF64(buf, m.sampleFraction);
-    trace::putU8(buf, m.oracleUtilities ? 1 : 0);
-    trace::putF64(buf, m.measurementNoise);
-    trace::putU64(buf, m.calibrationPerSample);
-    trace::putU64(buf, m.controlPeriod);
-    trace::putF64(buf, m.budgetGuard);
-    trace::putF64(buf, m.trimGain);
-    trace::putU64(buf, m.refreshPeriod);
-    trace::putU8(buf, static_cast<std::uint8_t>(m.sampling));
-    trace::putU64(buf, m.seed);
-    trace::putU64(buf, fingerprint(buf));
-    return buf;
+    w.putU8(static_cast<std::uint8_t>(m.policy));
+    w.putF64(m.sampleFraction);
+    w.putU8(m.oracleUtilities ? 1 : 0);
+    w.putF64(m.measurementNoise);
+    w.putU64(m.calibrationPerSample);
+    w.putU64(m.controlPeriod);
+    w.putF64(m.budgetGuard);
+    w.putF64(m.trimGain);
+    w.putU64(m.refreshPeriod);
+    w.putU8(static_cast<std::uint8_t>(m.sampling));
+    w.putU64(m.seed);
+    w.putU64(fingerprint(w.bytes().data(), w.bytes().size()));
+    return w.take();
 }
 
 bool
@@ -77,30 +139,34 @@ decodeCaptureConfig(const std::vector<std::uint8_t> &payload,
     };
     if (payload.size() < 8)
         return fail("Config payload truncated");
-    std::vector<std::uint8_t> body(payload.begin(), payload.end() - 8);
-    trace::ByteCursor tail(payload);
-    tail.pos = payload.size() - 8;
-    std::uint64_t fp = 0;
-    if (!tail.getU64(fp) || fp != fingerprint(body))
+    const std::size_t body = payload.size() - 8;
+    WireReader tail(payload.data() + body, 8);
+    if (tail.u64() != fingerprint(payload.data(), body))
         return fail("Config fingerprint mismatch");
 
-    trace::ByteCursor c(body);
-    std::uint8_t version = 0, esd = 0, seed_corpus = 0, policy = 0,
-                 oracle = 0, sampling = 0;
-    std::uint32_t nodes = 0;
+    WireReader c(payload.data(), body);
+    if (c.u8() != kConfigVersion)
+        return fail("unsupported Config version");
     EngineConfig cfg;
     core::ManagerConfig &m = cfg.manager;
-    if (!c.getU8(version) || version != kConfigVersion)
-        return fail("unsupported Config version");
-    if (!c.getU32(nodes) || !c.getF64(cfg.serverCap) ||
-        !c.getU8(esd) || !c.getU64(cfg.seedBase) ||
-        !c.getU8(seed_corpus) || !c.getF64(cfg.maxAdvance) ||
-        !c.getU8(policy) || !c.getF64(m.sampleFraction) ||
-        !c.getU8(oracle) || !c.getF64(m.measurementNoise) ||
-        !c.getU64(m.calibrationPerSample) ||
-        !c.getU64(m.controlPeriod) || !c.getF64(m.budgetGuard) ||
-        !c.getF64(m.trimGain) || !c.getU64(m.refreshPeriod) ||
-        !c.getU8(sampling) || !c.getU64(m.seed))
+    const std::uint32_t nodes = c.u32();
+    cfg.serverCap = c.f64();
+    const std::uint8_t esd = c.u8();
+    cfg.seedBase = c.u64();
+    const std::uint8_t seed_corpus = c.u8();
+    cfg.maxAdvance = c.f64();
+    const std::uint8_t policy = c.u8();
+    m.sampleFraction = c.f64();
+    const std::uint8_t oracle = c.u8();
+    m.measurementNoise = c.f64();
+    m.calibrationPerSample = c.u64();
+    m.controlPeriod = c.u64();
+    m.budgetGuard = c.f64();
+    m.trimGain = c.f64();
+    m.refreshPeriod = c.u64();
+    const std::uint8_t sampling = c.u8();
+    m.seed = c.u64();
+    if (!c.good())
         return fail("Config fields truncated");
     if (!c.atEnd())
         return fail("trailing bytes after Config fields");
@@ -153,108 +219,97 @@ decodeCaptureConfig(const std::vector<std::uint8_t> &payload,
     return true;
 }
 
-std::vector<std::uint8_t>
-encodeCapturedEvent(const CapturedEvent &ev)
-{
-    std::vector<std::uint8_t> buf;
-    const EventRequest &r = ev.request;
-    trace::putU8(buf, static_cast<std::uint8_t>(r.op));
-    trace::putU32(buf, static_cast<std::uint32_t>(r.node));
-    trace::putU32(buf, static_cast<std::uint32_t>(r.appId));
-    trace::putU32(buf, r.workload);
-    trace::putF64(buf, r.value);
-    trace::putF64(buf, r.cpuScale);
-    trace::putF64(buf, r.memScale);
-    trace::putU32(buf, r.deadlineUs);
-    trace::putU8(buf, static_cast<std::uint8_t>(r.appClass));
-    trace::putF64(buf, r.sloP99);
-    trace::putU8(buf, static_cast<std::uint8_t>(ev.outcome.status));
-    trace::putU32(buf,
-                  static_cast<std::uint32_t>(ev.outcome.node));
-    trace::putU32(buf,
-                  static_cast<std::uint32_t>(ev.outcome.appId));
-    return buf;
-}
-
 bool
-decodeCapturedEvent(const std::vector<std::uint8_t> &payload,
-                    CapturedEvent &out)
+CaptureWriter::open(const std::string &path, const EngineConfig &cfg)
 {
-    trace::ByteCursor c(payload);
-    std::uint8_t op = 0, cls = 0, status = 0;
-    std::uint32_t node = 0, app = 0, onode = 0, oapp = 0;
-    CapturedEvent ev;
-    if (!c.getU8(op) || !c.getU32(node) || !c.getU32(app) ||
-        !c.getU32(ev.request.workload) ||
-        !c.getF64(ev.request.value) ||
-        !c.getF64(ev.request.cpuScale) ||
-        !c.getF64(ev.request.memScale) ||
-        !c.getU32(ev.request.deadlineUs) || !c.getU8(cls) ||
-        !c.getF64(ev.request.sloP99) || !c.getU8(status) ||
-        !c.getU32(onode) || !c.getU32(oapp) || !c.atEnd())
+    out.open(path, std::ios::binary | std::ios::trunc);
+    if (!out.is_open())
         return false;
-    if (op < static_cast<std::uint8_t>(EventOp::Advance) ||
-        op > static_cast<std::uint8_t>(EventOp::Kill))
+    WireWriter head;
+    head.putU64(kFileMagic);
+    head.putU32(kFileVersion);
+    if (!writeBytes(out, head.bytes()) ||
+        !writeRecord(out, CaptureRecord::Config,
+                     encodeCaptureConfig(cfg))) {
+        out.close();
         return false;
-    if (cls > static_cast<std::uint8_t>(AppClass::Interactive))
-        return false;
-    if (!std::isfinite(ev.request.sloP99) || ev.request.sloP99 < 0.0)
-        return false;
-    if (status > static_cast<std::uint8_t>(ReplyStatus::BadRequest))
-        return false;
-    ev.request.op = static_cast<EventOp>(op);
-    ev.request.appClass = static_cast<AppClass>(cls);
-    ev.request.node = static_cast<std::int32_t>(node);
-    ev.request.appId = static_cast<std::int32_t>(app);
-    ev.outcome.status = static_cast<ReplyStatus>(status);
-    ev.outcome.node = static_cast<std::int32_t>(onode);
-    ev.outcome.appId = static_cast<std::int32_t>(oapp);
-    out = ev;
+    }
     return true;
 }
 
-std::vector<std::uint8_t>
-encodeCapturedCommit(const CapturedCommit &commit)
+void
+CaptureWriter::event(const EventRequest &request,
+                     const ApplyOutcome &outcome)
 {
-    std::vector<std::uint8_t> buf;
-    trace::putU64(buf, commit.digest.hash);
-    trace::putU64(buf, commit.digest.passes);
-    trace::putU64(buf, commit.digest.simNow);
-    trace::putU32(buf, commit.digest.activeApps);
-    trace::putF64(buf, commit.digest.objective);
-    trace::putU64(buf, commit.surfaceEpochSum);
-    return buf;
+    WireWriter w;
+    putEventRequest(w, request);
+    w.putU8(static_cast<std::uint8_t>(outcome.status));
+    w.putI32(outcome.node);
+    w.putI32(outcome.appId);
+    writeRecord(out, CaptureRecord::Event, w.bytes());
 }
 
-bool
-decodeCapturedCommit(const std::vector<std::uint8_t> &payload,
-                     CapturedCommit &out)
+void
+CaptureWriter::commit(const DecisionDigest &digest,
+                      std::uint64_t surfaceEpochSum)
 {
-    trace::ByteCursor c(payload);
-    CapturedCommit commit;
-    if (!c.getU64(commit.digest.hash) ||
-        !c.getU64(commit.digest.passes) ||
-        !c.getU64(commit.digest.simNow) ||
-        !c.getU32(commit.digest.activeApps) ||
-        !c.getF64(commit.digest.objective) ||
-        !c.getU64(commit.surfaceEpochSum) || !c.atEnd())
-        return false;
-    out = commit;
-    return true;
+    WireWriter w;
+    putDigest(w, digest);
+    w.putU64(surfaceEpochSum);
+    writeRecord(out, CaptureRecord::Commit, w.bytes());
+}
+
+void
+CaptureWriter::close()
+{
+    if (out.is_open()) {
+        out.flush();
+        out.close();
+    }
 }
 
 bool
 readCapture(const std::string &path, Capture &out, std::string &error)
 {
-    trace::LogReader reader;
-    if (!reader.open(path, error))
+    std::ifstream in(path, std::ios::binary);
+    if (!in.is_open()) {
+        error = "cannot open '" + path + "'";
         return false;
+    }
+    std::uint8_t head[kFileHeaderSize];
+    WireReader file(head, readBytes(in, head, kFileHeaderSize));
+    const std::uint64_t magic = file.u64();
+    if (!file.good() || magic != kFileMagic) {
+        error = "'" + path + "' is not a psm trace log (bad magic)";
+        return false;
+    }
+    const std::uint32_t version = file.u32();
+    if (!file.good() || version != kFileVersion) {
+        error = "unsupported trace log version";
+        return false;
+    }
 
     Capture cap;
     bool have_config = false;
-    std::uint8_t type = 0;
     std::vector<std::uint8_t> payload;
-    while (reader.readRecord(type, payload)) {
+    for (;;) {
+        std::uint8_t rec[kRecordHeaderSize];
+        const std::size_t got = readBytes(in, rec, kRecordHeaderSize);
+        if (got == 0)
+            break; // clean EOF: the file ends after a whole record
+        WireReader header(rec, got);
+        const std::uint8_t type = header.u8();
+        const std::uint32_t len = header.u32();
+        if (!header.good() || len > kMaxRecordLength) {
+            error = "truncated or corrupt record header";
+            return false;
+        }
+        payload.resize(len);
+        if (readBytes(in, payload.data(), len) != len) {
+            error = "truncated record payload";
+            return false;
+        }
+        WireReader r(payload);
         switch (static_cast<CaptureRecord>(type)) {
           case CaptureRecord::Config:
             if (have_config) {
@@ -272,7 +327,7 @@ readCapture(const std::string &path, Capture &out, std::string &error)
             break;
           case CaptureRecord::Event: {
             Capture::Step step;
-            if (!decodeCapturedEvent(payload, step.event)) {
+            if (!getCapturedEvent(r, step.event)) {
                 error = "malformed Event record";
                 return false;
             }
@@ -282,7 +337,7 @@ readCapture(const std::string &path, Capture &out, std::string &error)
           case CaptureRecord::Commit: {
             Capture::Step step;
             step.isCommit = true;
-            if (!decodeCapturedCommit(payload, step.commit)) {
+            if (!getCapturedCommit(r, step.commit)) {
                 error = "malformed Commit record";
                 return false;
             }
@@ -294,16 +349,54 @@ readCapture(const std::string &path, Capture &out, std::string &error)
             return false;
         }
     }
-    if (!reader.error().empty()) {
-        error = reader.error();
-        return false;
-    }
     if (!have_config) {
         error = "capture has no Config record";
         return false;
     }
     out = std::move(cap);
     return true;
+}
+
+void
+scriptedRun(ServeEngine &engine)
+{
+    EventRequest ev;
+    ev.op = EventOp::Arrival;
+    ev.node = -1;
+    for (std::uint32_t w = 0; w < 4; ++w) {
+        ev.workload = w;
+        engine.apply(ev);
+    }
+    engine.commit();
+
+    EventRequest cap;
+    cap.op = EventOp::CapChange;
+    cap.node = -1;
+    cap.value = 55.0;
+    engine.apply(cap);
+    engine.commit();
+
+    EventRequest adv;
+    adv.op = EventOp::Advance;
+    adv.value = 2.0;
+    engine.apply(adv);
+    engine.commit();
+
+    EventRequest phase;
+    phase.op = EventOp::PhaseChange;
+    phase.node = 0;
+    phase.appId = 0;
+    phase.cpuScale = 1.6;
+    phase.memScale = 0.7;
+    engine.apply(phase);
+
+    EventRequest kill;
+    kill.op = EventOp::Kill;
+    kill.node = 0;
+    kill.appId = 1;
+    engine.apply(kill);
+    engine.commit();
+    engine.commit();
 }
 
 ReplayResult

@@ -2,22 +2,31 @@
  * @file
  * Deterministic record/replay for the serving engine.
  *
- * A capture is one binary record-log (trace/log.hh container) holding
- * everything one ServeEngine run consumed and decided:
+ * A capture is one binary file holding everything one ServeEngine run
+ * consumed and decided.  This module alone writes and reads it, and
+ * every field goes through the wire protocol's codecs
+ * (net::WireWriter/WireReader and the serve/protocol.hh helpers), so
+ * a capture and an EVENT frame cannot drift apart.  Layout, all
+ * little-endian:
+ *
+ *   [u64 magic "PSMTRLOG"] [u32 version 1]
+ *   repeated: [u8 type] [u32 length] [length bytes payload]
  *
  *   Config (1) — the engine's scalar configuration surface: node
  *                count, caps, policy, seeds, control period and the
  *                tuning scalars every runner (daemon CLI, benches,
  *                tests) actually sets.  Nested sub-configs that no
- *                runner touches ride on their defaults; a fingerprint
- *                over the encoded surface guards against version
- *                drift.
- *   Event (2)  — one applied EventRequest plus the ApplyOutcome the
- *                original run observed.
- *   Commit (3) — one control-period commit: the DecisionDigest it
- *                produced plus the cluster-wide surface-epoch sum
- *                (the learning layer's logical clock — catching
- *                divergence even when the decision hash collides).
+ *                runner touches ride on their defaults; an FNV-1a
+ *                fingerprint over the encoded surface guards against
+ *                version drift.
+ *   Event (2)  — one applied EventRequest, encoded as the EVENT frame
+ *                payload, then the ApplyOutcome the original run
+ *                observed (status u8, node i32, app i32).
+ *   Commit (3) — one control-period commit: the DecisionDigest as an
+ *                EVENT reply carries it, then the cluster-wide
+ *                surface-epoch sum (u64; the learning layer's logical
+ *                clock — catching divergence even when the decision
+ *                hash collides).
  *
  * Because the engine is deterministic (seeded managers, attempt-keyed
  * fault rolls, one telemetry bus per node on the parallel step),
@@ -30,6 +39,7 @@
 #define PSM_SERVE_REPLAY_HH
 
 #include <cstdint>
+#include <fstream>
 #include <string>
 #include <vector>
 
@@ -38,14 +48,6 @@
 
 namespace psm::serve
 {
-
-/** Record types inside a capture log. */
-enum class CaptureRecord : std::uint8_t
-{
-    Config = 1,
-    Event = 2,
-    Commit = 3,
-};
 
 /** One applied event with the outcome the original run observed. */
 struct CapturedEvent
@@ -61,7 +63,31 @@ struct CapturedCommit
     std::uint64_t surfaceEpochSum = 0;
 };
 
-// --- record codecs --------------------------------------------------
+// --- writing -------------------------------------------------------
+
+/**
+ * Appends one engine run to a capture file: open() writes the file
+ * header and the Config record, then event() and commit() append one
+ * record each.  ServeEngine::startCapture drives it.
+ */
+class CaptureWriter
+{
+  public:
+    /** Create @p path and write the header and @p cfg's Config
+     * record.  @return false on I/O failure (the writer stays
+     * closed). */
+    bool open(const std::string &path, const EngineConfig &cfg);
+
+    void event(const EventRequest &request, const ApplyOutcome &outcome);
+    void commit(const DecisionDigest &digest,
+                std::uint64_t surfaceEpochSum);
+
+    /** Flush and close (no-op when closed). */
+    void close();
+
+  private:
+    std::ofstream out;
+};
 
 std::vector<std::uint8_t> encodeCaptureConfig(const EngineConfig &cfg);
 /**
@@ -74,15 +100,6 @@ std::vector<std::uint8_t> encodeCaptureConfig(const EngineConfig &cfg);
 bool decodeCaptureConfig(const std::vector<std::uint8_t> &payload,
                          EngineConfig &out,
                          std::string *error = nullptr);
-
-std::vector<std::uint8_t> encodeCapturedEvent(const CapturedEvent &ev);
-bool decodeCapturedEvent(const std::vector<std::uint8_t> &payload,
-                         CapturedEvent &out);
-
-std::vector<std::uint8_t>
-encodeCapturedCommit(const CapturedCommit &commit);
-bool decodeCapturedCommit(const std::vector<std::uint8_t> &payload,
-                          CapturedCommit &out);
 
 // --- whole-file view ------------------------------------------------
 
@@ -113,11 +130,19 @@ struct Capture
 
 /**
  * Parse @p path into @p out.
- * @return false (with @p error set) on I/O errors, corrupt records
- *         or a missing leading Config record.
+ * @return false (with @p error set) on I/O errors, corrupt or cut
+ *         records, or a missing leading Config record.  The file
+ *         may end only after a whole record.
  */
 bool readCapture(const std::string &path, Capture &out,
                  std::string &error);
+
+/**
+ * The scripted run psm-replay --self-test captures: four arrivals, a
+ * cap change, an advance, a phase change and a kill (8 events) over 5
+ * commits.  On psm-replay's 2-node config it captures 880 bytes.
+ */
+void scriptedRun(ServeEngine &engine);
 
 // --- replay ---------------------------------------------------------
 

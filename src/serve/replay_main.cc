@@ -110,49 +110,6 @@ dump(const std::string &path)
     return 0;
 }
 
-/** Drive one scripted run against @p engine (capture on or off). */
-void
-scriptedRun(ServeEngine &engine)
-{
-    EventRequest ev;
-    ev.op = EventOp::Arrival;
-    ev.node = -1;
-    for (std::uint32_t w = 0; w < 4; ++w) {
-        ev.workload = w;
-        engine.apply(ev);
-    }
-    engine.commit();
-
-    EventRequest cap;
-    cap.op = EventOp::CapChange;
-    cap.node = -1;
-    cap.value = 55.0;
-    engine.apply(cap);
-    engine.commit();
-
-    EventRequest adv;
-    adv.op = EventOp::Advance;
-    adv.value = 2.0;
-    engine.apply(adv);
-    engine.commit();
-
-    EventRequest phase;
-    phase.op = EventOp::PhaseChange;
-    phase.node = 0;
-    phase.appId = 0;
-    phase.cpuScale = 1.6;
-    phase.memScale = 0.7;
-    engine.apply(phase);
-
-    EventRequest kill;
-    kill.op = EventOp::Kill;
-    kill.node = 0;
-    kill.appId = 1;
-    engine.apply(kill);
-    engine.commit();
-    engine.commit();
-}
-
 bool
 readAll(const std::string &path, std::vector<char> &out)
 {

@@ -15,8 +15,7 @@ namespace psm::serve
 {
 
 ServeService::ServeService(const ServiceConfig &config)
-    : cfg(config), eng(config.engine), reactor(*this),
-      req_pool(config.maxQueue)
+    : cfg(config), eng(config.engine), reactor(*this)
 {
     if (cfg.maxQueue == 0)
         cfg.maxQueue = 1;
@@ -204,12 +203,7 @@ ServeService::handleEvent(std::uint64_t conn, net::Frame &&frame)
     {
         std::lock_guard lk(qmtx);
         if (!stopping && queue.size() < cfg.maxQueue) {
-            RequestPtr req = req_pool.acquire();
-            req->conn = conn;
-            req->requestId = frame.requestId;
-            req->ev = ev;
-            req->enqueued = Clock::now();
-            queue.push_back(std::move(req));
+            queue.push_back({conn, frame.requestId, ev, Clock::now()});
             admitted = true;
         }
     }
@@ -299,7 +293,7 @@ ServeService::sendEventReply(std::uint64_t conn,
 void
 ServeService::controlLoop()
 {
-    std::vector<RequestPtr> batch;
+    std::vector<Request> batch;
     batch.reserve(cfg.maxBatch);
     for (;;) {
         {
@@ -313,20 +307,20 @@ ServeService::controlLoop()
                 // Drain leftovers as Shed: the daemon is going away
                 // and will not decide on them.
                 while (!queue.empty()) {
-                    RequestPtr req = std::move(queue.front());
+                    Request req = queue.front();
                     queue.pop_front();
                     lk.unlock();
                     n_shed.fetch_add(1, std::memory_order_relaxed);
                     EventReply reply;
                     reply.status = ReplyStatus::Shed;
                     reply.digest = lastDigest();
-                    sendEventReply(req->conn, req->requestId, reply);
+                    sendEventReply(req.conn, req.requestId, reply);
                     lk.lock();
                 }
                 return;
             }
             while (!queue.empty() && batch.size() < cfg.maxBatch) {
-                batch.push_back(std::move(queue.front()));
+                batch.push_back(queue.front());
                 queue.pop_front();
             }
         }
@@ -336,7 +330,7 @@ ServeService::controlLoop()
 }
 
 void
-ServeService::processBatch(std::vector<RequestPtr> &batch)
+ServeService::processBatch(const std::vector<Request> &batch)
 {
     struct Pending
     {
@@ -349,17 +343,17 @@ ServeService::processBatch(std::vector<RequestPtr> &batch)
 
     Clock::time_point now = Clock::now();
     std::uint32_t applied = 0;
-    for (RequestPtr &req : batch) {
-        Pending p{req->conn, req->requestId, {}};
-        if (req->ev.deadlineUs > 0 &&
-            now - req->enqueued >=
-                std::chrono::microseconds(req->ev.deadlineUs)) {
+    for (const Request &req : batch) {
+        Pending p{req.conn, req.requestId, {}};
+        if (req.ev.deadlineUs > 0 &&
+            now - req.enqueued >=
+                std::chrono::microseconds(req.ev.deadlineUs)) {
             // The client's wall-clock budget lapsed while queued; do
             // not apply a decision nobody is waiting for.
             p.reply.status = ReplyStatus::Expired;
             ++n_expired;
         } else {
-            ApplyOutcome outcome = eng.apply(req->ev);
+            ApplyOutcome outcome = eng.apply(req.ev);
             p.reply.status = outcome.status;
             p.reply.node = outcome.node;
             p.reply.appId = outcome.appId;
@@ -369,7 +363,6 @@ ServeService::processBatch(std::vector<RequestPtr> &batch)
                 ++n_rejected;
         }
         pending.push_back(std::move(p));
-        req.reset(); // recycle before the (long) commit
     }
 
     // One allocator epoch resolves the whole batch.  When nothing was

@@ -18,9 +18,8 @@
  *                     carries the post-epoch digest and how many
  *                     events shared its pass.
  *
- * Requests ride pooled objects (net::ObjectPool), so the steady-state
- * hot path performs no allocation.  A request with a deadline that
- * lapsed while queued is answered Expired and never applied.
+ * A request with a deadline that lapsed while queued is answered
+ * Expired and never applied.
  */
 
 #ifndef PSM_SERVE_SERVICE_HH
@@ -37,7 +36,6 @@
 #include <thread>
 
 #include "engine.hh"
-#include "net/object_pool.hh"
 #include "net/reactor.hh"
 #include "protocol.hh"
 
@@ -128,7 +126,7 @@ class ServeService : private net::Reactor::Handler
   private:
     using Clock = std::chrono::steady_clock;
 
-    /** One queued EVENT (pooled; fields fully overwritten per use). */
+    /** One queued EVENT. */
     struct Request
     {
         std::uint64_t conn = 0;
@@ -137,12 +135,9 @@ class ServeService : private net::Reactor::Handler
         Clock::time_point enqueued;
     };
 
-    using RequestPtr = net::ObjectPool<Request>::Ptr;
-
     ServiceConfig cfg;
     ServeEngine eng;
     net::Reactor reactor;
-    net::ObjectPool<Request> req_pool;
 
     std::thread reactor_thread;
     std::thread control_thread;
@@ -151,7 +146,7 @@ class ServeService : private net::Reactor::Handler
 
     mutable std::mutex qmtx;
     std::condition_variable qcv;
-    std::deque<RequestPtr> queue;
+    std::deque<Request> queue;
     bool stopping = false; ///< guarded by qmtx
     bool held = false;     ///< guarded by qmtx
 
@@ -178,7 +173,7 @@ class ServeService : private net::Reactor::Handler
 
     void controlLoop();
     /** Apply one batch, run one epoch, reply to every request. */
-    void processBatch(std::vector<RequestPtr> &batch);
+    void processBatch(const std::vector<Request> &batch);
 
     void handleHello(std::uint64_t conn, const net::Frame &frame);
     void handleEvent(std::uint64_t conn, net::Frame &&frame);

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include "core/manager.hh"
+#include "named_param.hh"
 #include "perf/workloads.hh"
 
 namespace psm::core
@@ -37,7 +38,8 @@ struct Harness
     }
 };
 
-class PolicyAdherence : public ::testing::TestWithParam<PolicyKind>
+class PolicyAdherence
+    : public ::testing::TestWithParam<Named<PolicyKind>>
 {
 };
 
@@ -63,12 +65,17 @@ TEST_P(PolicyAdherence, HoldsTheHundredWattCap)
     EXPECT_EQ(h.manager->mode(), CoordinationMode::Space);
 }
 
+// ServerResAware is named SrvResAware: a job name containing "Serve"
+// would join the sanitizer jobs' [Ss]erve selection.
 INSTANTIATE_TEST_SUITE_P(
     AllPolicies, PolicyAdherence,
-    ::testing::Values(PolicyKind::UtilUnaware,
-                      PolicyKind::ServerResAware, PolicyKind::AppAware,
-                      PolicyKind::AppResAware,
-                      PolicyKind::AppResEsdAware));
+    ::testing::Values(
+        Named<PolicyKind>{PolicyKind::UtilUnaware, "UtilUnaware"},
+        Named<PolicyKind>{PolicyKind::ServerResAware, "SrvResAware"},
+        Named<PolicyKind>{PolicyKind::AppAware, "AppAware"},
+        Named<PolicyKind>{PolicyKind::AppResAware, "AppResAware"},
+        Named<PolicyKind>{PolicyKind::AppResEsdAware,
+                          "AppResEsdAware"}));
 
 TEST(Manager, UncappedRunsEverythingFlatOut)
 {

@@ -129,14 +129,11 @@ TEST(PolicyRegistry, CaptureConfigRefusesVersionOne)
     ASSERT_GT(bytes.size(), 17u);
     bytes.insert(bytes.end() - 16, 0);
     bytes[0] = 1;
-    std::uint64_t h = 14695981039346656037ULL;
-    for (std::size_t i = 0; i + 8 < bytes.size(); ++i) {
-        h ^= bytes[i];
-        h *= 1099511628211ULL;
-    }
+    serve::Fnv1a h;
+    h.bytes(bytes.data(), bytes.size() - 8);
     for (std::size_t i = 0; i < 8; ++i)
         bytes[bytes.size() - 8 + i] =
-            static_cast<std::uint8_t>(h >> (8 * i));
+            static_cast<std::uint8_t>(h.value() >> (8 * i));
 
     serve::EngineConfig decoded;
     std::string error;

@@ -3,7 +3,8 @@
  * Tests for the serving layer: wire framing (round trips, rejection
  * of truncated/oversized/garbage input, split-read incremental
  * decode), the payload codecs, the ServeEngine's event semantics and
- * digest determinism, the thread-pool backlog gauges, the logging
+ * digest determinism, capture files (replay, every prefix, single-byte
+ * changes), the thread-pool backlog gauges, the logging
  * knob, and a deterministic end-to-end daemon exchange over a
  * socketpair — the daemon's decisions must be bit-exact against an
  * in-process ControlLoop replay of the same trace.
@@ -16,7 +17,10 @@
 
 #include <atomic>
 #include <cmath>
+#include <cstdio>
 #include <cstring>
+#include <fstream>
+#include <iterator>
 #include <limits>
 #include <map>
 #include <string>
@@ -24,17 +28,15 @@
 #include <utility>
 #include <vector>
 
-#include <cstdio>
-
 #include "net/frame.hh"
 #include "net/message_reader.hh"
-#include "net/object_pool.hh"
 #include "serve/client.hh"
 #include "serve/engine.hh"
 #include "serve/protocol.hh"
 #include "serve/replay.hh"
 #include "serve/service.hh"
 #include "util/logging.hh"
+#include "util/random.hh"
 #include "util/thread_pool.hh"
 
 namespace psm
@@ -245,25 +247,6 @@ TEST(ServeWire, MalformedPayloadsRejected)
     EXPECT_FALSE(decodeEventRequest(bad, out));
     // Empty.
     EXPECT_FALSE(decodeEventRequest({}, out));
-}
-
-// --- Request pool --------------------------------------------------
-
-TEST(ServePool, RecyclesWithoutGrowth)
-{
-    net::ObjectPool<int> pool(2);
-    EXPECT_EQ(pool.created(), 2u);
-    {
-        auto a = pool.acquire();
-        auto b = pool.acquire();
-        EXPECT_EQ(pool.outstanding(), 2u);
-        auto c = pool.acquire(); // grows past the reserve
-        EXPECT_EQ(pool.created(), 3u);
-    }
-    EXPECT_EQ(pool.outstanding(), 0u);
-    // Steady state: re-acquiring recycles, no new objects.
-    auto d = pool.acquire();
-    EXPECT_EQ(pool.created(), 3u);
 }
 
 // --- Engine semantics ----------------------------------------------
@@ -668,6 +651,203 @@ TEST(ServeReplay, DivergentCaptureIsReported)
     serve::ReplayResult res = serve::replayCapture(capture);
     EXPECT_FALSE(res.ok);
     EXPECT_NE(res.firstMismatch.find("commit 1"), std::string::npos);
+}
+
+// --- Capture codec -------------------------------------------------
+
+/** This case's own capture file: ctest runs every case as a process
+ * of its own, in parallel under -j, so a shared name would race. */
+std::string
+caseCapturePath()
+{
+    return std::string("serve_replay_") +
+           ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+           ".bin";
+}
+
+std::vector<std::uint8_t>
+readBytes(const std::string &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    return {std::istreambuf_iterator<char>(in),
+            std::istreambuf_iterator<char>()};
+}
+
+void
+writeBytes(const std::string &path, const std::uint8_t *data,
+           std::size_t n)
+{
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out.write(reinterpret_cast<const char *>(data),
+              static_cast<std::streamsize>(n));
+}
+
+/** psm-replay --self-test's scripted run on its config, captured to
+ * @p path; @return the file's bytes. */
+std::vector<std::uint8_t>
+recordScriptedRun(const std::string &path)
+{
+    serve::EngineConfig cfg;
+    cfg.nodes = 2;
+    cfg.serverCap = 80.0;
+    cfg.seedBase = 11;
+    {
+        ServeEngine eng(cfg);
+        EXPECT_TRUE(eng.startCapture(path));
+        serve::scriptedRun(eng);
+        eng.stopCapture();
+    }
+    return readBytes(path);
+}
+
+TEST(ServeReplay, OnlyPrefixesEndingOnARecordAreRead)
+{
+    const std::string path = caseCapturePath();
+    const std::vector<std::uint8_t> bytes = recordScriptedRun(path);
+    ASSERT_EQ(bytes.size(), 880u);
+
+    // Walk the records by their own [u8 type][u32 length] headers
+    // after the 12-byte file header; the first is the Config, and
+    // every later one is one tape step.
+    ASSERT_EQ(bytes[12], 1);
+    std::map<std::size_t, std::size_t> steps_at_end;
+    std::size_t pos = 12;
+    std::size_t records = 0;
+    while (pos + 5 <= bytes.size()) {
+        net::WireReader len(bytes.data() + pos + 1, 4);
+        pos += 5 + len.u32();
+        steps_at_end[pos] = records++;
+    }
+    ASSERT_EQ(pos, bytes.size());
+    ASSERT_EQ(records, 14u); // Config + 8 events + 5 commits
+
+    for (std::size_t n = 0; n <= bytes.size(); ++n) {
+        writeBytes(path, bytes.data(), n);
+        serve::Capture capture;
+        std::string error;
+        const bool ok = serve::readCapture(path, capture, error);
+        auto end = steps_at_end.find(n);
+        if (end != steps_at_end.end()) {
+            ASSERT_TRUE(ok) << "prefix " << n << ": " << error;
+            EXPECT_EQ(capture.steps.size(), end->second) << n;
+        } else {
+            ASSERT_FALSE(ok) << "prefix " << n;
+            EXPECT_FALSE(error.empty()) << "prefix " << n;
+        }
+    }
+    std::remove(path.c_str());
+}
+
+TEST(ServeReplay, SingleByteChangesAreReadOrRefused)
+{
+    const std::string path = caseCapturePath();
+    const std::vector<std::uint8_t> bytes = recordScriptedRun(path);
+    ASSERT_EQ(bytes.size(), 880u);
+    // The file header, then the Config payload after its 5-byte
+    // record header: FNV-1a changes whenever one folded byte does,
+    // so no change in either may read.
+    auto guarded = [](std::size_t at) {
+        return at < 12 || (at >= 17 && at < 17 + 106);
+    };
+
+    Rng rng(24);
+    int guarded_hits = 0;
+    for (int i = 0; i < 3000; ++i) {
+        std::vector<std::uint8_t> mutant = bytes;
+        const auto at = static_cast<std::size_t>(
+            rng.uniformInt(0, static_cast<int>(bytes.size()) - 1));
+        mutant[at] ^= static_cast<std::uint8_t>(rng.uniformInt(1, 255));
+        writeBytes(path, mutant.data(), mutant.size());
+        serve::Capture capture;
+        std::string error;
+        const bool ok = serve::readCapture(path, capture, error);
+        if (ok) {
+            EXPECT_LE(capture.steps.size(), 13u) << "byte " << at;
+        } else {
+            EXPECT_FALSE(error.empty()) << "byte " << at;
+        }
+        if (guarded(at)) {
+            EXPECT_FALSE(ok) << "byte " << at;
+            ++guarded_hits;
+        }
+    }
+    EXPECT_GT(guarded_hits, 0);
+    std::remove(path.c_str());
+}
+
+TEST(ServeReplay, CleanEndAndCutRecordAreToldApart)
+{
+    const std::string path = caseCapturePath();
+    EventRequest advance;
+    advance.op = EventOp::Advance;
+    advance.value = 1.5;
+    serve::DecisionDigest digest;
+    digest.hash = 0x0123456789abcdefULL;
+    digest.passes = 3;
+    digest.simNow = 15000;
+    digest.activeApps = 2;
+    digest.objective = 1.25;
+    {
+        serve::CaptureWriter w;
+        ASSERT_TRUE(w.open(path, smallEngine(1)));
+        w.event(advance, {ReplyStatus::Rejected, 0, 4});
+        w.commit(digest, 9);
+        w.close();
+    }
+    // Clean EOF after a whole record: every field reads back.
+    serve::Capture capture;
+    std::string error;
+    ASSERT_TRUE(serve::readCapture(path, capture, error)) << error;
+    ASSERT_EQ(capture.steps.size(), 2u);
+    const serve::CapturedEvent &ev = capture.steps[0].event;
+    EXPECT_FALSE(capture.steps[0].isCommit);
+    EXPECT_EQ(ev.request.op, EventOp::Advance);
+    EXPECT_EQ(ev.request.value, 1.5);
+    EXPECT_EQ(ev.outcome.status, ReplyStatus::Rejected);
+    EXPECT_EQ(ev.outcome.node, 0);
+    EXPECT_EQ(ev.outcome.appId, 4);
+    EXPECT_TRUE(capture.steps[1].isCommit);
+    EXPECT_TRUE(capture.steps[1].commit.digest == digest);
+    EXPECT_EQ(capture.steps[1].commit.surfaceEpochSum, 9u);
+
+    // A record cut just after its type byte is an error, not an EOF.
+    {
+        std::ofstream out(path, std::ios::binary | std::ios::app);
+        out.put(static_cast<char>(3));
+    }
+    EXPECT_FALSE(serve::readCapture(path, capture, error));
+    EXPECT_EQ(error, "truncated or corrupt record header");
+    std::remove(path.c_str());
+}
+
+TEST(ServeReplay, ArrivalSloAboveTheWireBoundIsRefused)
+{
+    // The engine applies what it is handed; a capture must still
+    // refuse what the EVENT decoder refuses.
+    const std::string path = caseCapturePath();
+    for (double slo : {serve::maxSloP99, 2 * serve::maxSloP99}) {
+        {
+            ServeEngine eng(smallEngine(1));
+            ASSERT_TRUE(eng.startCapture(path));
+            EventRequest arrive;
+            arrive.op = EventOp::Arrival;
+            arrive.node = 0;
+            arrive.appClass = serve::AppClass::Interactive;
+            arrive.sloP99 = slo;
+            eng.apply(arrive);
+            eng.stopCapture();
+        }
+        serve::Capture capture;
+        std::string error;
+        const bool ok = serve::readCapture(path, capture, error);
+        if (slo <= serve::maxSloP99) {
+            EXPECT_TRUE(ok) << error;
+        } else {
+            EXPECT_FALSE(ok);
+            EXPECT_EQ(error, "malformed Event record");
+        }
+    }
+    std::remove(path.c_str());
 }
 
 // --- Thread-pool gauges --------------------------------------------

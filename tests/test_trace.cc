@@ -1,18 +1,16 @@
 /**
  * @file
  * Tests for the trace event registry and the Telemetry store keyed by
- * it: the registry, publish/merge semantics, the binary record-log
- * container, reads by registry name, the decision-ring bound, JSON
- * escaping/non-finite hygiene, and parallel publish into one bus per
- * work index against a reference fold of the published stream.
+ * it: the registry, publish/merge semantics, reads by registry name,
+ * the decision-ring bound, JSON escaping/non-finite hygiene, and
+ * parallel publish into one bus per work index against a reference
+ * fold of the published stream.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
-#include <fstream>
 #include <limits>
 #include <map>
 #include <sstream>
@@ -23,7 +21,6 @@
 #include "core/plan_selector.hh"
 #include "core/policy.hh"
 #include "core/telemetry.hh"
-#include "trace/log.hh"
 #include "trace/trace.hh"
 #include "util/thread_pool.hh"
 
@@ -95,55 +92,6 @@ TEST(Telemetry, FoldAndMergeSemantics)
     // ...but only where that bus published one.
     EXPECT_EQ(a.counter(trace::EventId::ServeShed), 11u);
     EXPECT_FALSE(a.touched(trace::EventId::FaultMeterNan));
-}
-
-// --- Binary record-log container -----------------------------------
-
-TEST(TraceLog, ContainerRoundTripAndCorruption)
-{
-    const std::string path = "trace_log_test.bin";
-    {
-        trace::LogWriter w;
-        ASSERT_TRUE(w.open(path));
-        ASSERT_TRUE(w.writeRecord(1, {0xaa, 0xbb}));
-        ASSERT_TRUE(w.writeRecord(2, {}));
-        ASSERT_TRUE(w.writeRecord(7, {1, 2, 3, 4, 5}));
-        w.close();
-    }
-    {
-        trace::LogReader r;
-        std::string error;
-        ASSERT_TRUE(r.open(path, error)) << error;
-        std::uint8_t type = 0;
-        std::vector<std::uint8_t> payload;
-        ASSERT_TRUE(r.readRecord(type, payload));
-        EXPECT_EQ(type, 1);
-        EXPECT_EQ(payload, (std::vector<std::uint8_t>{0xaa, 0xbb}));
-        ASSERT_TRUE(r.readRecord(type, payload));
-        EXPECT_EQ(type, 2);
-        EXPECT_TRUE(payload.empty());
-        ASSERT_TRUE(r.readRecord(type, payload));
-        EXPECT_EQ(type, 7);
-        // Clean EOF: readRecord false, no error.
-        EXPECT_FALSE(r.readRecord(type, payload));
-        EXPECT_TRUE(r.error().empty());
-    }
-    // Truncate mid-record: the reader must flag corruption, not EOF.
-    {
-        std::ofstream out(path, std::ios::binary | std::ios::app);
-        out.put(static_cast<char>(3)); // type byte, then nothing
-    }
-    {
-        trace::LogReader r;
-        std::string error;
-        ASSERT_TRUE(r.open(path, error)) << error;
-        std::uint8_t type = 0;
-        std::vector<std::uint8_t> payload;
-        while (r.readRecord(type, payload)) {
-        }
-        EXPECT_FALSE(r.error().empty());
-    }
-    std::remove(path.c_str());
 }
 
 // --- Reads by name --------------------------------------------------
