@@ -223,10 +223,8 @@ ClusterManager::accountManagedReplay(ClusterResult &result) const
     result.aggregatePerf = perf / static_cast<double>(ledger.size());
     result.perfPerKw =
         result.aggregatePerf / (result.avgClusterPower / 1000.0);
-    core::TimerStat spatial =
-        aggregateTelemetry().timer(trace::EventId::AllocatorSpatial);
-    result.allocatorCalls = spatial.count;
-    result.allocatorSeconds = toSeconds(spatial.total);
+    result.allocatorCalls =
+        aggregateTelemetry().timer(trace::EventId::AllocatorSpatial).count;
 }
 
 ClusterResult
@@ -315,7 +313,6 @@ ClusterManager::replayTree(const PowerTrace &caps)
     result.treeDepth = tree.depth();
     result.treeNodes = tree.nodeCount();
     result.treeResolveVisits = ts.nodeVisits;
-    result.treeResolvePrunes = ts.nodePrunes;
     result.capPushes = cap_pushes;
     result.conservationViolations = violations;
     return result;

@@ -195,15 +195,12 @@ struct ClusterResult
     /** Spatial allocator invocations across every node's control
      * plane (managed replays only). */
     std::size_t allocatorCalls = 0;
-    /** Wall-clock seconds those invocations cost, cluster-wide. */
-    double allocatorSeconds = 0.0;
 
     // --- hierarchical replays (Topology::Tree only) --------------
 
     int treeDepth = 0;                 ///< 0 on flat replays
     std::size_t treeNodes = 0;         ///< tree nodes incl. interior
     std::uint64_t treeResolveVisits = 0; ///< splits recomputed
-    std::uint64_t treeResolvePrunes = 0; ///< subtrees skipped
     /** E1 cap changes actually pushed to servers (grant changes). */
     std::uint64_t capPushes = 0;
     /** Per-interval conservation-check failures (must stay 0). */

@@ -83,7 +83,8 @@ struct PowerTreeConfig
     double initialDemand = 1.0;
 };
 
-/** Monotonic work counters (the bench's O(depth) evidence). */
+/** Monotonic work counters (the O(depth) evidence; replays publish
+ * them as the `tree.*` telemetry counters). */
 struct PowerTreeStats
 {
     std::uint64_t resolves = 0;      ///< resolve() calls
@@ -153,7 +154,6 @@ class PowerTree
                            std::string *why = nullptr) const;
 
     const PowerTreeStats &stats() const { return tree_stats; }
-    void resetStats() { tree_stats = PowerTreeStats{}; }
 
     /** Per-level rollup for benches and logs. */
     struct LevelSummary

@@ -192,22 +192,16 @@ Client::send(const EventRequest &ev)
 }
 
 bool
-Client::readEventReply(EventReply &out, int timeout_ms)
-{
-    std::uint32_t id;
-    return readEventReply(out, id, timeout_ms);
-}
-
-bool
-Client::readEventReply(EventReply &out, std::uint32_t &request_id,
-                       int timeout_ms)
+Client::readEventReply(EventReply &out, int timeout_ms,
+                       std::uint32_t *request_id)
 {
     net::Frame frame;
     for (;;) {
         if (!readFrame(frame, timeout_ms))
             return false;
         if (frame.type == net::FrameType::EventReply) {
-            request_id = frame.requestId;
+            if (request_id)
+                *request_id = frame.requestId;
             return decodeEventReply(frame.payload, out);
         }
     }

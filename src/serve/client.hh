@@ -2,13 +2,13 @@
  * @file
  * A small blocking client for the serving protocol.
  *
- * One socket, synchronous request/reply with poll()-based timeouts.
- * Built for the bench harness, tests and the example tool — clean and
- * predictable rather than pipelined; the daemon side is where the
- * async machinery lives.  submit() is the closed-loop primitive
- * (write, wait for the matching EVENT-REPLY); send() plus
- * readEventReply() is the open-loop pair (fire a burst, then drain
- * replies as they come).
+ * One socket, synchronous request/reply with poll()-based timeouts,
+ * request ids counting up from 1.  Built for the tests and the
+ * example tool — clean and predictable rather than pipelined; the
+ * daemon side is where the async machinery lives.  submit() is the
+ * closed-loop primitive (write, wait for the matching EVENT-REPLY);
+ * send() plus readEventReply() is the open-loop pair (fire a burst,
+ * then drain replies as they come).
  */
 
 #ifndef PSM_SERVE_CLIENT_HH
@@ -57,14 +57,11 @@ class Client
      * later through readEventReply(). */
     bool send(const EventRequest &ev);
 
-    /** Read the next EVENT-REPLY (any request id).  Other reply
-     * types arriving first are discarded. */
-    bool readEventReply(EventReply &out, int timeout_ms = 30000);
-
-    /** Same, but also return which request the reply answers (for
-     * open-loop latency bookkeeping). */
-    bool readEventReply(EventReply &out, std::uint32_t &request_id,
-                        int timeout_ms);
+    /** Read the next EVENT-REPLY (any request id) and, if asked,
+     * which request it answers.  Other reply types arriving first
+     * are discarded. */
+    bool readEventReply(EventReply &out, int timeout_ms = 30000,
+                        std::uint32_t *request_id = nullptr);
 
     bool stats(StatsSnapshot &out, int timeout_ms = 5000);
 
@@ -73,9 +70,6 @@ class Client
 
     /** Ask the daemon to shut down; waits for the ack. */
     bool shutdownServer(int timeout_ms = 5000);
-
-    /** Requests issued so far (ids are 1-based and count up). */
-    std::uint32_t sent() const { return next_id - 1; }
 
   private:
     int sock = -1;

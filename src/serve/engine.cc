@@ -178,7 +178,7 @@ ServeEngine::applyArrival(const EventRequest &ev)
     const auto &library = ev.appClass == AppClass::Interactive
                               ? perf::interactiveLibrary()
                               : perf::workloadLibrary();
-    if (ev.workload >= library.size())
+    if (ev.workload >= library.size() || !validSloP99(ev.sloP99))
         return {ReplyStatus::BadRequest, -1, -1};
     if (ev.appClass == AppClass::Batch && ev.sloP99 != 0.0)
         return {ReplyStatus::BadRequest, -1, -1};

@@ -14,6 +14,13 @@ validCap(double watts)
     return std::isfinite(watts) && watts >= 0.0;
 }
 
+bool
+validSloP99(double seconds)
+{
+    // Written so that NaN fails it.
+    return seconds >= 0.0 && seconds <= maxSloP99;
+}
+
 std::string
 eventOpName(EventOp op)
 {
@@ -114,8 +121,7 @@ getEventRequest(WireReader &r, EventRequest &out)
         return false;
     out.appClass = static_cast<AppClass>(cls);
     out.sloP99 = r.f64();
-    // Written so that NaN fails it.
-    return out.sloP99 >= 0.0 && out.sloP99 <= maxSloP99;
+    return validSloP99(out.sloP99);
 }
 
 void

@@ -60,14 +60,14 @@ std::string appClassName(AppClass cls);
  * Largest p99 SLO override an Arrival may carry, in seconds.  An hour
  * is far past any latency-critical tail target, and it keeps the
  * request queue's histogram span (32 x SLO) and the microsecond p99
- * gauge finite; decode rejects anything larger.
+ * gauge finite; validSloP99() refuses anything larger.
  */
 constexpr double maxSloP99 = 3600.0;
 
 /**
- * Largest node count an engine accepts: the largest managed pool any
- * bench builds (bench_cluster_scale's full replay).  A capture Config
- * and psm-served's --nodes both refuse more, so a corrupt or hostile
+ * Largest node count an engine accepts: a sanity bound, twice the
+ * 2048-server tree of README's cluster example.  A capture Config and
+ * psm-served's --nodes both refuse more, so a corrupt or hostile
  * count cannot size the node vector before one server is built.
  */
 constexpr int maxNodes = 4096;
@@ -90,6 +90,13 @@ constexpr double maxPhaseScale = 1e3;
  * psm-served's --cap all apply this rule; NaN passes a plain `< 0`.
  */
 bool validCap(double watts);
+
+/**
+ * Whether @p seconds is an SLO override an Arrival may carry: in
+ * [0, maxSloP99], NaN excluded.  The engine answers BadRequest
+ * otherwise, and the EVENT decoder (wire and capture) refuses it.
+ */
+bool validSloP99(double seconds);
 
 /** Status of an EVENT's reply. */
 enum class ReplyStatus : std::uint8_t
@@ -123,8 +130,7 @@ struct EventRequest
     /** Arrival: which workload library `workload` indexes (v2). */
     AppClass appClass = AppClass::Batch;
     /** Arrival: p99 SLO override in seconds for interactive arrivals;
-     * 0 keeps the profile's calibrated SLO (v2).  Must lie in
-     * [0, maxSloP99] — decode rejects anything else, NaN included. */
+     * 0 keeps the profile's calibrated SLO (v2).  See validSloP99(). */
     double sloP99 = 0.0;
 };
 
@@ -280,8 +286,8 @@ struct QueryReply
 
 /** The EVENT payload's fields, in wire order. */
 void putEventRequest(net::WireWriter &w, const EventRequest &ev);
-/** Refuses an op or class out of range and an sloP99 outside
- * [0, maxSloP99], NaN included. */
+/** Refuses an op or class out of range and an sloP99 that fails
+ * validSloP99(). */
 bool getEventRequest(net::WireReader &r, EventRequest &out);
 
 void putDigest(net::WireWriter &w, const DecisionDigest &d);

@@ -18,6 +18,7 @@
 #include "cf/matrix.hh"
 #include "cf/profiler.hh"
 #include "cf/sampler.hh"
+#include "named_param.hh"
 #include "perf/perf_model.hh"
 #include "perf/workloads.hh"
 #include "util/random.hh"
@@ -241,7 +242,7 @@ TEST(Als, MatchesJointOracleBitForBit)
 // --- Sampler -----------------------------------------------------------------
 
 class SamplerTest
-    : public ::testing::TestWithParam<SamplingStrategy>
+    : public ::testing::TestWithParam<Named<SamplingStrategy>>
 {
 };
 
@@ -275,9 +276,12 @@ TEST_P(SamplerTest, FullFractionCoversEverything)
     EXPECT_EQ(cols.size(), sampler.columnCount());
 }
 
-INSTANTIATE_TEST_SUITE_P(Strategies, SamplerTest,
-                         ::testing::Values(SamplingStrategy::Random,
-                                           SamplingStrategy::Stratified));
+INSTANTIATE_TEST_SUITE_P(
+    Strategies, SamplerTest,
+    ::testing::Values(
+        Named<SamplingStrategy>{SamplingStrategy::Random, "Random"},
+        Named<SamplingStrategy>{SamplingStrategy::Stratified,
+                                "Stratified"}));
 
 TEST(Sampler, EightCornerAnchors)
 {

@@ -8,6 +8,7 @@
 
 #include "cluster/cluster_manager.hh"
 #include "cluster/power_trace.hh"
+#include "named_param.hh"
 
 namespace psm::cluster
 {
@@ -101,7 +102,8 @@ TEST(ClusterManager, DefaultPopulationIsFullyPacked)
     EXPECT_NEAR(cm.uncappedDemandEstimate(), 4.0 * 110.0, 40.0);
 }
 
-class ClusterReplay : public ::testing::TestWithParam<ClusterPolicy>
+class ClusterReplay
+    : public ::testing::TestWithParam<Named<ClusterPolicy>>
 {
 };
 
@@ -133,9 +135,11 @@ TEST_P(ClusterReplay, ShortReplayProducesSaneNumbers)
 
 INSTANTIATE_TEST_SUITE_P(
     Policies, ClusterReplay,
-    ::testing::Values(ClusterPolicy::EqualRapl,
-                      ClusterPolicy::EqualOurs,
-                      ClusterPolicy::ConsolidationMigration));
+    ::testing::Values(
+        Named<ClusterPolicy>{ClusterPolicy::EqualRapl, "EqualRapl"},
+        Named<ClusterPolicy>{ClusterPolicy::EqualOurs, "EqualOurs"},
+        Named<ClusterPolicy>{ClusterPolicy::ConsolidationMigration,
+                             "ConsolidationMigration"}));
 
 TEST(ClusterManager, ConsolidationShedsServersUnderTightCaps)
 {

@@ -139,6 +139,30 @@ TEST(PowerTree, OversubscriptionLimitsInteriorCapacity)
     EXPECT_NEAR(total, 512.0, 1e-6);
     std::string why;
     EXPECT_TRUE(tree.checkConservation(1e-6, &why)) << why;
+
+    // A storm of root-cap wobbles on 2,048 leaves, depth 3, F = 1.1
+    // at every level.  The cap stays below the root's capacity, so
+    // every wobble renormalizes the whole tree while the high-demand
+    // leaves keep hitting their 100 W clamps; every resolve must
+    // conserve at every level and hand out the whole cap.
+    cfg.leaves = 2048;
+    cfg.depth = 3;
+    cfg.fanout = 0;
+    cfg.oversubscription = 1.1;
+    PowerTree storm(cfg);
+    for (std::size_t s = 0; s < storm.leafCount(); ++s)
+        storm.setLeafDemand(s, 1.0 + static_cast<double>(s % 7));
+    for (std::size_t e = 0; e < 2000; ++e) {
+        Watts cap = 60.0 * 2048 + static_cast<double>(e % 97);
+        storm.setRootCap(cap);
+        storm.resolve();
+        ASSERT_TRUE(storm.checkConservation(1e-6, &why))
+            << "event " << e << ": " << why;
+        total = 0.0;
+        for (std::size_t s = 0; s < storm.leafCount(); ++s)
+            total += storm.leafGrant(s);
+        ASSERT_NEAR(total, cap, 1e-6 * cap) << "event " << e;
+    }
 }
 
 /** Apply the same (demand, cap) state to a fresh tree and compare
@@ -230,6 +254,30 @@ TEST(PowerTree, SaturatedCapsLocalizeEventsToThePath)
               static_cast<std::uint64_t>(cfg.depth * (cfg.fanout - 1)));
     std::string why;
     EXPECT_TRUE(tree.checkConservation(1e-6, &why)) << why;
+
+    // The same at 2,048 leaves and depth 3 (fanout 13): a storm of
+    // rack circuits stepping between 80 and 100 W, scattered over the
+    // tree, costs exactly the leaf -> root path, depth + 1 visits per
+    // event, and conserves after every resolve.
+    cfg.leaves = 2048;
+    cfg.depth = 3;
+    cfg.fanout = 0;
+    PowerTree storm(cfg);
+    for (std::size_t s = 0; s < storm.leafCount(); ++s)
+        storm.setLeafDemand(s, 1.0 + static_cast<double>(s % 7));
+    storm.setRootCap(1.0e9);
+    storm.resolve();
+    for (std::size_t e = 0; e < 2000; ++e) {
+        visits0 = storm.stats().nodeVisits;
+        storm.setLeafCap((e * 7919) % storm.leafCount(),
+                         e % 2 == 0 ? 80.0 : 100.0);
+        storm.resolve();
+        ASSERT_EQ(storm.stats().nodeVisits - visits0,
+                  static_cast<std::uint64_t>(cfg.depth + 1))
+            << "event " << e;
+        ASSERT_TRUE(storm.checkConservation(1e-6, &why))
+            << "event " << e << ": " << why;
+    }
 }
 
 TEST(PowerTree, UnchangedResolvePrunesAtTheRoot)

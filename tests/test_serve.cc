@@ -5,9 +5,10 @@
  * decode), the payload codecs, the ServeEngine's event semantics and
  * digest determinism, capture files (replay, every prefix, single-byte
  * changes), the thread-pool backlog gauges, the logging
- * knob, and a deterministic end-to-end daemon exchange over a
- * socketpair — the daemon's decisions must be bit-exact against an
- * in-process ControlLoop replay of the same trace.
+ * knob, and deterministic end-to-end daemon exchanges over
+ * socketpairs — the daemon's decisions must be bit-exact against an
+ * in-process ControlLoop replay of the same trace, and concurrent
+ * connections must each get exactly their own replies.
  */
 
 #include <gtest/gtest.h>
@@ -23,8 +24,10 @@
 #include <iterator>
 #include <limits>
 #include <map>
+#include <set>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -822,10 +825,13 @@ TEST(ServeReplay, CleanEndAndCutRecordAreToldApart)
 
 TEST(ServeReplay, ArrivalSloAboveTheWireBoundIsRefused)
 {
-    // The engine applies what it is handed; a capture must still
-    // refuse what the EVENT decoder refuses.
+    // An SLO override outside [0, maxSloP99] is a BadRequest in
+    // process as on the wire, and a capture that recorded one must
+    // still refuse what the EVENT decoder refuses.
     const std::string path = caseCapturePath();
-    for (double slo : {serve::maxSloP99, 2 * serve::maxSloP99}) {
+    for (double slo : {serve::maxSloP99, 2 * serve::maxSloP99, -1.0,
+                       std::nan("")}) {
+        const bool valid = slo == serve::maxSloP99;
         {
             ServeEngine eng(smallEngine(1));
             ASSERT_TRUE(eng.startCapture(path));
@@ -834,16 +840,18 @@ TEST(ServeReplay, ArrivalSloAboveTheWireBoundIsRefused)
             arrive.node = 0;
             arrive.appClass = serve::AppClass::Interactive;
             arrive.sloP99 = slo;
-            eng.apply(arrive);
+            EXPECT_EQ(eng.apply(arrive).status,
+                      valid ? ReplyStatus::Ok : ReplyStatus::BadRequest)
+                << "sloP99 " << slo;
             eng.stopCapture();
         }
         serve::Capture capture;
         std::string error;
         const bool ok = serve::readCapture(path, capture, error);
-        if (slo <= serve::maxSloP99) {
+        if (valid) {
             EXPECT_TRUE(ok) << error;
         } else {
-            EXPECT_FALSE(ok);
+            EXPECT_FALSE(ok) << "sloP99 " << slo;
             EXPECT_EQ(error, "malformed Event record");
         }
     }
@@ -895,6 +903,15 @@ smallService()
     return cfg;
 }
 
+/** Give the reactor up to ~2 s to queue @p depth requests. */
+void
+awaitQueueDepth(const ServeService &service, std::size_t depth)
+{
+    for (int spin = 0; service.queueDepth() < depth && spin < 2000;
+         ++spin)
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+}
+
 TEST(ServeDaemon, HelloHandshake)
 {
     ServeService service(smallService());
@@ -911,23 +928,119 @@ TEST(ServeDaemon, HelloHandshake)
     service.stop();
 }
 
-TEST(ServeDaemon, DecisionsBitExactAgainstInProcessReplay)
+/**
+ * A daemon beside a bare ServeEngine with the same config, the
+ * in-process reference.  submit() sends each event over one
+ * closed-loop connection, which makes every daemon epoch a batch of
+ * one, so the apply/commit sequences are identical step by step and
+ * every reply must carry the reference's outcome and digest.
+ */
+struct DaemonBesideEngine
 {
     ServiceConfig cfg = smallService();
-    ServeService service(cfg);
-    int fd = service.openLocalConnection();
-    service.start();
-
+    ServeService service{cfg};
+    ServeEngine ref{cfg.engine};
     serve::Client cli;
-    cli.adopt(fd);
-    serve::HelloReply hello;
-    ASSERT_TRUE(cli.hello("test", hello));
 
-    // The same engine config replayed in-process is the reference;
-    // closed-loop submission makes every daemon epoch a batch of one,
-    // so the apply/commit sequences are identical step by step.
-    ServeEngine ref(cfg.engine);
+    DaemonBesideEngine()
+    {
+        cli.adopt(service.openLocalConnection());
+        service.start();
+        serve::HelloReply hello;
+        EXPECT_TRUE(cli.hello("test", hello));
+    }
 
+    void
+    submit(const EventRequest &ev, std::size_t i, EventReply &reply)
+    {
+        serve::ApplyOutcome expect = ref.apply(ev);
+        serve::DecisionDigest expect_digest =
+            expect.status == ReplyStatus::Ok ? ref.commit()
+                                             : ref.digest();
+        ASSERT_TRUE(cli.submit(ev, reply)) << "event " << i;
+        EXPECT_EQ(reply.status, expect.status) << "event " << i;
+        EXPECT_EQ(reply.node, expect.node) << "event " << i;
+        EXPECT_EQ(reply.appId, expect.appId) << "event " << i;
+        EXPECT_TRUE(reply.digest == expect_digest)
+            << "digest diverged at event " << i;
+        if (reply.status == ReplyStatus::Ok) {
+            EXPECT_EQ(reply.batched, 1u);
+        }
+    }
+};
+
+/**
+ * A seeded E1-E4 trace in the churn mix: advance 15%, cap 10%,
+ * arrival 45%, phase change 5%, kill 25%.  Phase changes and kills
+ * pick an app the replies reported placed and not yet killed, so one
+ * seed and one reply stream give one trace.
+ */
+class ChurnTrace
+{
+  public:
+    explicit ChurnTrace(std::uint64_t seed) : rng(seed) {}
+
+    EventRequest
+    next()
+    {
+        EventRequest ev;
+        double roll = rng.uniform();
+        if ((roll -= 0.15) < 0 || live.empty()) {
+            if (roll < 0 || rng.uniform() < 0.5) {
+                ev.op = EventOp::Advance;
+                ev.value = rng.uniform(0.02, 0.08);
+            } else {
+                ev.op = EventOp::Arrival;
+                ev.workload =
+                    static_cast<std::uint32_t>(rng.uniformInt(0, 11));
+            }
+            return ev;
+        }
+        if ((roll -= 0.10) < 0) {
+            ev.op = EventOp::CapChange;
+            ev.value = rng.uniform(60.0, 140.0);
+            return ev;
+        }
+        if ((roll -= 0.45) < 0) {
+            ev.op = EventOp::Arrival;
+            ev.workload =
+                static_cast<std::uint32_t>(rng.uniformInt(0, 11));
+            return ev;
+        }
+        std::tie(ev.node, ev.appId) = live[static_cast<std::size_t>(
+            rng.uniformInt(0, static_cast<int>(live.size()) - 1))];
+        if ((roll -= 0.05) < 0) {
+            ev.op = EventOp::PhaseChange;
+            ev.cpuScale = rng.uniform(0.5, 2.0);
+            ev.memScale = rng.uniform(0.5, 2.0);
+        } else {
+            ev.op = EventOp::Kill;
+        }
+        return ev;
+    }
+
+    /** Track placements and kills from an event's reply. */
+    void
+    observe(const EventRequest &ev, const EventReply &reply)
+    {
+        if (reply.status != ReplyStatus::Ok)
+            return;
+        std::pair app{reply.node, reply.appId};
+        if (ev.op == EventOp::Arrival)
+            live.push_back(app);
+        else if (ev.op == EventOp::Kill)
+            std::erase(live, app);
+    }
+
+  private:
+    Rng rng;
+    std::vector<std::pair<std::int32_t, std::int32_t>> live;
+};
+
+TEST(ServeDaemon, DecisionsBitExactAgainstInProcessReplay)
+{
+    // Input 1: a scripted arrival pair, advances and a cap change.
+    DaemonBesideEngine scripted;
     std::vector<EventRequest> trace;
     {
         EventRequest ev;
@@ -953,22 +1066,28 @@ TEST(ServeDaemon, DecisionsBitExactAgainstInProcessReplay)
     }
 
     for (std::size_t i = 0; i < trace.size(); ++i) {
-        serve::ApplyOutcome expect = ref.apply(trace[i]);
-        serve::DecisionDigest expect_digest =
-            expect.status == ReplyStatus::Ok ? ref.commit()
-                                             : ref.digest();
         EventReply reply;
-        ASSERT_TRUE(cli.submit(trace[i], reply)) << "event " << i;
-        EXPECT_EQ(reply.status, expect.status) << "event " << i;
-        EXPECT_EQ(reply.node, expect.node) << "event " << i;
-        EXPECT_EQ(reply.appId, expect.appId) << "event " << i;
-        EXPECT_TRUE(reply.digest == expect_digest)
-            << "digest diverged at event " << i;
-        if (reply.status == ReplyStatus::Ok) {
-            EXPECT_EQ(reply.batched, 1u);
-        }
+        ASSERT_NO_FATAL_FAILURE(scripted.submit(trace[i], i, reply));
     }
-    service.stop();
+
+    // Input 2: 150 events of a seeded churn trace, generated from the
+    // daemon's replies.  It must use every op and apply at least a
+    // quarter of its events, or it says little.
+    DaemonBesideEngine churn;
+    ChurnTrace gen(0x5eed0001ULL);
+    const std::size_t events = 150;
+    std::set<EventOp> ops;
+    std::size_t applied = 0;
+    for (std::size_t i = 0; i < events; ++i) {
+        EventRequest ev = gen.next();
+        EventReply reply;
+        ASSERT_NO_FATAL_FAILURE(churn.submit(ev, i, reply));
+        ops.insert(ev.op);
+        applied += reply.status == ReplyStatus::Ok;
+        gen.observe(ev, reply);
+    }
+    EXPECT_EQ(ops.size(), 5u);
+    EXPECT_GE(applied, events / 4);
 }
 
 TEST(ServeDaemon, HeldBurstCoalescesAndShedsDeterministically)
@@ -1021,6 +1140,73 @@ TEST(ServeDaemon, HeldBurstCoalescesAndShedsDeterministically)
     auto snap = service.snapshot();
     EXPECT_EQ(snap->shed, shed);
     EXPECT_GE(snap->maxBatch, 2u);
+    service.stop();
+}
+
+TEST(ServeDaemon, ConcurrentConnectionsEachGetTheirOwnReplies)
+{
+    // Four connections with requests in flight at once.  Batching is
+    // held while they take turns, one event each per round, so the
+    // queue interleaves them and every batch mixes connections; the
+    // last round finds the 32-deep queue full and is shed.  Each
+    // request must get exactly one reply, on its own connection, and
+    // the Ok and Shed replies must add up to the requests sent.
+    ServiceConfig cfg = smallService();
+    ServeService service(cfg);
+    const std::size_t connections = 4;
+    std::vector<serve::Client> clients(connections);
+    for (serve::Client &cli : clients)
+        cli.adopt(service.openLocalConnection());
+    service.start();
+
+    service.holdBatching(true);
+    const std::size_t rounds = cfg.maxQueue / connections + 1;
+    for (std::size_t r = 0; r < rounds; ++r) {
+        for (std::size_t c = 0; c < connections; ++c) {
+            EventRequest ev;
+            if ((r + c) % 2 == 0) {
+                ev.op = EventOp::Advance;
+                ev.value = 0.02;
+            } else {
+                ev.op = EventOp::CapChange;
+                ev.value = 60.0 + static_cast<double>(r * connections + c);
+            }
+            ASSERT_TRUE(clients[c].send(ev));
+        }
+        // Queue the next round behind this one.
+        if (r + 1 < rounds)
+            awaitQueueDepth(service, (r + 1) * connections);
+    }
+    // A Client's request ids count up from 1.
+    std::vector<std::vector<int>> replies_by_id(
+        connections, std::vector<int>(rounds + 1, 0));
+    std::size_t ok = 0, shed = 0;
+    auto read_reply = [&](std::size_t c) {
+        EventReply reply;
+        std::uint32_t id = 0;
+        ASSERT_TRUE(clients[c].readEventReply(reply, 10000, &id))
+            << "connection " << c;
+        ASSERT_GE(id, 1u) << "connection " << c;
+        ASSERT_LE(id, rounds) << "connection " << c;
+        ++replies_by_id[c][id];
+        ok += reply.status == ReplyStatus::Ok;
+        shed += reply.status == ReplyStatus::Shed;
+    };
+    // The shed round is answered while the hold is on, the queued
+    // rounds once it is released.
+    for (std::size_t c = 0; c < connections; ++c)
+        ASSERT_NO_FATAL_FAILURE(read_reply(c));
+    EXPECT_EQ(shed, connections);
+    service.holdBatching(false);
+    for (std::size_t c = 0; c < connections; ++c)
+        for (std::size_t i = 1; i < rounds; ++i)
+            ASSERT_NO_FATAL_FAILURE(read_reply(c));
+    for (std::size_t c = 0; c < connections; ++c)
+        for (std::size_t id = 1; id <= rounds; ++id)
+            EXPECT_EQ(replies_by_id[c][id], 1)
+                << "connection " << c << " request " << id;
+    EXPECT_EQ(ok + shed, rounds * connections);
+    EXPECT_EQ(service.snapshot()->eventsApplied, ok);
     service.stop();
 }
 
@@ -1144,11 +1330,9 @@ TEST(ServeDaemon, StopShedsQueuedRequests)
     ev.node = -1;
     ev.value = 75.0;
     ASSERT_TRUE(cli.send(ev));
-    // Give the reactor time to enqueue, then tear the service down
-    // with the request still held in the queue.
-    for (int spin = 0; service.queueDepth() < 1 && spin < 2000;
-         ++spin)
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    // Let the reactor enqueue, then tear the service down with the
+    // request still held in the queue.
+    awaitQueueDepth(service, 1);
     service.stop();
 
     EventReply reply;
