@@ -54,6 +54,6 @@ main()
                 100.0 * bat->soc(), bat->totalDelivered(),
                 bat->equivalentCycles());
     std::printf("events handled: %zu (E1 cap change, E2 arrivals, "
-                "...)\n", manager.eventLog().size());
+                "...)\n", manager.eventCount());
     return 0;
 }

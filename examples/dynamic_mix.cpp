@@ -64,7 +64,7 @@ main()
     }
 
     std::printf("\nevent log (%zu events):\n",
-                manager.eventLog().size());
+                manager.eventCount());
     for (const auto &ev : manager.eventLog()) {
         std::string_view kind = core::eventKindName(ev.kind);
         std::printf("  [%6s] %.*s%s\n", formatTime(ev.when).c_str(),

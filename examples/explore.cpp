@@ -140,7 +140,7 @@ main(int argc, char **argv)
                     server.battery()->equivalentCycles());
     }
     std::printf("events      %zu | reallocations %zu\n",
-                manager.eventLog().size(),
+                manager.eventCount(),
                 manager.reallocationCount());
     return 0;
 }

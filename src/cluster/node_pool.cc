@@ -205,7 +205,7 @@ NodePool::snapshot() const
         s.energy = srv.meter().totalEnergy();
         if (node.manager) {
             s.reallocations = node.manager->reallocationCount();
-            s.events = node.manager->eventLog().size();
+            s.events = node.manager->eventCount();
         }
         out.push_back(s);
     }

@@ -7,21 +7,27 @@
 namespace psm::core
 {
 
-std::string_view
-eventKindName(EventKind kind)
+DecisionTrigger
+eventTrigger(EventKind kind)
 {
     switch (kind) {
       case EventKind::CapChange:
-        return "E1-cap-change";
+        return DecisionTrigger::CapChange;
       case EventKind::Arrival:
-        return "E2-arrival";
+        return DecisionTrigger::Arrival;
       case EventKind::Departure:
-        return "E3-departure";
+        return DecisionTrigger::Departure;
       case EventKind::Drift:
-        return "E4-drift";
+        return DecisionTrigger::Drift;
       default:
         panic("invalid EventKind %d", static_cast<int>(kind));
     }
+}
+
+std::string_view
+eventKindName(EventKind kind)
+{
+    return decisionTriggerName(eventTrigger(kind));
 }
 
 Accountant::Accountant(AccountantConfig config) : cfg(config)

@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "sim/server.hh"
+#include "telemetry.hh"
 #include "util/stats.hh"
 #include "util/units.hh"
 
@@ -35,7 +36,10 @@ enum class EventKind
     Drift,     ///< E4
 };
 
-/** Printable event name ("E1-cap-change", ...), in static storage. */
+/** The decision trigger an event raises (E1 -> CapChange, ...). */
+DecisionTrigger eventTrigger(EventKind kind);
+
+/** Printable event name ("E1-cap-change", ...): its trigger's name. */
 std::string_view eventKindName(EventKind kind);
 
 /** One raised event. */

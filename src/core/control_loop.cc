@@ -11,8 +11,7 @@ namespace psm::core
 namespace
 {
 
-/** The trace event counting one accountant event kind (the typed
- * equivalent of the old "event." + eventKindName() key). */
+/** The trace event counting one accountant event kind. */
 trace::EventId
 eventKindTraceId(EventKind kind)
 {
@@ -145,11 +144,11 @@ ControlLoop::poll()
     if (tel)
         tel->count(trace::EventId::ControlPolls);
     bool need_realloc = false;
-    std::string_view trigger;
+    DecisionTrigger trigger{};
 
     if (updateCapTrim()) {
         need_realloc = true;
-        trigger = "cap-trim";
+        trigger = DecisionTrigger::CapTrim;
         if (tel)
             tel->count(trace::EventId::ControlTrimReplans);
     }
@@ -163,29 +162,32 @@ ControlLoop::poll()
     if (srv.now() >= next_refresh &&
         (steady || coord.mode() == CoordinationMode::Idle)) {
         if (!need_realloc)
-            trigger = "refresh";
+            trigger = DecisionTrigger::Refresh;
         need_realloc = true;
         next_refresh = srv.now() + cfg.refreshPeriod;
     }
 
     if (delegate.onCalibrationsDue()) {
         need_realloc = true;
-        trigger = "calibration-done";
+        trigger = DecisionTrigger::CalibrationDone;
     }
 
     for (const AccountantEvent &ev : acct.poll(srv)) {
+        ++event_count;
         event_log.push_back(ev);
+        if (event_log.size() > maxEvents)
+            event_log.pop_front();
         if (tel)
             tel->count(eventKindTraceId(ev.kind));
         switch (ev.kind) {
           case EventKind::CapChange:
             srv.setCap(ev.newCap);
             need_realloc = true;
-            trigger = eventKindName(ev.kind);
+            trigger = eventTrigger(ev.kind);
             break;
           case EventKind::Arrival:
             need_realloc = true;
-            trigger = eventKindName(ev.kind);
+            trigger = eventTrigger(ev.kind);
             break;
           case EventKind::Departure:
             // Synthetic E3s (app killed / vanished without finishing)
@@ -197,12 +199,12 @@ ControlLoop::poll()
             if (srv.hasApp(ev.appId))
                 srv.remove(ev.appId);
             need_realloc = true;
-            trigger = eventKindName(ev.kind);
+            trigger = eventTrigger(ev.kind);
             break;
           case EventKind::Drift:
             if (delegate.onDrift(ev.appId)) {
                 need_realloc = true;
-                trigger = eventKindName(ev.kind);
+                trigger = eventTrigger(ev.kind);
             }
             break;
         }

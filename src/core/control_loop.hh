@@ -14,8 +14,8 @@
 #ifndef PSM_CORE_CONTROL_LOOP_HH
 #define PSM_CORE_CONTROL_LOOP_HH
 
-#include <string_view>
-#include <vector>
+#include <cstddef>
+#include <deque>
 
 #include "accountant.hh"
 #include "coordinator.hh"
@@ -64,9 +64,9 @@ class ControlLoop
         /** Deliver due calibrations.
          * @return Whether any finished (-> re-allocate). */
         virtual bool onCalibrationsDue() = 0;
-        /** Re-run selection + actuation under the current trim.
-         * @p trigger names the cause and points at static storage. */
-        virtual void reallocate(std::string_view trigger) = 0;
+        /** Re-run selection + actuation under the current trim;
+         * @p trigger names the cause. */
+        virtual void reallocate(DecisionTrigger trigger) = 0;
     };
 
     ControlLoop(sim::Server &server, Coordinator &coordinator,
@@ -79,11 +79,19 @@ class ControlLoop
      * dynamic budget by the layer above). */
     Watts capTrim() const { return cap_trim; }
 
-    /** Events seen so far, in order. */
-    const std::vector<AccountantEvent> &eventLog() const
+    /** The newest events, oldest first: a ring that keeps the last
+     * maxEvents, so a long-lived daemon's log stays bounded. */
+    const std::deque<AccountantEvent> &eventLog() const
     {
         return event_log;
     }
+
+    /** Events seen so far, including those the ring dropped. */
+    std::size_t eventCount() const { return event_count; }
+
+    /** Events the log keeps before it drops its oldest; the bound of
+     * the decision ring (Telemetry::maxDecisions). */
+    static constexpr std::size_t maxEvents = Telemetry::maxDecisions;
 
     /** Poll if a control period has elapsed (call once per step). */
     void maybePoll();
@@ -112,7 +120,8 @@ class ControlLoop
     Joules last_meter_energy = 0.0;
     Tick last_meter_time = 0;
     Tick meter_stale_since = maxTick;
-    std::vector<AccountantEvent> event_log;
+    std::deque<AccountantEvent> event_log;
+    std::size_t event_count = 0;
 
     void poll();
     bool updateCapTrim();

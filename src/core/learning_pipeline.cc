@@ -132,7 +132,8 @@ LearningPipeline::finishCalibration(int id)
     a.surface = cf_corpus->estimate(samples, a.name, &outcome);
     ++surface_epoch;
     a.calibration_ready = maxTick;
-    a.pending_cols.clear();
+    // Free the sampled columns: the next calibration draws its own.
+    a.pending_cols = std::vector<std::size_t>();
     last_latency = srv.now() - a.calibration_started;
     if (tel) {
         tel->count(trace::EventId::LearningCalibrationsFinished);

@@ -239,7 +239,7 @@ ServerManager::onCalibrationsDue()
 }
 
 void
-ServerManager::reallocate(std::string_view trigger)
+ServerManager::reallocate(DecisionTrigger trigger)
 {
     ++realloc_count;
     const power::PlatformConfig &plat = srv.platform();
@@ -340,7 +340,7 @@ ServerManager::maybeInjectFaults()
         esd_restore_at = maxTick;
         srv.setEsdAvailable(true);
         tel.count(trace::EventId::DegradedEsdRestored);
-        reallocate("esd-restored");
+        reallocate(DecisionTrigger::EsdRestored);
     }
 
     // Fault rolls happen once per control period (the rates are
@@ -359,7 +359,7 @@ ServerManager::maybeInjectFaults()
             // Replan immediately without the battery; the coordinator
             // additionally demotes mid-duty-cycle on its next advance
             // if it was in EsdAssisted mode.
-            reallocate("fault-esd-loss");
+            reallocate(DecisionTrigger::FaultEsdLoss);
         } else if (injector.inject(util::FaultKind::EsdFade, now)) {
             srv.installedBattery()->fadeCapacity(
                 injector.config().fadeFactor);

@@ -20,6 +20,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <deque>
 #include <map>
 #include <memory>
 #include <string>
@@ -259,12 +260,14 @@ class ServerManager : private ControlLoop::Delegate
     /** Total number of reallocations performed. */
     std::size_t reallocationCount() const { return realloc_count; }
 
-    /** Events seen so far, in order (for tests and the dynamics
-     * figure). */
-    const std::vector<AccountantEvent> &eventLog() const
+    /** The newest events, in order (see ControlLoop::eventLog). */
+    const std::deque<AccountantEvent> &eventLog() const
     {
         return control.eventLog();
     }
+
+    /** Events seen so far, including any the log dropped. */
+    std::size_t eventCount() const { return control.eventCount(); }
 
   private:
     sim::Server &srv;
@@ -298,7 +301,7 @@ class ServerManager : private ControlLoop::Delegate
     void onDeparture(const AccountantEvent &ev) override;
     bool onDrift(int app_id) override;
     bool onCalibrationsDue() override;
-    void reallocate(std::string_view trigger) override;
+    void reallocate(DecisionTrigger trigger) override;
 
     /** Refresh heartbeat counts of live records. */
     void syncRecords();

@@ -16,7 +16,7 @@ namespace
 
 /** JSON string escaping: quotes, backslashes, and every control
  * character below 0x20 (named escapes where JSON has them, \u00XX
- * otherwise) — decision triggers may carry arbitrary text. */
+ * otherwise). */
 std::string
 jsonEscape(std::string_view s)
 {
@@ -71,7 +71,68 @@ jsonNumber(std::ostream &os, double v)
         os << "null";
 }
 
+/** Every touched timer of one clock domain, name-ordered. */
+std::map<std::string, TimerStat>
+timersOf(const Telemetry &tel, trace::EventKind kind)
+{
+    std::map<std::string, TimerStat> out;
+    tel.forEachTouched([&](trace::EventId id) {
+        if (trace::eventKind(id) == kind)
+            out.emplace(trace::eventName(id), tel.timer(id));
+    });
+    return out;
+}
+
+void
+timersText(std::ostream &os, const Telemetry &tel, trace::EventKind kind)
+{
+    for (const auto &[name, t] : timersOf(tel, kind)) {
+        os << "  " << name << ": count=" << t.count
+           << " total=" << toSeconds(t.total) << "s"
+           << " max=" << toSeconds(t.max) << "s\n";
+    }
+}
+
+void
+timersJson(std::ostream &os, const Telemetry &tel, trace::EventKind kind)
+{
+    bool first = true;
+    for (const auto &[name, t] : timersOf(tel, kind)) {
+        os << (first ? "" : ",") << "\"" << jsonEscape(name)
+           << "\":{\"count\":" << t.count
+           << ",\"total_s\":" << toSeconds(t.total)
+           << ",\"max_s\":" << toSeconds(t.max) << "}";
+        first = false;
+    }
+}
+
 } // namespace
+
+std::string_view
+decisionTriggerName(DecisionTrigger trigger)
+{
+    switch (trigger) {
+      case DecisionTrigger::CapTrim:
+        return "cap-trim";
+      case DecisionTrigger::Refresh:
+        return "refresh";
+      case DecisionTrigger::CalibrationDone:
+        return "calibration-done";
+      case DecisionTrigger::CapChange:
+        return "E1-cap-change";
+      case DecisionTrigger::Arrival:
+        return "E2-arrival";
+      case DecisionTrigger::Departure:
+        return "E3-departure";
+      case DecisionTrigger::Drift:
+        return "E4-drift";
+      case DecisionTrigger::EsdRestored:
+        return "esd-restored";
+      case DecisionTrigger::FaultEsdLoss:
+        return "fault-esd-loss";
+    }
+    panic("invalid DecisionTrigger %d", static_cast<int>(trigger));
+}
 
 // --- reads ----------------------------------------------------------
 
@@ -80,7 +141,7 @@ Telemetry::counter(const std::string &name) const
 {
     trace::EventId id;
     if (!trace::lookupEvent(name, id) ||
-        trace::eventKind(id) == trace::EventKind::Timer)
+        trace::isTimer(trace::eventKind(id)))
         return 0;
     return counter(id);
 }
@@ -89,8 +150,7 @@ TimerStat
 Telemetry::timer(const std::string &name) const
 {
     trace::EventId id;
-    if (!trace::lookupEvent(name, id) ||
-        trace::eventKind(id) != trace::EventKind::Timer)
+    if (!trace::lookupEvent(name, id))
         return {};
     return timer(id);
 }
@@ -100,7 +160,7 @@ Telemetry::counters() const
 {
     std::map<std::string, std::uint64_t> out;
     forEachTouched([&](trace::EventId id) {
-        if (trace::eventKind(id) != trace::EventKind::Timer)
+        if (!trace::isTimer(trace::eventKind(id)))
             out.emplace(trace::eventName(id), counter(id));
     });
     return out;
@@ -111,7 +171,7 @@ Telemetry::timers() const
 {
     std::map<std::string, TimerStat> out;
     forEachTouched([&](trace::EventId id) {
-        if (trace::eventKind(id) == trace::EventKind::Timer)
+        if (trace::isTimer(trace::eventKind(id)))
             out.emplace(trace::eventName(id), timer(id));
     });
     return out;
@@ -137,9 +197,10 @@ Telemetry::merge(const Telemetry &other)
           case trace::EventKind::Counter:
             counter_value[i] += other.counter_value[i];
             break;
-          case trace::EventKind::Timer: {
-            TimerStat &t = timer_value[i];
-            const TimerStat &o = other.timer_value[i];
+          case trace::EventKind::SimTimer:
+          case trace::EventKind::WallTimer: {
+            TimerStat &t = timer_value[trace::timerSlot(id)];
+            const TimerStat &o = other.timer_value[trace::timerSlot(id)];
             t.count += o.count;
             t.total += o.total;
             t.max = std::max(t.max, o.max);
@@ -162,15 +223,11 @@ Telemetry::dumpText(std::ostream &os) const
     for (const auto &[name, value] : counters())
         os << "  " << name << " = " << value << "\n";
     os << "timers:\n";
-    for (const auto &[name, t] : timers()) {
-        os << "  " << name << ": count=" << t.count
-           << " total=" << toSeconds(t.total) << "s"
-           << " max=" << toSeconds(t.max) << "s\n";
-    }
+    timersText(os, *this, trace::EventKind::SimTimer);
     os << "decisions (" << decision_log.size() << "):\n";
     for (const DecisionRecord &d : decision_log) {
         os << "  t=" << toSeconds(d.when) << "s"
-           << " trigger=" << d.trigger
+           << " trigger=" << decisionTriggerName(d.trigger)
            << " policy=" << policyName(d.policy)
            << " plan=" << planChoiceName(d.plan)
            << " mode=" << coordinationModeName(d.mode)
@@ -178,6 +235,8 @@ Telemetry::dumpText(std::ostream &os) const
            << "W apps=" << d.apps
            << " latency=" << toSeconds(d.latency) << "s\n";
     }
+    os << "wall timers:\n";
+    timersText(os, *this, trace::EventKind::WallTimer);
 }
 
 void
@@ -191,19 +250,13 @@ Telemetry::dumpJson(std::ostream &os) const
         first = false;
     }
     os << "},\"timers\":{";
-    first = true;
-    for (const auto &[name, t] : timers()) {
-        os << (first ? "" : ",") << "\"" << jsonEscape(name)
-           << "\":{\"count\":" << t.count
-           << ",\"total_s\":" << toSeconds(t.total)
-           << ",\"max_s\":" << toSeconds(t.max) << "}";
-        first = false;
-    }
+    timersJson(os, *this, trace::EventKind::SimTimer);
     os << "},\"decisions\":[";
     first = true;
     for (const DecisionRecord &d : decision_log) {
         os << (first ? "" : ",") << "{\"when_s\":" << toSeconds(d.when)
-           << ",\"trigger\":\"" << jsonEscape(d.trigger) << "\""
+           << ",\"trigger\":\""
+           << jsonEscape(decisionTriggerName(d.trigger)) << "\""
            << ",\"policy\":\"" << jsonEscape(policyName(d.policy))
            << "\""
            << ",\"plan\":\"" << jsonEscape(planChoiceName(d.plan))
@@ -218,7 +271,9 @@ Telemetry::dumpJson(std::ostream &os) const
            << ",\"latency_s\":" << toSeconds(d.latency) << "}";
         first = false;
     }
-    os << "]}";
+    os << "],\"wall_timers\":{";
+    timersJson(os, *this, trace::EventKind::WallTimer);
+    os << "}}";
 }
 
 } // namespace psm::core

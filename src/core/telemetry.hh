@@ -10,16 +10,19 @@
  *  - counters: monotonically increasing event tallies (plan choices,
  *    accountant events, guard trips, mode transitions), plus last-value
  *    gauges;
- *  - timers: duration observations with count/total/max;
+ *  - timers: duration observations with count/total/max, each in one
+ *    clock domain (simulated or wall time, tagged in events.def);
  *  - decision records: one structured record per allocation decision
  *    (trigger, policy, selected plan, resulting coordination mode,
  *    objective, budget, latency).
  *
  * The bus is the one telemetry store.  Publishers name events by
  * compile-time id (trace::EventId, registered in trace/events.def),
- * and each publish updates that event's slot in three dense per-event
- * arrays in place — no allocation, no string hashing, no buffering.
- * Decision records are kept as published, in a fixed-size typed form.
+ * and each publish updates that event's slot in dense arrays in place
+ * — no allocation, no string hashing, no buffering: a value and a
+ * touched flag per event, and a timer aggregate per timer row
+ * (trace::timerSlot).  Decision records are kept as published, in a
+ * fixed-size typed form.
  * Reads may still name an event by its registry string: counter(name),
  * timer(name) and the name-ordered counters()/timers() maps resolve
  * through trace::lookupEvent(), and a name outside the registry reads
@@ -45,6 +48,7 @@
 #include <string_view>
 
 #include "trace/trace.hh"
+#include "util/logging.hh"
 #include "util/units.hh"
 
 namespace psm::core
@@ -54,25 +58,41 @@ enum class PolicyKind : std::uint8_t;       // policy.hh
 enum class PlanChoice : std::uint8_t;       // plan_selector.hh
 enum class CoordinationMode : std::uint8_t; // coordinator.hh
 
+/** What made the manager re-plan; one byte in every DecisionRecord. */
+enum class DecisionTrigger : std::uint8_t
+{
+    CapTrim,         ///< "cap-trim": the adherence trim moved
+    Refresh,         ///< "refresh": periodic steady-state re-plan
+    CalibrationDone, ///< "calibration-done": a surface was installed
+    CapChange,       ///< "E1-cap-change"
+    Arrival,         ///< "E2-arrival"
+    Departure,       ///< "E3-departure"
+    Drift,           ///< "E4-drift"
+    EsdRestored,     ///< "esd-restored": a lost battery came back
+    FaultEsdLoss,    ///< "fault-esd-loss": the battery was lost
+};
+
+/** The trigger's printed name (the quoted text above). */
+std::string_view decisionTriggerName(DecisionTrigger trigger);
+
 /** One allocation decision as observed on the bus. */
 struct DecisionRecord
 {
-    Tick when = 0;            ///< simulated time of the decision
-    std::string_view trigger; ///< static-storage cause ("E1-cap-change",
-                              ///< "refresh", "cap-trim", ...)
-    PolicyKind policy{};      ///< the deciding manager's policy
-    PlanChoice plan{};        ///< the selected plan
-    CoordinationMode mode{};  ///< coordination mode after actuation
-    std::uint32_t apps = 0;   ///< active applications at decision time
-    double objective = 0.0;   ///< expected Eq. 1 objective of the plan
-    Watts budget = 0.0;       ///< dynamic budget the plan divided
-    Tick latency = 0;         ///< allocation latency (calibration+decision)
+    Tick when = 0;             ///< simulated time of the decision
+    DecisionTrigger trigger{}; ///< why the manager re-planned
+    PolicyKind policy{};       ///< the deciding manager's policy
+    PlanChoice plan{};         ///< the selected plan
+    CoordinationMode mode{};   ///< coordination mode after actuation
+    std::uint32_t apps = 0;    ///< active applications at decision time
+    double objective = 0.0;    ///< expected Eq. 1 objective of the plan
+    Watts budget = 0.0;        ///< dynamic budget the plan divided
+    Tick latency = 0;          ///< allocation latency (calibration+decision)
 };
 
 // One cluster-diurnal replay keeps 81,208 records across its buses; a
-// record must not outgrow the 56 bytes that costs today.
-static_assert(sizeof(DecisionRecord) <= 56,
-              "DecisionRecord grew past 56 bytes");
+// record must not outgrow the 40 bytes that costs today.
+static_assert(sizeof(DecisionRecord) <= 40,
+              "DecisionRecord grew past 40 bytes");
 
 /** Aggregate of one timer: observation count, total and max ticks. */
 struct TimerStat
@@ -99,11 +119,14 @@ class Telemetry
         counter_value[touch(id)] += delta;
     }
 
-    /** Observe one duration. */
+    /** Observe one duration; @p id must be a timer row. */
     void
     observe(trace::EventId id, Tick elapsed)
     {
-        TimerStat &t = timer_value[touch(id)];
+        std::size_t slot = trace::timerSlot(id);
+        psm_assert(slot != trace::kNoTimerSlot);
+        touch(id);
+        TimerStat &t = timer_value[slot];
         ++t.count;
         t.total += elapsed;
         t.max = std::max(t.max, elapsed);
@@ -136,11 +159,14 @@ class Telemetry
      * observed or not a registered timer). */
     TimerStat timer(const std::string &name) const;
 
-    /** Read a timer's aggregate by id. */
+    /** Read a timer's aggregate by id (zeroes for a counter or
+     * gauge row). */
     TimerStat
     timer(trace::EventId id) const
     {
-        return timer_value[static_cast<std::size_t>(id)];
+        std::size_t slot = trace::timerSlot(id);
+        return slot == trace::kNoTimerSlot ? TimerStat{}
+                                           : timer_value[slot];
     }
 
     /** True once @p id was published at least once (even with a zero
@@ -172,7 +198,7 @@ class Telemetry
     /** Every touched counter and gauge, name-ordered. */
     std::map<std::string, std::uint64_t> counters() const;
 
-    /** Every touched timer, name-ordered. */
+    /** Every touched timer of both clock domains, name-ordered. */
     std::map<std::string, TimerStat> timers() const;
 
     /**
@@ -185,12 +211,16 @@ class Telemetry
      */
     void merge(const Telemetry &other);
 
-    /** Human-readable dump (counters, timers, recent decisions). */
+    /** Human-readable dump: counters, simulated-time timers, recent
+     * decisions, then the wall-clock timers in a section of their own
+     * ("wall timers:"), the one part that differs between two runs of
+     * a seeded scenario. */
     void dumpText(std::ostream &os) const;
 
-    /** Machine-readable JSON dump of the same content.  Non-finite
-     * numbers (NaN/Inf objectives or budgets) are emitted as null so
-     * the output always parses. */
+    /** Machine-readable JSON dump of the same content, in the same
+     * order: wall-clock timers come last, as "wall_timers".
+     * Non-finite numbers (NaN/Inf objectives or budgets) are emitted
+     * as null so the output always parses. */
     void dumpJson(std::ostream &os) const;
 
     /**
@@ -202,7 +232,8 @@ class Telemetry
   private:
     /** Counter total or last gauge sample, per event. */
     std::array<std::uint64_t, trace::kEventCount> counter_value{};
-    std::array<TimerStat, trace::kEventCount> timer_value{};
+    /** One aggregate per timer row, at its trace::timerSlot. */
+    std::array<TimerStat, trace::kTimerCount> timer_value{};
     std::array<std::uint8_t, trace::kEventCount> touched_flag{};
     std::deque<DecisionRecord> decision_log;
 

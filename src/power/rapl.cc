@@ -46,24 +46,28 @@ RaplDomain::recordEnergy(Watts power, Tick dt)
     wraps += next >> 32;
     counter = static_cast<std::uint32_t>(next & 0xffffffffULL);
 
-    // Maintain the sliding enforcement window.
+    // Maintain the sliding enforcement window: trim from the oldest
+    // sample, then drop the fully expired ones in one erase.
     samples.emplace_back(power, dt);
     samples_span += dt;
     samples_area += energyOver(power, dt);
-    while (samples_span > window && samples.size() > 1) {
-        auto [p, d] = samples.front();
+    std::size_t expired = 0;
+    while (samples_span > window && samples.size() - expired > 1) {
+        auto &[p, d] = samples[expired];
         Tick excess = samples_span - window;
         if (d <= excess) {
-            samples.pop_front();
+            ++expired;
             samples_span -= d;
             samples_area -= energyOver(p, d);
         } else {
-            samples.front().second = d - excess;
+            d -= excess;
             samples_span -= excess;
             samples_area -= energyOver(p, excess);
             break;
         }
     }
+    samples.erase(samples.begin(),
+                  samples.begin() + static_cast<std::ptrdiff_t>(expired));
 
     if (limited) {
         // Integral enforcement: squeeze while over the limit, relax

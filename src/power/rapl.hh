@@ -19,8 +19,8 @@
 #define PSM_POWER_RAPL_HH
 
 #include <cstdint>
-#include <deque>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "util/units.hh"
@@ -102,8 +102,9 @@ class RaplDomain
     double enforce_ratio = 1.0;
     Tick violation_time = 0;
 
-    /** Sliding window of (power, duration) samples. */
-    std::deque<std::pair<Watts, Tick>> samples;
+    /** Sliding window of (power, duration) samples, oldest first:
+     * 1-2 at the default 10 ms step and window. */
+    std::vector<std::pair<Watts, Tick>> samples;
     Tick samples_span = 0;
     double samples_area = 0.0; ///< joules in the window
 };

@@ -138,7 +138,11 @@ ServeEngine::apply(const EventRequest &ev)
         out = applyKill(ev);
         break;
     }
-    if (capture_)
+    // A capture keeps only what its reader accepts.  An event the
+    // decoder would refuse (op or class out of range, SLO outside
+    // validSloP99) is answered BadRequest before it touches any
+    // state, so leaving it out keeps the replay bit-exact.
+    if (capture_ && validEventRequest(ev))
         capture_->event(ev, out);
     return out;
 }
@@ -260,7 +264,7 @@ ServeEngine::digest() const
         h.u64(srv.now());
         h.f64(srv.cap());
         h.u64(mgr.reallocationCount());
-        h.u64(mgr.eventLog().size());
+        h.u64(mgr.eventCount());
         h.u64(static_cast<std::uint64_t>(mgr.mode()));
         const core::Allocation &alloc = mgr.lastAllocation();
         h.u64(alloc.apps.size());
@@ -322,7 +326,7 @@ ServeEngine::fillSnapshot(StatsSnapshot &snap,
         bus.merge(*extra);
     bus.forEachTouched([&](trace::EventId id) {
         std::string name(trace::eventName(id));
-        if (trace::eventKind(id) == trace::EventKind::Timer) {
+        if (trace::isTimer(trace::eventKind(id))) {
             core::TimerStat t = bus.timer(id);
             snap.counters[name + ".count"] = t.count;
             snap.counters[name + ".total_us"] = t.total * 100;

@@ -69,23 +69,13 @@ replyStatusName(ReplyStatus status)
     return "unknown";
 }
 
-namespace
-{
-
 bool
-validOp(std::uint8_t raw)
+validEventRequest(const EventRequest &ev)
 {
-    return raw >= static_cast<std::uint8_t>(EventOp::Advance) &&
-           raw <= static_cast<std::uint8_t>(EventOp::Kill);
+    return ev.op >= EventOp::Advance && ev.op <= EventOp::Kill &&
+           ev.appClass <= AppClass::Interactive &&
+           validSloP99(ev.sloP99);
 }
-
-bool
-validClass(std::uint8_t raw)
-{
-    return raw <= static_cast<std::uint8_t>(AppClass::Interactive);
-}
-
-} // namespace
 
 void
 putEventRequest(WireWriter &w, const EventRequest &ev)
@@ -105,10 +95,7 @@ putEventRequest(WireWriter &w, const EventRequest &ev)
 bool
 getEventRequest(WireReader &r, EventRequest &out)
 {
-    std::uint8_t op = r.u8();
-    if (!validOp(op))
-        return false;
-    out.op = static_cast<EventOp>(op);
+    out.op = static_cast<EventOp>(r.u8());
     out.node = r.i32();
     out.appId = r.i32();
     out.workload = r.u32();
@@ -116,12 +103,9 @@ getEventRequest(WireReader &r, EventRequest &out)
     out.cpuScale = r.f64();
     out.memScale = r.f64();
     out.deadlineUs = r.u32();
-    std::uint8_t cls = r.u8();
-    if (!validClass(cls))
-        return false;
-    out.appClass = static_cast<AppClass>(cls);
+    out.appClass = static_cast<AppClass>(r.u8());
     out.sloP99 = r.f64();
-    return validSloP99(out.sloP99);
+    return validEventRequest(out);
 }
 
 void

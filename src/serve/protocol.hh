@@ -135,6 +135,14 @@ struct EventRequest
 };
 
 /**
+ * Whether getEventRequest() reads back what putEventRequest() writes
+ * for @p ev: its op and class name an enumerator and its sloP99 passes
+ * validSloP99().  The EVENT decoder (wire and capture) refuses every
+ * other event, and the engine captures only events that pass.
+ */
+bool validEventRequest(const EventRequest &ev);
+
+/**
  * 64-bit FNV-1a, fed a byte at a time: the fold behind
  * DecisionDigest::hash and the capture Config fingerprint.  Integers
  * go in as their eight little-endian bytes and doubles as their
@@ -286,8 +294,7 @@ struct QueryReply
 
 /** The EVENT payload's fields, in wire order. */
 void putEventRequest(net::WireWriter &w, const EventRequest &ev);
-/** Refuses an op or class out of range and an sloP99 that fails
- * validSloP99(). */
+/** Refuses an event that fails validEventRequest(). */
 bool getEventRequest(net::WireReader &r, EventRequest &out);
 
 void putDigest(net::WireWriter &w, const DecisionDigest &d);

@@ -114,7 +114,7 @@ Ewma::reset()
 }
 
 Histogram::Histogram(double lo, double hi, std::size_t bins)
-    : lo(lo), hi(hi), counts(bins, 0)
+    : lo(lo), hi(hi), narrow(bins, 0)
 {
     psm_assert(bins > 0 && hi > lo);
 }
@@ -127,27 +127,57 @@ Histogram::push(double x)
     // point first, where comparisons against NaN are safely false.
     if (std::isnan(x))
         return;
+    double bins = static_cast<double>(binCount());
     double frac = (x - lo) / (hi - lo);
-    double scaled =
-        std::clamp(frac * static_cast<double>(counts.size()), 0.0,
-                   static_cast<double>(counts.size()) - 1.0);
+    double scaled = std::clamp(frac * bins, 0.0, bins - 1.0);
     auto bin = static_cast<std::size_t>(scaled);
-    ++counts[bin];
     ++total;
+    if (wide.empty()) {
+        if (narrow[bin] < std::numeric_limits<std::uint16_t>::max()) {
+            ++narrow[bin];
+            return;
+        }
+        wide.assign(narrow.begin(), narrow.end());
+        narrow = std::vector<std::uint16_t>();
+    }
+    ++wide[bin];
 }
 
 void
 Histogram::reset()
 {
-    std::fill(counts.begin(), counts.end(), 0);
+    std::fill(narrow.begin(), narrow.end(), 0);
+    std::fill(wide.begin(), wide.end(), 0);
     total = 0;
+}
+
+std::size_t
+Histogram::binSamples(std::size_t bin) const
+{
+    return wide.empty() ? narrow.at(bin) : wide.at(bin);
 }
 
 double
 Histogram::binLow(std::size_t bin) const
 {
     return lo + (hi - lo) * static_cast<double>(bin) /
-                    static_cast<double>(counts.size());
+                    static_cast<double>(binCount());
+}
+
+template <typename Count>
+double
+Histogram::percentileOver(const std::vector<Count> &counts,
+                          std::size_t target) const
+{
+    std::size_t seen = 0;
+    for (std::size_t b = 0; b < counts.size(); ++b) {
+        seen += counts[b];
+        if (seen > target) {
+            double width = (hi - lo) / static_cast<double>(counts.size());
+            return binLow(b) + width / 2.0;
+        }
+    }
+    return hi;
 }
 
 double
@@ -158,15 +188,8 @@ Histogram::percentile(double p) const
     p = std::clamp(p, 0.0, 100.0);
     auto target = static_cast<std::size_t>(
         p / 100.0 * static_cast<double>(total - 1));
-    std::size_t seen = 0;
-    for (std::size_t b = 0; b < counts.size(); ++b) {
-        seen += counts[b];
-        if (seen > target) {
-            double width = (hi - lo) / static_cast<double>(counts.size());
-            return binLow(b) + width / 2.0;
-        }
-    }
-    return hi;
+    return wide.empty() ? percentileOver(narrow, target)
+                        : percentileOver(wide, target);
 }
 
 double

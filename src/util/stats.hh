@@ -107,8 +107,9 @@ class Ewma
 
 /**
  * Fixed-bin histogram over [lo, hi); out-of-range samples land in the
- * first/last bin (NaN samples are dropped).  Bins count in 32 bits
- * (see `counts`); the total counts in 64.
+ * first/last bin (NaN samples are dropped).  Bins count in 16 bits
+ * until one would pass 65,535, then in 32 (see `narrow`); the total
+ * counts in 64.
  */
 class Histogram
 {
@@ -116,10 +117,11 @@ class Histogram
     Histogram(double lo, double hi, std::size_t bins);
 
     void push(double x);
+    /** Zero every bin (a widened histogram stays 32-bit). */
     void reset();
 
-    std::size_t binCount() const { return counts.size(); }
-    std::size_t binSamples(std::size_t bin) const { return counts.at(bin); }
+    std::size_t binCount() const { return narrow.size() + wide.size(); }
+    std::size_t binSamples(std::size_t bin) const;
     std::size_t totalSamples() const { return total; }
     /** Lower edge of a bin. */
     double binLow(std::size_t bin) const;
@@ -131,13 +133,23 @@ class Histogram
     double lo;
     double hi;
     /**
-     * Per-bin sample counts.  32 bits halve every sim::RequestQueue's
-     * 4,096-bin response histogram to 16 KB, and a bin reaches 2^32
-     * only after >= 211 simulated days at kvstore's 235 req/s, the
-     * highest offered load among the interactive workloads.
+     * Per-bin sample counts, in exactly one of the two vectors (the
+     * other is empty).  They start 16-bit, which keeps every
+     * sim::RequestQueue's 4,096-bin response histogram in 8 KB; the
+     * first push that would take a bin past 65,535 copies every bin
+     * into `wide`, once.  At kvstore's 235 req/s, the highest offered
+     * load among the interactive workloads, a bin needs >= 279
+     * simulated seconds to widen, and >= 211 simulated days to reach
+     * 2^32.
      */
-    std::vector<std::uint32_t> counts;
+    std::vector<std::uint16_t> narrow;
+    std::vector<std::uint32_t> wide;
     std::size_t total = 0;
+
+    /** The percentile walk over whichever bins are live. */
+    template <typename Count>
+    double percentileOver(const std::vector<Count> &counts,
+                          std::size_t target) const;
 };
 
 /** Exact percentile of a sample vector (copies and sorts).  p is

@@ -11,9 +11,11 @@
 #include <cstdint>
 #include <memory>
 #include <sstream>
+#include <string>
 
 #include "cf/profiler.hh"
 #include "cluster/node_pool.hh"
+#include "core/control_loop.hh"
 #include "core/learning_pipeline.hh"
 #include "core/manager.hh"
 #include "core/plan_selector.hh"
@@ -91,7 +93,7 @@ TEST(Telemetry, DumpsContainTheirContent)
     tel.count(trace::EventId::ManagerReallocations, 7);
     tel.observe(trace::EventId::AllocatorSpatial, toTicks(0.5));
     DecisionRecord rec;
-    rec.trigger = "E1-cap-change";
+    rec.trigger = DecisionTrigger::CapChange;
     rec.plan = PlanChoice::FairRaplSpace;
     tel.record(rec);
 
@@ -540,10 +542,10 @@ TEST(ControlPlane, ScriptedEventsLandOnTheTelemetryBus)
         // Both names panic on a value outside their enum.
         EXPECT_FALSE(planChoiceName(d.plan).empty());
         EXPECT_FALSE(coordinationModeName(d.mode).empty());
-        saw_cap_trigger |= d.trigger == "E1-cap-change";
-        saw_arrival |= d.trigger == "E2-arrival";
-        saw_departure |= d.trigger == "E3-departure";
-        saw_drift |= d.trigger == "E4-drift";
+        saw_cap_trigger |= d.trigger == DecisionTrigger::CapChange;
+        saw_arrival |= d.trigger == DecisionTrigger::Arrival;
+        saw_departure |= d.trigger == DecisionTrigger::Departure;
+        saw_drift |= d.trigger == DecisionTrigger::Drift;
     }
     EXPECT_TRUE(saw_cap_trigger);
     EXPECT_TRUE(saw_arrival);
@@ -596,6 +598,105 @@ TEST(ControlPlane, KilledAppIsReapedAndReplanned)
     EXPECT_FALSE(records[1].done);
     EXPECT_TRUE(server.hasApp(survivor));
     EXPECT_TRUE(manager.anyAppRunning());
+}
+
+// --- Event log ring ----------------------------------------------------------
+
+/** A delegate that replans nothing: the loop's own bookkeeping is all
+ * the event-log test reads. */
+struct IdleDelegate : ControlLoop::Delegate
+{
+    void onDeparture(const AccountantEvent &) override {}
+    bool onDrift(int) override { return false; }
+    bool onCalibrationsDue() override { return false; }
+    void reallocate(DecisionTrigger) override {}
+};
+
+TEST(ControlLoop, EventLogKeepsTheNewestEvents)
+{
+    // More E1s than the ring holds, in one poll and then a few more:
+    // the log stops at maxEvents and keeps the newest in order, while
+    // the count keeps growing.
+    sim::Server server;
+    Coordinator coord;
+    IdleDelegate delegate;
+    ControlLoop loop(server, coord, ControlLoopConfig{}, delegate);
+    auto capOf = [](std::size_t i) {
+        return 10.0 + static_cast<double>(i);
+    };
+    auto expectNewest = [&](std::size_t count) {
+        ASSERT_EQ(loop.eventCount(), count);
+        ASSERT_EQ(loop.eventLog().size(), ControlLoop::maxEvents);
+        std::size_t i = count - ControlLoop::maxEvents;
+        for (const AccountantEvent &ev : loop.eventLog()) {
+            ASSERT_EQ(ev.kind, EventKind::CapChange);
+            ASSERT_EQ(ev.newCap, capOf(i++));
+        }
+    };
+
+    const std::size_t first = ControlLoop::maxEvents + 100;
+    for (std::size_t i = 0; i < first; ++i)
+        loop.accountant().notifyCapChange(capOf(i));
+    loop.maybePoll();
+    expectNewest(first);
+    EXPECT_EQ(server.cap(), capOf(first - 1));
+
+    for (std::size_t i = first; i < first + 3; ++i)
+        loop.accountant().notifyCapChange(capOf(i));
+    while (server.now() < ControlLoopConfig{}.controlPeriod)
+        server.step();
+    loop.maybePoll();
+    expectNewest(first + 3);
+}
+
+// --- Clock domains in the dumps ---------------------------------------------
+
+TEST(Telemetry, DumpsRepeatRunToRunOutsideTheWallSection)
+{
+    // One seeded CF scenario, run twice: it publishes timers of both
+    // clock domains, and once the wall-clock section is cut off, the
+    // two JSON dumps (and the two text dumps) are byte-identical.
+    auto run = [](std::string &json, std::string &text) {
+        sim::Server server;
+        server.setCap(90.0);
+        ManagerConfig cfg;
+        cfg.policy = PolicyKind::AppResAware;
+        ServerManager manager(server, cfg);
+        manager.seedCorpus(workloadLibrary());
+        manager.addApp(workload("kmeans"));
+        manager.addApp(workload("stream"));
+        manager.run(toTicks(5.0));
+        std::ostringstream j;
+        manager.telemetry().dumpJson(j);
+        json = j.str();
+        std::ostringstream t;
+        manager.telemetry().dumpText(t);
+        text = t.str();
+    };
+    std::string json_a, text_a, json_b, text_b;
+    run(json_a, text_a);
+    run(json_b, text_b);
+
+    // The wall section comes last in both dumps; each domain's
+    // timers print in their own section.
+    const std::string wall_json = ",\"wall_timers\":{";
+    const std::size_t at_a = json_a.find(wall_json);
+    const std::size_t at_b = json_b.find(wall_json);
+    ASSERT_NE(at_a, std::string::npos) << json_a;
+    ASSERT_NE(at_b, std::string::npos) << json_b;
+    EXPECT_LT(json_a.find("\"manager.reallocate\":{"), at_a);
+    EXPECT_LT(json_a.find("\"learning.calibration\":{"), at_a);
+    EXPECT_GT(json_a.find("\"learning.als_fit\":{"), at_a);
+    EXPECT_NE(json_a.find("\"learning.als_fit\":{"), std::string::npos);
+    EXPECT_EQ(json_a.substr(0, at_a), json_b.substr(0, at_b));
+
+    const std::string wall_text = "wall timers:\n";
+    const std::size_t cut_a = text_a.find(wall_text);
+    const std::size_t cut_b = text_b.find(wall_text);
+    ASSERT_NE(cut_a, std::string::npos) << text_a;
+    ASSERT_NE(cut_b, std::string::npos) << text_b;
+    EXPECT_GT(text_a.find("  learning.als_fit: count="), cut_a);
+    EXPECT_EQ(text_a.substr(0, cut_a), text_b.substr(0, cut_b));
 }
 
 } // namespace

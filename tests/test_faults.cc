@@ -212,13 +212,13 @@ TEST(Faults, MeterSanitizesGarbageSamples)
 /** Minimal delegate: records reallocation triggers, nothing else. */
 struct RecordingDelegate : core::ControlLoop::Delegate
 {
-    std::vector<std::string> triggers;
+    std::vector<core::DecisionTrigger> triggers;
     void onDeparture(const core::AccountantEvent &) override {}
     bool onDrift(int) override { return false; }
     bool onCalibrationsDue() override { return false; }
-    void reallocate(std::string_view trigger) override
+    void reallocate(core::DecisionTrigger trigger) override
     {
-        triggers.emplace_back(trigger);
+        triggers.push_back(trigger);
     }
 };
 

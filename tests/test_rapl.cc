@@ -1,13 +1,20 @@
 /**
  * @file
  * Tests for the emulated RAPL interface: energy counters (including
- * 32-bit wraparound), window averaging, limits and the power meter.
+ * 32-bit wraparound), window averaging (against a deque-window
+ * reference), limits and the power meter.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <deque>
+#include <utility>
+
 #include "power/power_meter.hh"
 #include "power/rapl.hh"
+#include "util/random.hh"
 
 namespace psm::power
 {
@@ -120,6 +127,151 @@ TEST(RaplDomain, ClearPowerLimit)
     EXPECT_FALSE(d.limitEnabled());
     d.recordEnergy(100.0, toTicks(0.02));
     EXPECT_DOUBLE_EQ(d.throttleFactor(), 1.0);
+}
+
+/**
+ * Reference: RaplDomain's energy counter, enforcement window and
+ * limit, with the window kept in a std::deque as it was before the
+ * domain moved it into a vector.
+ */
+class DequeRaplDomain
+{
+  public:
+    explicit DequeRaplDomain(Tick window) : window(window) {}
+
+    void
+    recordEnergy(Watts power, Tick dt)
+    {
+        if (dt == 0)
+            return;
+        double units = energyOver(power, dt) / RaplDomain::jouleperUnit +
+                       unit_remainder;
+        auto whole = static_cast<std::uint64_t>(units);
+        unit_remainder = units - static_cast<double>(whole);
+        std::uint64_t next = static_cast<std::uint64_t>(counter) + whole;
+        wraps += next >> 32;
+        counter = static_cast<std::uint32_t>(next & 0xffffffffULL);
+
+        samples.emplace_back(power, dt);
+        samples_span += dt;
+        samples_area += energyOver(power, dt);
+        while (samples_span > window && samples.size() > 1) {
+            auto [p, d] = samples.front();
+            Tick excess = samples_span - window;
+            if (d <= excess) {
+                samples.pop_front();
+                samples_span -= d;
+                samples_area -= energyOver(p, d);
+            } else {
+                samples.front().second = d - excess;
+                samples_span -= excess;
+                samples_area -= energyOver(p, excess);
+                break;
+            }
+        }
+
+        if (limited) {
+            Watts avg = windowAveragePower();
+            if (avg > limit + 1e-9) {
+                violation_time += dt;
+                double ratio = std::clamp(limit / avg, 0.5, 1.0);
+                enforce_ratio = std::max(enforce_ratio * ratio, 0.02);
+            } else if (avg < limit * 0.95 && avg > 0.2) {
+                enforce_ratio =
+                    std::min(enforce_ratio * 1.02 + 0.001, 1.0);
+            }
+        }
+    }
+
+    Joules
+    totalEnergy() const
+    {
+        double total_units = static_cast<double>(wraps) * 4294967296.0 +
+                             static_cast<double>(counter);
+        return total_units * RaplDomain::jouleperUnit;
+    }
+
+    void
+    setPowerLimit(Watts new_limit)
+    {
+        limited = true;
+        limit = new_limit;
+    }
+
+    void
+    clearPowerLimit()
+    {
+        limited = false;
+        limit = 0.0;
+        enforce_ratio = 1.0;
+    }
+
+    Watts
+    windowAveragePower() const
+    {
+        if (samples_span == 0)
+            return 0.0;
+        return samples_area / toSeconds(samples_span);
+    }
+
+    double throttleFactor() const { return limited ? enforce_ratio : 1.0; }
+    Tick violationTime() const { return violation_time; }
+
+  private:
+    Tick window;
+    std::uint32_t counter = 0;
+    std::uint64_t wraps = 0;
+    double unit_remainder = 0.0;
+    bool limited = false;
+    Watts limit = 0.0;
+    double enforce_ratio = 1.0;
+    Tick violation_time = 0;
+    std::deque<std::pair<Watts, Tick>> samples;
+    Tick samples_span = 0;
+    double samples_area = 0.0;
+};
+
+TEST(RaplDomain, VectorWindowMatchesDequeReference)
+{
+    // Seeded (power, dt) sequences, dt from one tick to three windows,
+    // with the limit set, moved and cleared along the way: every read
+    // is bit-equal to the deque-window reference after every step.
+    for (Tick window : {toTicks(0.010), Tick{7}, toTicks(0.050)}) {
+        for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+            Rng rng(seed);
+            RaplDomain d(window);
+            DequeRaplDomain ref(window);
+            for (int step = 0; step < 4000; ++step) {
+                double u = rng.uniform();
+                if (u < 0.02) {
+                    Watts limit = rng.uniform(5.0, 150.0);
+                    d.setPowerLimit(limit);
+                    ref.setPowerLimit(limit);
+                } else if (u < 0.025) {
+                    d.clearPowerLimit();
+                    ref.clearPowerLimit();
+                }
+                Watts power = rng.chance(0.1) ? 0.0
+                                              : rng.uniform(0.0, 200.0);
+                auto dt = static_cast<Tick>(
+                    rng.uniformInt(1, static_cast<int>(3 * window)));
+                d.recordEnergy(power, dt);
+                ref.recordEnergy(power, dt);
+                ASSERT_EQ(d.windowAveragePower(), ref.windowAveragePower())
+                    << "window " << window << " seed " << seed
+                    << " step " << step;
+                ASSERT_EQ(d.throttleFactor(), ref.throttleFactor())
+                    << "window " << window << " seed " << seed
+                    << " step " << step;
+                ASSERT_EQ(d.violationTime(), ref.violationTime())
+                    << "window " << window << " seed " << seed
+                    << " step " << step;
+                ASSERT_EQ(d.totalEnergy(), ref.totalEnergy())
+                    << "window " << window << " seed " << seed
+                    << " step " << step;
+            }
+        }
+    }
 }
 
 TEST(RaplInterface, FourDomainsWithNames)

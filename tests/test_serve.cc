@@ -826,8 +826,10 @@ TEST(ServeReplay, CleanEndAndCutRecordAreToldApart)
 TEST(ServeReplay, ArrivalSloAboveTheWireBoundIsRefused)
 {
     // An SLO override outside [0, maxSloP99] is a BadRequest in
-    // process as on the wire, and a capture that recorded one must
-    // still refuse what the EVENT decoder refuses.
+    // process as on the wire, and so is an op outside EventOp.  The
+    // engine leaves such an event out of its capture, since the EVENT
+    // decoder would refuse it: the file still reads, holds no Event
+    // record for it, and replays bit-exact.
     const std::string path = caseCapturePath();
     for (double slo : {serve::maxSloP99, 2 * serve::maxSloP99, -1.0,
                        std::nan("")}) {
@@ -843,17 +845,32 @@ TEST(ServeReplay, ArrivalSloAboveTheWireBoundIsRefused)
             EXPECT_EQ(eng.apply(arrive).status,
                       valid ? ReplyStatus::Ok : ReplyStatus::BadRequest)
                 << "sloP99 " << slo;
+            EventRequest bad_op;
+            bad_op.op = static_cast<EventOp>(0x7f);
+            EXPECT_EQ(eng.apply(bad_op).status, ReplyStatus::BadRequest);
+            EXPECT_FALSE(serve::validEventRequest(bad_op));
+            eng.commit();
             eng.stopCapture();
         }
         serve::Capture capture;
         std::string error;
-        const bool ok = serve::readCapture(path, capture, error);
-        if (valid) {
-            EXPECT_TRUE(ok) << error;
-        } else {
-            EXPECT_FALSE(ok) << "sloP99 " << slo;
-            EXPECT_EQ(error, "malformed Event record");
+        ASSERT_TRUE(serve::readCapture(path, capture, error))
+            << "sloP99 " << slo << ": " << error;
+        std::size_t events = 0, commits = 0;
+        for (const auto &step : capture.steps) {
+            if (step.isCommit) {
+                ++commits;
+                continue;
+            }
+            ++events;
+            EXPECT_EQ(step.event.request.op, EventOp::Arrival);
+            EXPECT_EQ(step.event.outcome.status, ReplyStatus::Ok);
         }
+        EXPECT_EQ(events, valid ? 1u : 0u) << "sloP99 " << slo;
+        EXPECT_EQ(commits, 1u);
+        serve::ReplayResult res = serve::replayCapture(capture);
+        EXPECT_TRUE(res.ok) << res.firstMismatch;
+        EXPECT_EQ(res.commits, 1u);
     }
     std::remove(path.c_str());
 }

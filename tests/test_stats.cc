@@ -334,6 +334,74 @@ TEST_P(HistogramPercentileProperty, MatchesWideCountReference)
     }
 }
 
+TEST(Histogram, WideningPastSixteenBitsIsLossless)
+{
+    // 1- and 7-bin histograms where one bin passes 65,535: every bin,
+    // the total and every percentile equal the 64-bit-count reference
+    // just before the widening push, just after it and at the end;
+    // reset() then zeroes every bin, and the widened bins count on.
+    const double ps[] = {0.0, 5.0, 25.0, 50.0, 75.0, 95.0, 99.0, 99.9,
+                         100.0};
+    for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+        Rng rng(seed);
+        const std::size_t bins = seed % 2 ? 1 : 7;
+        const double lo = rng.uniform(-5.0, 5.0);
+        const double hi = lo + rng.uniform(0.5, 50.0);
+        const double width = (hi - lo) / static_cast<double>(bins);
+        const auto heavy = static_cast<std::size_t>(
+            rng.uniformInt(0, static_cast<int>(bins) - 1));
+        Histogram h(lo, hi, bins);
+        WideCountHistogram ref{lo, hi,
+                               std::vector<std::uint64_t>(bins, 0)};
+        auto expectSame = [&](const char *when) {
+            ASSERT_EQ(h.totalSamples(), ref.total) << when;
+            for (std::size_t b = 0; b < bins; ++b)
+                ASSERT_EQ(h.binSamples(b), ref.counts[b]) << when;
+            for (double p : ps)
+                ASSERT_EQ(h.percentile(p), ref.percentile(p))
+                    << when << " p" << p;
+        };
+        const int samples = rng.uniformInt(70000, 200000);
+        for (int i = 0; i < samples; ++i) {
+            // 96% of the samples fall in one bin, so it passes 65,535
+            // even at 70k samples; the rest spread over the span and
+            // past both edges.
+            double u = rng.uniform();
+            double x;
+            if (u < 0.96)
+                x = lo + width * (static_cast<double>(heavy) +
+                                  rng.uniform(0.05, 0.95));
+            else if (u < 0.98)
+                x = rng.uniform(lo, hi);
+            else if (u < 0.99)
+                x = hi + rng.exponential(1.0);
+            else
+                x = lo - rng.exponential(1.0);
+            h.push(x);
+            ref.push(x);
+            std::uint64_t top = ref.counts[heavy];
+            if (top == 65535)
+                expectSame("before widening");
+            else if (top == 65536)
+                expectSame("after widening");
+        }
+        ASSERT_GT(ref.counts[heavy], 65535u) << "seed " << seed;
+        expectSame("end");
+
+        h.reset();
+        ref = WideCountHistogram{lo, hi,
+                                 std::vector<std::uint64_t>(bins, 0)};
+        EXPECT_EQ(h.binCount(), bins);
+        expectSame("reset");
+        for (int i = 0; i < 1000; ++i) {
+            double x = rng.uniform(lo, hi);
+            h.push(x);
+            ref.push(x);
+        }
+        expectSame("after reset");
+    }
+}
+
 INSTANTIATE_TEST_SUITE_P(Sweep, HistogramPercentileProperty,
                          ::testing::Values(5.0, 25.0, 50.0, 75.0,
                                            95.0, 99.0, 0.0, 99.9,

@@ -2,9 +2,9 @@
  * @file
  * Tests for the trace event registry and the Telemetry store keyed by
  * it: the registry, publish/merge semantics, reads by registry name,
- * the decision-ring bound, JSON escaping/non-finite hygiene, and
- * parallel publish into one bus per work index against a reference
- * fold of the published stream.
+ * the timer slots, the decision-ring bound, the trigger names, JSON
+ * non-finite hygiene, and parallel publish into one bus per work
+ * index against a reference fold of the published stream.
  */
 
 #include <gtest/gtest.h>
@@ -15,6 +15,8 @@
 #include <map>
 #include <sstream>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "core/coordinator.hh"
@@ -128,7 +130,7 @@ TEST(TelemetryTrace, DecisionRingDropsOldest)
     rec.policy = core::PolicyKind::AppResAware;
     rec.plan = core::PlanChoice::SpatialUtility;
     rec.mode = core::CoordinationMode::Space;
-    rec.trigger = "refresh";
+    rec.trigger = core::DecisionTrigger::Refresh;
     const std::size_t n = Telemetry::maxDecisions + 1000;
     Telemetry tel;
     for (std::size_t i = 0; i < n; ++i) {
@@ -148,29 +150,144 @@ TEST(TelemetryTrace, DecisionRingDropsOldest)
 
 // --- JSON hygiene --------------------------------------------------
 
-TEST(TelemetryTrace, JsonEscapesControlCharacters)
-{
-    Telemetry tel;
-    DecisionRecord rec;
-    rec.trigger = "a\"b\\c\nd\te\rf\x01g\bh\ff";
-    tel.record(rec);
+/** Every DecisionTrigger, and the text the dumps printed for it when
+ * a record carried the trigger as a string. */
+const std::pair<core::DecisionTrigger, const char *> kTriggerTexts[] = {
+    {core::DecisionTrigger::CapTrim, "cap-trim"},
+    {core::DecisionTrigger::Refresh, "refresh"},
+    {core::DecisionTrigger::CalibrationDone, "calibration-done"},
+    {core::DecisionTrigger::CapChange, "E1-cap-change"},
+    {core::DecisionTrigger::Arrival, "E2-arrival"},
+    {core::DecisionTrigger::Departure, "E3-departure"},
+    {core::DecisionTrigger::Drift, "E4-drift"},
+    {core::DecisionTrigger::EsdRestored, "esd-restored"},
+    {core::DecisionTrigger::FaultEsdLoss, "fault-esd-loss"},
+};
 
-    std::ostringstream os;
-    tel.dumpJson(os);
-    std::string json = os.str();
-    EXPECT_NE(json.find("a\\\"b\\\\c\\nd\\te\\rf\\u0001g\\bh\\ff"),
-              std::string::npos)
-        << json;
-    // No raw control characters may survive into the document.
-    for (char c : json)
-        EXPECT_GE(static_cast<unsigned char>(c), 0x20u);
+TEST(TelemetryTrace, TriggerNamesAreValidJson)
+{
+    // A record's trigger is one of a fixed set of names, so no text
+    // reaches the dump that JSON would need escaped: each name is a
+    // plain string, printed verbatim between quotes.
+    for (const auto &[trigger, text] : kTriggerTexts) {
+        std::string_view name = core::decisionTriggerName(trigger);
+        ASSERT_FALSE(name.empty());
+        for (char c : name) {
+            EXPECT_GE(static_cast<unsigned char>(c), 0x20u) << name;
+            EXPECT_LT(static_cast<unsigned char>(c), 0x7fu) << name;
+            EXPECT_NE(c, '"') << name;
+            EXPECT_NE(c, '\\') << name;
+        }
+        Telemetry tel;
+        DecisionRecord rec;
+        rec.trigger = trigger;
+        tel.record(rec);
+        std::ostringstream os;
+        tel.dumpJson(os);
+        EXPECT_NE(os.str().find("\"trigger\":\"" + std::string(name) +
+                                "\","),
+                  std::string::npos)
+            << os.str();
+    }
+}
+
+TEST(TelemetryTrace, TriggersPrintTheirOldTextInBothDumps)
+{
+    for (const auto &[trigger, text] : kTriggerTexts) {
+        Telemetry tel;
+        DecisionRecord rec;
+        rec.trigger = trigger;
+        tel.record(rec);
+        std::ostringstream txt;
+        tel.dumpText(txt);
+        EXPECT_NE(txt.str().find(" trigger=" + std::string(text) +
+                                 " policy="),
+                  std::string::npos)
+            << txt.str();
+        std::ostringstream json;
+        tel.dumpJson(json);
+        EXPECT_NE(json.str().find("\"trigger\":\"" + std::string(text) +
+                                  "\","),
+                  std::string::npos)
+            << json.str();
+    }
+}
+
+// --- Timer slots ---------------------------------------------------
+
+TEST(TelemetryTrace, EveryTimerRowHasItsOwnSlot)
+{
+    // One slot per timer row, dense and in registry order; none for
+    // counters and gauges.
+    std::size_t timers = 0;
+    for (std::size_t i = 0; i < trace::kEventCount; ++i) {
+        auto id = static_cast<trace::EventId>(i);
+        if (trace::isTimer(trace::eventKind(id)))
+            EXPECT_EQ(trace::timerSlot(id), timers++) << trace::eventName(id);
+        else
+            EXPECT_EQ(trace::timerSlot(id), trace::kNoTimerSlot)
+                << trace::eventName(id);
+    }
+    EXPECT_EQ(timers, trace::kTimerCount);
+    EXPECT_EQ(trace::kTimerCount, 7u);
+    EXPECT_EQ(trace::eventKind(trace::EventId::ManagerReallocate),
+              trace::EventKind::SimTimer);
+    EXPECT_EQ(trace::eventKind(trace::EventId::LearningCalibration),
+              trace::EventKind::SimTimer);
+    EXPECT_EQ(trace::eventKind(trace::EventId::AllocatorSpatial),
+              trace::EventKind::WallTimer);
+}
+
+TEST(TelemetryTrace, TimerRowsRoundTripAndOtherRowsReadZero)
+{
+    // Each timer row gets a distinct observation stream; a counter or
+    // gauge row gets a value.  Every timer reads back its own stream,
+    // by id and by name, on the bus and after a merge into an empty
+    // one; every counter and gauge reads a zero timer.
+    auto ticks = [](std::size_t i) { return static_cast<Tick>(3 * i + 1); };
+    Telemetry a;
+    for (std::size_t i = 0; i < trace::kEventCount; ++i) {
+        auto id = static_cast<trace::EventId>(i);
+        if (trace::isTimer(trace::eventKind(id))) {
+            a.observe(id, ticks(i));
+            a.observe(id, 2 * ticks(i));
+        } else if (trace::eventKind(id) == trace::EventKind::Gauge) {
+            a.gauge(id, i + 5);
+        } else {
+            a.count(id, i + 5);
+        }
+    }
+    Telemetry merged;
+    merged.merge(a);
+    for (const Telemetry *bus : {&a, &merged}) {
+        for (std::size_t i = 0; i < trace::kEventCount; ++i) {
+            auto id = static_cast<trace::EventId>(i);
+            const std::string name(trace::eventName(id));
+            TimerStat t = bus->timer(id);
+            TimerStat by_name = bus->timer(name);
+            EXPECT_EQ(by_name.count, t.count) << name;
+            EXPECT_EQ(by_name.total, t.total) << name;
+            EXPECT_EQ(by_name.max, t.max) << name;
+            if (trace::isTimer(trace::eventKind(id))) {
+                EXPECT_EQ(t.count, 2u) << name;
+                EXPECT_EQ(t.total, 3 * ticks(i)) << name;
+                EXPECT_EQ(t.max, 2 * ticks(i)) << name;
+                EXPECT_EQ(bus->counter(id), 0u) << name;
+            } else {
+                EXPECT_EQ(t.count, 0u) << name;
+                EXPECT_EQ(t.total, 0u) << name;
+                EXPECT_EQ(t.max, 0u) << name;
+                EXPECT_EQ(bus->counter(id), i + 5) << name;
+            }
+        }
+    }
+    EXPECT_EQ(merged.timers().size(), trace::kTimerCount);
 }
 
 TEST(TelemetryTrace, JsonNonFiniteNumbersAreNull)
 {
     Telemetry tel;
     DecisionRecord rec;
-    rec.trigger = "t";
     rec.objective = std::numeric_limits<double>::quiet_NaN();
     rec.budget = std::numeric_limits<double>::infinity();
     tel.record(rec);
@@ -223,7 +340,6 @@ publishPerBus(unsigned width)
                 [&](trace::EventId id, Tick t) { bus.observe(id, t); });
             DecisionRecord rec;
             rec.when = static_cast<Tick>(s);
-            rec.trigger = "bus";
             bus.record(rec);
         });
     util::ThreadPool::configureGlobal(0);
