@@ -6,53 +6,72 @@
  *   explore [--mix N | --apps A B] [--policy P] [--cap W]
  *           [--esd] [--seconds S] [--oracle]
  *
- *   P in {uu, sra, aa, ara, are}
+ *   P is any registered policy's CLI name (see the usage text).
  *
  * Examples:
- *   explore --mix 10 --policy ara --cap 100
- *   explore --apps stream bfs --policy are --cap 75 --esd
+ *   explore --mix 10 --policy app-res-aware --cap 100
+ *   explore --apps stream bfs --policy app-res-esd-aware --cap 75 --esd
+ *
+ * A malformed or out-of-range value prints a usage error and exits 2.
  */
 
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
+#include <limits>
 #include <string>
 
 #include "core/manager.hh"
+#include "core/policy_registry.hh"
 #include "perf/workloads.hh"
-#include "util/logging.hh"
+#include "util/parse.hh"
 
 using namespace psm;
 
 namespace
 {
 
+/** Longest run explore accepts: one simulated day. */
+constexpr double kMaxSeconds = 86400.0;
+
 [[noreturn]] void
-usage(const char *argv0)
+usage()
 {
     std::fprintf(stderr,
-                 "usage: %s [--mix N | --apps A B] [--policy "
-                 "uu|sra|aa|ara|are] [--cap W] [--esd] "
-                 "[--seconds S] [--oracle]\n",
-                 argv0);
+                 "usage: explore [--mix 1-%zu | --apps A B]\n"
+                 "               [--policy %s]\n"
+                 "               [--cap W] [--esd] [--seconds S] "
+                 "[--oracle]\n",
+                 perf::tableTwoMixes().size(),
+                 core::PolicyRegistry::instance().cliNames().c_str());
     std::exit(2);
 }
 
-core::PolicyKind
-parsePolicy(const std::string &p)
+/** Reject the flag's value with a diagnostic, then die with usage. */
+[[noreturn]] void
+badValue(const std::string &flag, const char *value)
 {
-    if (p == "uu")
-        return core::PolicyKind::UtilUnaware;
-    if (p == "sra")
-        return core::PolicyKind::ServerResAware;
-    if (p == "aa")
-        return core::PolicyKind::AppAware;
-    if (p == "ara")
-        return core::PolicyKind::AppResAware;
-    if (p == "are")
-        return core::PolicyKind::AppResEsdAware;
-    psm::fatal("unknown policy '%s' (use uu|sra|aa|ara|are)",
-               p.c_str());
+    std::fprintf(stderr, "explore: invalid value '%s' for %s\n", value,
+                 flag.c_str());
+    usage();
+}
+
+/** A positive, finite number no larger than @p hi, or die. */
+double
+parsePositive(const std::string &flag, const char *value, double hi)
+{
+    double out = 0.0;
+    if (!util::parseFiniteDouble(value, out) || !(out > 0.0) || out > hi)
+        badValue(flag, value);
+    return out;
+}
+
+/** A library workload name, or die. */
+std::string
+parseApp(const std::string &flag, const char *value)
+{
+    if (!perf::hasWorkload(value))
+        badValue(flag, value);
+    return value;
 }
 
 } // namespace
@@ -72,28 +91,43 @@ main(int argc, char **argv)
         std::string arg = argv[i];
         auto next = [&]() -> const char * {
             if (i + 1 >= argc)
-                usage(argv[0]);
+                usage();
             return argv[++i];
         };
         if (arg == "--mix") {
-            const perf::Mix &mx = perf::mix(std::atoi(next()));
+            const char *value = next();
+            long id = 0;
+            if (!util::parseLongInRange(
+                    value, 1,
+                    static_cast<long>(perf::tableTwoMixes().size()), id))
+                badValue(arg, value);
+            const perf::Mix &mx = perf::mix(static_cast<int>(id));
             app1 = mx.app1;
             app2 = mx.app2;
         } else if (arg == "--apps") {
-            app1 = next();
-            app2 = next();
+            app1 = parseApp(arg, next());
+            const char *value = next();
+            app2 = parseApp(arg, value);
+            if (app2 == app1) // a server hosts each name once
+                badValue(arg, value);
         } else if (arg == "--policy") {
-            policy = parsePolicy(next());
+            const char *value = next();
+            const core::PolicyInfo *info =
+                core::PolicyRegistry::instance().findName(value);
+            if (!info)
+                badValue(arg, value);
+            policy = info->kind;
         } else if (arg == "--cap") {
-            cap = std::atof(next());
+            cap = parsePositive(arg, next(),
+                                std::numeric_limits<double>::max());
         } else if (arg == "--seconds") {
-            seconds = std::atof(next());
+            seconds = parsePositive(arg, next(), kMaxSeconds);
         } else if (arg == "--esd") {
             with_esd = true;
         } else if (arg == "--oracle") {
             oracle = true;
         } else {
-            usage(argv[0]);
+            usage();
         }
     }
     if (policy == core::PolicyKind::AppResEsdAware)

@@ -60,13 +60,6 @@ ClusterConfig::validate(std::string *error) const
                     "' (expected one of " +
                     core::PolicyRegistry::instance().cliNames() + ")");
     }
-    for (const std::string &name : corpusWorkloads) {
-        if (!perf::hasWorkload(name)) {
-            return fail("unknown corpus workload '" + name +
-                        "' (expected one of " + perf::workloadNames() +
-                        ")");
-        }
-    }
     if (interactivePerServer < 0 || interactivePerServer > 2) {
         return fail("interactivePerServer must be 0, 1 or 2 (got " +
                     std::to_string(interactivePerServer) + ")");
@@ -190,8 +183,6 @@ ClusterManager::buildNodes()
     }
     pc.seedBase = cfg.seed;
     pc.faults = cfg.faults;
-    pc.seedWorkloadCorpus = cfg.seedWorkloadCorpus;
-    pc.corpusWorkloads = cfg.corpusWorkloads;
     if (cfg.policy == ClusterPolicy::EqualOurs)
         pc.esd = cfg.esd;
     pool.emplace(pc);
@@ -202,63 +193,23 @@ ClusterManager::buildNodes()
     }
 }
 
-void
-ClusterManager::accountManagedReplay(ClusterResult &result) const
-{
-    double viol = 0.0;
-    for (const auto &node : *pool) {
-        result.totalEnergy += node.server->meter().totalEnergy();
-        viol += node.server->meter().violationFraction();
-    }
-    result.capViolationFraction =
-        viol / static_cast<double>(pool->size());
-    result.avgClusterPower =
-        result.totalEnergy / toSeconds(result.duration);
-
-    double perf = 0.0;
-    for (const auto &node : *pool) {
-        for (const auto &rec : node.manager->records())
-            perf += rec.normalizedPerf(node.server->now());
-    }
-    result.aggregatePerf = perf / static_cast<double>(ledger.size());
-    result.perfPerKw =
-        result.aggregatePerf / (result.avgClusterPower / 1000.0);
-    result.allocatorCalls =
-        aggregateTelemetry().timer(trace::EventId::AllocatorSpatial).count;
-}
-
-ClusterResult
-ClusterManager::replayEqual(const PowerTrace &caps)
-{
-    buildNodes();
-
-    for (Watts cap : caps.values) {
-        Watts share = cap / static_cast<double>(cfg.servers);
-        tel.count(trace::EventId::ClusterCapUpdates);
-        for (auto &node : *pool)
-            node.manager->setCap(share);
-        // Nodes are independent within an interval: step them in
-        // parallel (bit-identical to the serial loop).
-        pool->runAll(caps.interval);
-    }
-
-    ClusterResult result;
-    result.duration = caps.duration();
-    accountManagedReplay(result);
-    return result;
-}
-
 ClusterResult
 ClusterManager::replayTree(const PowerTrace &caps)
 {
     buildNodes();
 
+    // A Flat replay is the default tree: depth 1, no capacities,
+    // F = 1 and uniform demand, whose split is the paper's cap/N.
+    const bool tree_fields = cfg.topology == Topology::Tree;
+    const bool demand_aware = tree_fields && cfg.demandAwareSplit;
     PowerTreeConfig tc;
     tc.leaves = cfg.servers;
-    tc.depth = std::max(1, cfg.treeDepth);
-    tc.fanout = cfg.treeFanout;
-    tc.leafCap = cfg.leafCapacity;
-    tc.oversubscription = cfg.oversubscription;
+    if (tree_fields) {
+        tc.depth = std::max(1, cfg.treeDepth);
+        tc.fanout = cfg.treeFanout;
+        tc.leafCap = cfg.leafCapacity;
+        tc.oversubscription = cfg.oversubscription;
+    }
     PowerTree tree(tc);
 
     std::vector<Joules> last_energy(pool->size(), 0.0);
@@ -267,7 +218,7 @@ ClusterManager::replayTree(const PowerTrace &caps)
 
     for (Watts cap : caps.values) {
         tel.count(trace::EventId::ClusterCapUpdates);
-        if (cfg.demandAwareSplit) {
+        if (demand_aware) {
             // Leaf demand := last interval's average draw.  Metered
             // energy is simulated (deterministic), so the resulting
             // splits replay identically at any thread count.  Only
@@ -298,12 +249,30 @@ ClusterManager::replayTree(const PowerTrace &caps)
             ++violations;
             tel.count(trace::EventId::TreeConservationViolations);
         }
+        // Nodes are independent within an interval: step them in
+        // parallel (bit-identical to the serial loop).
         pool->runAll(caps.interval);
     }
 
     ClusterResult result;
     result.duration = caps.duration();
-    accountManagedReplay(result);
+    double viol = 0.0;
+    double perf = 0.0;
+    for (const auto &node : *pool) {
+        result.totalEnergy += node.server->meter().totalEnergy();
+        viol += node.server->meter().violationFraction();
+        for (const auto &rec : node.manager->records())
+            perf += rec.normalizedPerf(node.server->now());
+    }
+    result.capViolationFraction =
+        viol / static_cast<double>(pool->size());
+    result.avgClusterPower =
+        result.totalEnergy / toSeconds(result.duration);
+    result.aggregatePerf = perf / static_cast<double>(ledger.size());
+    result.perfPerKw =
+        result.aggregatePerf / (result.avgClusterPower / 1000.0);
+    result.allocatorCalls =
+        aggregateTelemetry().timer(trace::EventId::AllocatorSpatial).count;
 
     const PowerTreeStats &ts = tree.stats();
     tel.count(trace::EventId::TreeResolves, ts.resolves);
@@ -502,9 +471,7 @@ ClusterManager::replay(const PowerTrace &caps)
     psm_assert(!caps.values.empty());
     if (cfg.policy == ClusterPolicy::ConsolidationMigration)
         return replayConsolidation(caps);
-    if (cfg.topology == Topology::Tree)
-        return replayTree(caps);
-    return replayEqual(caps);
+    return replayTree(caps);
 }
 
 } // namespace psm::cluster

@@ -61,13 +61,14 @@ std::string clusterPolicyName(ClusterPolicy policy);
 /**
  * How the cluster cap reaches the servers.
  *
- * Flat is the paper's private cloud: one global equal split per cap
- * value (the seed behaviour, byte-for-byte).  Tree routes every cap
- * through a PowerTree hierarchy — per-level capacities and
- * oversubscription, epoch-cached subtree summaries, and grants
- * pushed only to servers whose share actually changed.  A depth-1
- * tree over uniform demands computes the identical cap/N share, so
- * Flat is the degenerate case Tree generalizes.
+ * Both route every cap through a PowerTree, which pushes grants only
+ * to servers whose share actually changed.  Flat is the paper's
+ * private cloud: the default depth-1 tree over uniform demands, whose
+ * split is the equal cap/N share; the `tree*`, `oversubscription`,
+ * `leafCapacity` and `demandAwareSplit` fields are ignored.  Tree
+ * builds the hierarchy from those fields — per-level capacities and
+ * oversubscription, epoch-cached subtree summaries and, optionally,
+ * demand-aware splits.
  */
 enum class Topology
 {
@@ -113,25 +114,6 @@ struct ClusterConfig
     util::FaultPlanConfig faults;
 
     /**
-     * Seed the nodes' shared CF corpus from the workload library.
-     * Turn off (with `manager.oracleUtilities`) for scale benches
-     * that build thousands of managed nodes: an oracle control plane
-     * needs no corpus, and skipping it also skips the server-average
-     * curve each seeded node builds, without changing the cap-split
-     * mechanics under test.
-     */
-    bool seedWorkloadCorpus = true;
-
-    /**
-     * Workload names to seed the shared CF corpus with instead of
-     * the full batch library (empty keeps the historical default).
-     * Typos used to abort deep inside the node build with a bare
-     * "unknown workload" fatal; validate() now rejects them up front
-     * with the valid-name list.
-     */
-    std::vector<std::string> corpusWorkloads;
-
-    /**
      * Replace this many of each server's two default batch slots
      * (0, 1 or 2) with latency-critical services from the interactive
      * library in populateDefault(), rotating the library across
@@ -146,8 +128,7 @@ struct ClusterConfig
 
     /**
      * Check the configuration without aborting: servers >= 1,
-     * managedPolicy resolves in the PolicyRegistry, every
-     * corpusWorkloads name exists (perf::hasWorkload) and
+     * managedPolicy resolves in the PolicyRegistry and
      * interactivePerServer is in [0, 2].  On failure returns false
      * and, when @p error is non-null, fills it with a diagnostic that
      * lists the valid names — callers with user-supplied
@@ -196,9 +177,9 @@ struct ClusterResult
      * plane (managed replays only). */
     std::size_t allocatorCalls = 0;
 
-    // --- hierarchical replays (Topology::Tree only) --------------
+    // --- the power tree (managed replays; Flat reports depth 1) ---
 
-    int treeDepth = 0;                 ///< 0 on flat replays
+    int treeDepth = 0;                 ///< 0 on consolidation replays
     std::size_t treeNodes = 0;         ///< tree nodes incl. interior
     std::uint64_t treeResolveVisits = 0; ///< splits recomputed
     /** E1 cap changes actually pushed to servers (grant changes). */
@@ -274,13 +255,9 @@ class ClusterManager
     std::size_t parked_steps = 0;
 
     void buildNodes();
-    ClusterResult replayEqual(const PowerTrace &caps);
+    /** The managed replays, Flat and Tree alike. */
     ClusterResult replayTree(const PowerTrace &caps);
     ClusterResult replayConsolidation(const PowerTrace &caps);
-
-    /** Fold perf/power/violation accounting common to the managed
-     * (equal and tree) replays into @p result. */
-    void accountManagedReplay(ClusterResult &result) const;
 
     /** Estimated uncapped draw of a server hosting the given apps. */
     Watts serverDemand(const std::vector<std::size_t> &apps) const;

@@ -14,16 +14,11 @@ namespace psm::cluster
 namespace
 {
 
-/** Resolve the pool's fault plan: ambient env fallback + seed. */
+/** The pool's fault plan with its derived seed. */
 util::FaultPlanConfig
 poolFaultPlan(const NodePoolConfig &config)
 {
     util::FaultPlanConfig fc = config.faults;
-    if (!fc.enabled()) {
-        double ambient = util::FaultPlanConfig::ambientRateFromEnv();
-        if (ambient > 0.0)
-            fc.setAmbientRate(ambient);
-    }
     if (fc.seed == 0)
         fc.seed = config.seedBase;
     return fc;
@@ -64,19 +59,13 @@ NodePool::NodePool(const NodePoolConfig &config)
     // Profile the corpus once, outside the parallel build, and share
     // it and its server-average curve read-only with every node:
     // noiseless profiling makes the rows depend only on the platform
-    // every node runs and the profiles.  Doing it here also keeps a
-    // workload() typo's fatal() (with the valid-name list) out of a
-    // pool task.
+    // every node runs and the profiles.
     std::shared_ptr<const cf::UtilityEstimator> corpus;
     std::shared_ptr<const core::UtilityCurve> server_average;
     if (config.managed && config.seedWorkloadCorpus) {
-        std::vector<perf::AppProfile> profiles;
-        for (const std::string &name : config.corpusWorkloads)
-            profiles.push_back(perf::workload(name));
-        corpus = cf::profileCorpus(
-            power::defaultPlatform(),
-            profiles.empty() ? perf::workloadLibrary() : profiles,
-            config.manager.als);
+        corpus = cf::profileCorpus(power::defaultPlatform(),
+                                   perf::workloadLibrary(),
+                                   config.manager.als);
         server_average = core::makeServerAverageCurve(*corpus);
     }
     // Nodes share only the corpus, its server-average curve and

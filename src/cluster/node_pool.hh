@@ -52,17 +52,6 @@ struct NodePoolConfig
      * with every manager. */
     bool seedWorkloadCorpus = true;
     /**
-     * Workload names to seed the corpus with instead of the full
-     * batch library (only consulted when seedWorkloadCorpus is set;
-     * empty keeps the historical full-library corpus bit-for-bit).
-     * Names may come from either class — listing interactive services
-     * lets CF estimate a newly arrived service from previously seen
-     * ones.  Callers should pre-validate with perf::hasWorkload (see
-     * ClusterConfig::validate); an unknown name here is programmer
-     * error and fatal()s with the valid-name list.
-     */
-    std::vector<std::string> corpusWorkloads;
-    /**
      * Pool-level fault plan: only the node-crash rate and NodeCrash
      * schedule entries (target = node index) are consulted here;
      * per-server faults belong in `manager.faults`.  `faults.seed ==

@@ -97,7 +97,7 @@ PowerTree::build(int level, std::size_t lo, std::size_t hi, int parent)
         psm_assert(hi - lo == 1);
         n.leafIx = static_cast<int>(lo);
         n.cap = cfg.leafCap;
-        n.demand = cfg.initialDemand;
+        n.demand = 1.0; // uniform until setLeafDemand
         leaf_node[lo] = ix;
         return ix;
     }
@@ -140,7 +140,6 @@ PowerTree::leafDemand(std::size_t leaf) const
 void
 PowerTree::setLeafDemand(std::size_t leaf, double demand)
 {
-    ++tree_stats.demandUpdates;
     int ix = leaf_node.at(leaf);
     node_list[static_cast<std::size_t>(ix)].demand = demand;
     ++node_list[static_cast<std::size_t>(ix)].epoch;

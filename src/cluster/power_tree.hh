@@ -79,8 +79,6 @@ struct PowerTreeConfig
      * parent uncapped.
      */
     double oversubscription = 1.0;
-    /** Initial per-leaf demand weight (uniform by default). */
-    double initialDemand = 1.0;
 };
 
 /** Monotonic work counters (the O(depth) evidence; replays publish
@@ -90,7 +88,6 @@ struct PowerTreeStats
     std::uint64_t resolves = 0;      ///< resolve() calls
     std::uint64_t nodeVisits = 0;    ///< splits actually recomputed
     std::uint64_t nodePrunes = 0;    ///< subtrees skipped via cache
-    std::uint64_t demandUpdates = 0; ///< setLeafDemand() calls
     std::uint64_t grantChanges = 0;  ///< leaf grants that changed
 };
 

@@ -51,7 +51,6 @@ enterModeTraceId(CoordinationMode mode)
 Coordinator::Coordinator(CoordinatorConfig config) : cfg(config)
 {
     psm_assert(cfg.dutyPeriod > 0);
-    psm_assert(cfg.socFloor >= 0.0 && cfg.socFloor < 1.0);
 }
 
 void
@@ -318,7 +317,7 @@ Coordinator::advance(sim::Server &server)
         } else {
             // Leave the ON phase when its time is up or the battery
             // hit its floor (it can no longer bridge the deficit).
-            bool drained = bat->soc() <= cfg.socFloor;
+            bool drained = bat->soc() <= socFloor;
             if ((off_len > 0 && elapsed >= on_len) || drained) {
                 esd_charging = true;
                 esd_phase_started = now;

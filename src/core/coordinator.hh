@@ -61,8 +61,6 @@ struct Directive
 struct CoordinatorConfig
 {
     Tick dutyPeriod = toTicks(2.0); ///< full ON/OFF cycle length
-    /** Battery SoC floor: stop discharging below this. */
-    double socFloor = 0.02;
 };
 
 /**
@@ -72,6 +70,9 @@ struct CoordinatorConfig
 class Coordinator
 {
   public:
+    /** Battery SoC floor: stop discharging below this. */
+    static constexpr double socFloor = 0.02;
+
     explicit Coordinator(CoordinatorConfig config = {});
 
     CoordinationMode mode() const { return current_mode; }

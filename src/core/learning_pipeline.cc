@@ -174,8 +174,7 @@ LearningPipeline::utilityFor(int id, KnobFreedom freedom) const
     psm_assert(it != apps.end());
     psm_assert(it->second.surface.has_value());
     return UtilityCurve(it->second.name, profiler.settings(),
-                        *it->second.surface, freedom, &srv.platform(),
-                        &it->second.slo);
+                        *it->second.surface, freedom, &it->second.slo);
 }
 
 } // namespace psm::core

@@ -78,14 +78,6 @@ ServerManager::controlConfig(const ManagerConfig &cfg)
 ManagerConfig
 ServerManager::normalizedConfig(ManagerConfig cfg)
 {
-    // An explicitly configured plan wins; otherwise the ambient
-    // PSM_FAULT_RATE environment knob (used by the fault-rate ctest
-    // job) arms the injector for every manager in the process.
-    if (!cfg.faults.enabled()) {
-        double ambient = util::FaultPlanConfig::ambientRateFromEnv();
-        if (ambient > 0.0)
-            cfg.faults.setAmbientRate(ambient);
-    }
     if (cfg.faults.seed == 0)
         cfg.faults.seed = cfg.seed;
     return cfg;

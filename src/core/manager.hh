@@ -83,11 +83,10 @@ struct ManagerConfig
     AccountantConfig accountant;
 
     /**
-     * Fault plan for this server.  When no rates are configured, the
-     * `PSM_FAULT_RATE` environment variable (an ambient per-poll
-     * probability) arms the injector instead; `faults.seed == 0`
-     * derives the roll seed from `seed` below, so one manager seed
-     * reproduces both the workload and the fault schedule.
+     * Fault plan for this server (disabled by default);
+     * `faults.seed == 0` derives the roll seed from `seed` below, so
+     * one manager seed reproduces both the workload and the fault
+     * schedule.
      */
     util::FaultPlanConfig faults;
 

@@ -34,8 +34,6 @@ Allocation::allScheduled() const
 PowerAllocator::PowerAllocator(AllocatorConfig config) : cfg(config)
 {
     psm_assert(cfg.granularity > 0.0);
-    psm_assert(cfg.shareFloor >= 0.0 && cfg.shareFloor <= 1.0);
-    psm_assert(cfg.esdSearchStep > 0.0);
 }
 
 PowerAllocator::ReservePlan
@@ -360,7 +358,7 @@ PowerAllocator::temporalPlan(
         // all-clamped case is exactly the equal split when the floor
         // is feasible, i.e. shareFloor <= 1).
         double floor_share =
-            cfg.shareFloor / static_cast<double>(plan.slots.size());
+            shareFloor / static_cast<double>(plan.slots.size());
         std::vector<double> weight(plan.slots.size());
         std::vector<bool> clamped(plan.slots.size(), false);
         for (std::size_t i = 0; i < plan.slots.size(); ++i) {
@@ -438,7 +436,7 @@ PowerAllocator::esdPlan(const std::vector<const UtilityCurve *> &curves,
     // near the boundary the drift could add or drop the final
     // candidate depending on how the error happened to round.
     auto sweep = static_cast<std::size_t>(
-        std::floor((hi - lo + 1e-9) / cfg.esdSearchStep)) + 1;
+        std::floor((hi - lo + 1e-9) / esdSearchStep)) + 1;
 
     // The DP table for the largest candidate budget subsumes every
     // smaller one: rows and choices at bucket index b never depend on
@@ -450,13 +448,13 @@ PowerAllocator::esdPlan(const std::vector<const UtilityCurve *> &curves,
     // reservePlan() sums, so `mins <= budget` answers identically for
     // all candidates.
     Watts budget_max =
-        lo + static_cast<double>(sweep - 1) * cfg.esdSearchStep;
+        lo + static_cast<double>(sweep - 1) * esdSearchStep;
     ReservePlan rp_max = reservePlan(curves, budget_max);
     ChoiceTables choice = fold(curves, rp_max, rp_max.buckets);
 
     for (std::size_t bucket = 0; bucket < sweep; ++bucket) {
         Watts budget =
-            lo + static_cast<double>(bucket) * cfg.esdSearchStep;
+            lo + static_cast<double>(bucket) * esdSearchStep;
         // Re-derive the candidate's bucket count through the very
         // expressions a standalone allocate() would use, so the
         // walk-back starts from a bit-identical index.

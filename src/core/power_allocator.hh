@@ -102,9 +102,6 @@ enum class ShareMode
 struct AllocatorConfig
 {
     Watts granularity = 0.25;   ///< DP watt quantum
-    double shareFloor = 0.25;   ///< min ON share under UtilityWeighted
-    /** Candidate ON-budget steps searched when planning with ESD. */
-    Watts esdSearchStep = 1.0;
     /**
      * When the budget covers every application's cheapest frontier
      * point, reserve those minima before optimizing (Eq. 1 weighs
@@ -156,6 +153,12 @@ class AllocatorCache
 class PowerAllocator
 {
   public:
+    /** Min total ON share under ShareMode::UtilityWeighted: each of
+     * n slots gets at least shareFloor / n. */
+    static constexpr double shareFloor = 0.25;
+    /** Candidate ON-budget step searched when planning with ESD. */
+    static constexpr Watts esdSearchStep = 1.0;
+
     explicit PowerAllocator(AllocatorConfig config = {});
 
     const AllocatorConfig &config() const { return cfg; }

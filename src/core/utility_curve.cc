@@ -13,10 +13,9 @@ UtilityCurve::UtilityCurve(
     std::string name,
     const std::vector<power::KnobSetting> &settings,
     const cf::UtilitySurface &surface, KnobFreedom freedom,
-    const power::PlatformConfig *platform, const InteractiveSlo *slo)
+    const InteractiveSlo *slo)
     : app_name(std::move(name))
 {
-    (void)platform;
     if (slo != nullptr && slo->valid())
         slo_spec = *slo;
     psm_assert(settings.size() == surface.power.size() &&

@@ -91,9 +91,6 @@ class UtilityCurve
      * @param settings Knob setting of each surface column.
      * @param surface Predicted power / heartbeat rate per column.
      * @param freedom Which knob combinations are admissible.
-     * @param platform Optional platform description (reserved for
-     *        enforcement-specific curve adjustments; currently
-     *        unused).
      * @param slo Optional interactive-SLO spec.  When valid, perfNorm
      *        is no longer hbRate/uncapped but the SLO utility
      *        min(1, sloP99 / p99(mu, lambda)) with mu the service rate
@@ -110,7 +107,6 @@ class UtilityCurve
                  const std::vector<power::KnobSetting> &settings,
                  const cf::UtilitySurface &surface,
                  KnobFreedom freedom = KnobFreedom::All,
-                 const power::PlatformConfig *platform = nullptr,
                  const InteractiveSlo *slo = nullptr);
 
     const std::string &name() const { return app_name; }

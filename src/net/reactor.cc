@@ -202,8 +202,7 @@ Reactor::acceptPending()
             warn("accept failed: %s", std::strerror(errno));
             return;
         }
-        std::uint64_t id = addConnection(fd);
-        handler.onAccept(id);
+        addConnection(fd);
     }
 }
 

@@ -46,8 +46,6 @@ class Reactor
         virtual void onFrame(std::uint64_t conn, Frame &&frame) = 0;
         /** The peer vanished (EOF, error, or garbage framing). */
         virtual void onDisconnect(std::uint64_t conn) = 0;
-        /** A listener produced a new connection. */
-        virtual void onAccept(std::uint64_t conn) { (void)conn; }
     };
 
     explicit Reactor(Handler &handler);

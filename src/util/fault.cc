@@ -1,7 +1,7 @@
 #include "fault.hh"
 
 #include <algorithm>
-#include <cstdlib>
+#include <utility>
 
 #include "util/logging.hh"
 
@@ -79,22 +79,6 @@ FaultPlanConfig::setAmbientRate(double r)
     actuationFailRate = r * 0.25;
     appKillRate = r * 0.05;
     nodeCrashRate = std::min(0.5, r * 2.0);
-}
-
-double
-FaultPlanConfig::ambientRateFromEnv()
-{
-    const char *env = std::getenv("PSM_FAULT_RATE");
-    if (env == nullptr || *env == '\0')
-        return 0.0;
-    char *end = nullptr;
-    double r = std::strtod(env, &end);
-    if (end == env || r <= 0.0 || r >= 1.0) {
-        warn("ignoring invalid PSM_FAULT_RATE '%s' (want 0 < r < 1)",
-             env);
-        return 0.0;
-    }
-    return r;
 }
 
 FaultInjector::FaultInjector(FaultPlanConfig config,

@@ -99,13 +99,10 @@ struct FaultPlanConfig
      * Derive the per-kind rates from one ambient rate @p r, scaled so
      * frequent rolls (meter, per control period) fault at @p r while
      * destructive ones (kills, node crashes) fault correspondingly
-     * less often.  Used by the `PSM_FAULT_RATE` ambient mode and by
-     * `bench_faults` rate sweeps.
+     * less often.  Used by the `bench_faults` rate sweep, the
+     * arena's ambient fault schedule and the fault tests.
      */
     void setAmbientRate(double r);
-
-    /** Parse `PSM_FAULT_RATE` from the environment (0 when unset). */
-    static double ambientRateFromEnv();
 };
 
 /**

@@ -173,7 +173,7 @@ struct DenseDpOracle
         EsdPlan best;
         if (curves.empty() || cap <= idle_power + off_cm_power)
             return best;
-        Watts step = pa.config().esdSearchStep;
+        Watts step = PowerAllocator::esdSearchStep;
         Watts charge = std::min(cap - idle_power - off_cm_power,
                                 esd.maxChargePower);
         double eta = esd.roundTripEfficiency();

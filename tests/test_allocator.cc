@@ -165,13 +165,10 @@ TEST_F(AllocatorTest, TemporalEqualSharesAreFair)
 
 TEST_F(AllocatorTest, TemporalRespectsShareFloor)
 {
-    AllocatorConfig cfg;
-    cfg.shareFloor = 0.4;
-    PowerAllocator floored(cfg);
-    TemporalPlan plan = floored.temporalPlan(
+    TemporalPlan plan = allocator.temporalPlan(
         ptrs, 12.0, ShareMode::UtilityWeighted);
     for (const auto &s : plan.slots)
-        EXPECT_GE(s.share, 0.4 / 2.0 - 1e-9);
+        EXPECT_GE(s.share, PowerAllocator::shareFloor / 2.0 - 1e-9);
 }
 
 TEST_F(AllocatorTest, TemporalReportsUnschedulable)
@@ -597,15 +594,15 @@ TEST_F(AllocatorTest, SlackUpgradeKeepsGrantedBudget)
 
 TEST(AllocatorTemporal, WeightedFloorSurvivesRenormalization)
 {
-    // Two single-point curves with a 6x perf-per-watt spread: the old
-    // floor-then-renormalize scheme diluted the weak app back below
-    // the floor (~0.26 here); the water-fill must hold it at exactly
-    // floor/n and hand the remainder to the strong app.
+    // Two single-point curves with a 12x perf-per-watt spread: the
+    // old floor-then-renormalize scheme diluted the weak app back
+    // below the floor (~0.119 here); the water-fill must hold it at
+    // exactly floor/n and hand the remainder to the strong app.
     const auto &plat = defaultPlatform();
     std::vector<power::KnobSetting> one = {plat.knobSpace().front()};
     UtilityCurve strong("strong", one,
                         cf::UtilityEstimator::surfaceFromRows(
-                            {5.0}, {1000.0}),
+                            {2.5}, {1000.0}),
                         KnobFreedom::All);
     UtilityCurve weak("weak", one,
                       cf::UtilityEstimator::surfaceFromRows(
@@ -613,20 +610,19 @@ TEST(AllocatorTemporal, WeightedFloorSurvivesRenormalization)
                       KnobFreedom::All);
     std::vector<const UtilityCurve *> pair = {&strong, &weak};
 
-    AllocatorConfig cfg;
-    cfg.shareFloor = 0.6;
-    PowerAllocator floored(cfg);
+    PowerAllocator allocator;
     TemporalPlan plan =
-        floored.temporalPlan(pair, 35.0, ShareMode::UtilityWeighted);
+        allocator.temporalPlan(pair, 35.0, ShareMode::UtilityWeighted);
     ASSERT_EQ(plan.slots.size(), 2u);
+    const double floor_share = PowerAllocator::shareFloor / 2.0;
     double total = 0.0;
     for (const auto &s : plan.slots) {
-        EXPECT_GE(s.share, 0.6 / 2.0 - 1e-9) << s.app;
+        EXPECT_GE(s.share, floor_share - 1e-9) << s.app;
         total += s.share;
         if (s.app == "weak")
-            EXPECT_NEAR(s.share, 0.3, 1e-9);
+            EXPECT_NEAR(s.share, floor_share, 1e-9);
         else
-            EXPECT_NEAR(s.share, 0.7, 1e-9);
+            EXPECT_NEAR(s.share, 1.0 - floor_share, 1e-9);
     }
     EXPECT_NEAR(total, 1.0, 1e-9);
 }

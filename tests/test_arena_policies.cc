@@ -4,7 +4,10 @@
  * fair capping and CuttleSys's data-driven local search.  Both must
  * conserve the budget at every operating point, fall through the
  * selector ladder when even the floor does not fit, and replan
- * deterministically (capture replay depends on it).
+ * deterministically (capture replay depends on it).  The arena's own
+ * clauses live here too: every registered policy's selected plan fits
+ * the offered budget, and the paper's App+Res+ESD-Aware baseline
+ * keeps its home scenario against both rivals.
  */
 
 #include <gtest/gtest.h>
@@ -16,6 +19,7 @@
 #include <vector>
 
 #include "cf/profiler.hh"
+#include "core/manager.hh"
 #include "core/plan_selector.hh"
 #include "core/policy_cuttlesys.hh"
 #include "core/policy_fastcap.hh"
@@ -23,6 +27,7 @@
 #include "core/telemetry.hh"
 #include "perf/perf_model.hh"
 #include "perf/workloads.hh"
+#include "sim/server.hh"
 #include "util/random.hh"
 
 namespace psm::core
@@ -47,10 +52,10 @@ class ArenaPlannerTest : public ::testing::Test
             perf::PerfModel model(plat, perf::workload(name));
             std::vector<double> p, h;
             prof.measureAll(model, p, h, rng);
+            surfaces.push_back(
+                cf::UtilityEstimator::surfaceFromRows(p, h));
             curves.push_back(std::make_unique<UtilityCurve>(
-                name, settings,
-                cf::UtilityEstimator::surfaceFromRows(p, h),
-                KnobFreedom::All));
+                name, settings, surfaces.back(), KnobFreedom::All));
         }
         for (const auto &c : curves)
             ptrs.push_back(c.get());
@@ -84,6 +89,7 @@ class ArenaPlannerTest : public ::testing::Test
     }
 
     std::vector<power::KnobSetting> settings;
+    std::vector<cf::UtilitySurface> surfaces;
     std::vector<std::unique_ptr<UtilityCurve>> curves;
     std::vector<const UtilityCurve *> ptrs;
     AllocatorConfig alloc_cfg;
@@ -269,6 +275,94 @@ TEST_F(ArenaPlannerTest, SelectorRoutesRegistryPlanners)
                 ? trace::EventId::PolicyFastcapPlans
                 : trace::EventId::PolicyCuttlesysPlans;
         EXPECT_GE(tel.counter(counter), 1u);
+    }
+}
+
+TEST_F(ArenaPlannerTest, SelectedPlanFitsTheBudgetForEveryPolicy)
+{
+    // Realized meter violations are transiently nonzero by design
+    // (actuation lag), so the exact invariant is checked where it is
+    // exact: each policy's selected plan against the budget offered.
+    UtilityCurve avg("server-average", settings,
+                     averageSurfaces(surfaces), KnobFreedom::All);
+    PlanSelector selector(defaultPlatform(), AllocatorConfig{});
+    const double n = static_cast<double>(ptrs.size());
+    for (const PolicyInfo &info : PolicyRegistry::instance().all()) {
+        for (double budget = 10.0; budget <= 150.0; budget += 3.5) {
+            PlanInputs in;
+            in.policy = info.kind;
+            in.cap = budget;
+            in.budget = budget;
+            in.curves = ptrs;
+            in.appCount = ptrs.size();
+            in.serverAverage = &avg;
+            PlanDecision d = selector.select(in);
+            double granted = 0.0;
+            switch (d.choice) {
+              case PlanChoice::SpatialUtility:
+                granted = d.alloc.used;
+                break;
+              case PlanChoice::FairRaplSpace:
+              case PlanChoice::ServerAvgSpace:
+                granted = d.perAppBudget * n;
+                break;
+              default:
+                // Temporal and idle plans run at most one app at a
+                // time within the ON budget: nothing concurrent to sum.
+                continue;
+            }
+            EXPECT_LE(granted, budget + 1e-6)
+                << info.cliName << " at " << budget << " W ("
+                << planChoiceName(d.choice) << ")";
+        }
+    }
+}
+
+/** Sum of both apps' normalized perf for one arena cell: the mix on
+ * an ESD-equipped server under three 5 s segments of 80 W, oracle
+ * utilities, no faults (the arena's "tight-80" row). */
+double
+tightCapUtility(PolicyKind kind, int mix_id)
+{
+    sim::Server server;
+    server.attachEsd(esd::leadAcidUps());
+    server.setCap(80.0);
+    ManagerConfig cfg;
+    cfg.policy = kind;
+    cfg.oracleUtilities = true;
+    ServerManager manager(server, cfg);
+    manager.seedCorpus(perf::workloadLibrary());
+    const perf::Mix &mx = perf::mix(mix_id);
+    manager.addApp(perf::workload(mx.app1));
+    manager.addApp(perf::workload(mx.app2));
+    for (int segment = 0; segment < 3; ++segment) {
+        manager.setCap(80.0);
+        manager.run(toTicks(5.0));
+    }
+    double utility = 0.0;
+    for (const AppRecord &rec : manager.records())
+        utility += rec.normalizedPerf(server.now());
+    return utility;
+}
+
+TEST(ArenaHomeTurf, BaselineWithinTwoPercentOfBestRivalAtTightCap)
+{
+    // Rivals may win elsewhere (that is the arena's point), but under
+    // the stringent constant cap with the ESD attached the paper's
+    // full baseline must not be beaten by more than 2% on its best
+    // mix of the arena's four.
+    auto best = [](PolicyKind kind) {
+        double top = 0.0;
+        for (int mix_id : {1, 5, 8, 12})
+            top = std::max(top, tightCapUtility(kind, mix_id));
+        return top;
+    };
+    double baseline = best(PolicyKind::AppResEsdAware);
+    EXPECT_GT(baseline, 0.0);
+    for (PolicyKind rival :
+         {PolicyKind::FastCapFair, PolicyKind::CuttleSysSearch}) {
+        EXPECT_LE(best(rival), baseline * 1.02 + 1e-9)
+            << policyName(rival);
     }
 }
 

@@ -233,8 +233,7 @@ class PlanSelectorTest : public ::testing::Test
             surfaces.push_back(
                 cf::UtilityEstimator::surfaceFromRows(p, h));
             curves.push_back(std::make_unique<UtilityCurve>(
-                name, settings, surfaces.back(), KnobFreedom::All,
-                &plat));
+                name, settings, surfaces.back(), KnobFreedom::All));
         }
         ptrs = {curves[0].get(), curves[1].get()};
         avg = std::make_unique<UtilityCurve>(

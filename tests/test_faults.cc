@@ -4,22 +4,24 @@
  * graceful-degradation paths it drives: meter fallback + staleness
  * watchdog in the ControlLoop, ESD loss/restore and app kills in the
  * ServerManager, actuation faults demoting to fair RAPL, and node
- * crash isolation in the NodePool — plus the determinism guarantee
- * that one seed replays the identical fault schedule at any thread
- * width.
+ * crash isolation in the NodePool, a cluster replay under ambient
+ * faults that must degrade gracefully — plus the determinism
+ * guarantee that one seed replays the identical fault schedule at any
+ * thread width.
  */
 
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <cstdlib>
 #include <map>
 #include <string>
 #include <string_view>
 #include <utility>
 #include <vector>
 
+#include "cluster/cluster_manager.hh"
 #include "cluster/node_pool.hh"
+#include "cluster/power_trace.hh"
 #include "core/control_loop.hh"
 #include "core/coordinator.hh"
 #include "core/manager.hh"
@@ -149,46 +151,6 @@ TEST(Faults, AmbientRateScalesKindsSensibly)
     EXPECT_GT(cfg.rate(FaultKind::EsdFade), 0.0);
     EXPECT_GT(cfg.rate(FaultKind::ActuationStuck), 0.0);
     EXPECT_GT(cfg.rate(FaultKind::MeterNan), 0.0);
-}
-
-TEST(Faults, AmbientEnvVarArmsManagersUnlessPlanIsExplicit)
-{
-    const char *prev = std::getenv("PSM_FAULT_RATE");
-    std::string saved = prev ? prev : "";
-
-    ::setenv("PSM_FAULT_RATE", "0.05", 1);
-    {
-        sim::Server server;
-        core::ServerManager manager(server);
-        EXPECT_TRUE(manager.faultInjector().enabled());
-        EXPECT_DOUBLE_EQ(
-            manager.faultInjector().config().rate(FaultKind::MeterStale),
-            0.05);
-        // The derived seed follows the manager seed, so the ambient
-        // schedule is reproducible too.
-        EXPECT_EQ(manager.faultInjector().config().seed,
-                  manager.config().seed);
-
-        // An explicitly configured plan wins over the environment.
-        sim::Server other;
-        core::ManagerConfig cfg;
-        cfg.faults.meterNanRate = 0.1;
-        core::ServerManager explicit_mgr(other, cfg);
-        EXPECT_DOUBLE_EQ(explicit_mgr.faultInjector().config().rate(
-                             FaultKind::MeterStale),
-                         0.0);
-        EXPECT_DOUBLE_EQ(explicit_mgr.faultInjector().config().rate(
-                             FaultKind::MeterNan),
-                         0.1);
-    }
-    ::unsetenv("PSM_FAULT_RATE");
-    {
-        sim::Server server;
-        core::ServerManager manager(server);
-        EXPECT_FALSE(manager.faultInjector().enabled());
-    }
-    if (!saved.empty())
-        ::setenv("PSM_FAULT_RATE", saved.c_str(), 1);
 }
 
 // --- PowerMeter hardening ---------------------------------------------------
@@ -360,145 +322,250 @@ TEST(Faults, StuckActuationDemotesToFairRapl)
 
 // --- NodePool: crash isolation ----------------------------------------------
 
+// Each crash scenario also runs with every manager rolling ambient
+// faults: pool-level isolation must not depend on a clean node.
+constexpr double kManagerAmbientRates[] = {0.0, 0.02};
+
 TEST(Faults, NodeCrashIsolatesThenRestarts)
 {
-    cluster::NodePoolConfig pc;
-    pc.servers = 3;
-    pc.seedBase = 50;
-    pc.serverCap = 100.0;
-    pc.manager.oracleUtilities = true;
-    pc.seedWorkloadCorpus = false;
-    pc.faults.seed = 1;
-    // NodeCrash windows are keyed on the node's 1-based runAll()
-    // attempt counter: node 1 crashes on its first attempt only.
-    pc.faults.schedule.push_back(FaultWindow{FaultKind::NodeCrash, 1, 2, 1});
-    cluster::NodePool pool(pc);
-    for (std::size_t s = 0; s < pool.size(); ++s)
-        pool[s].manager->addApp(workload("stream"));
+    for (double ambient : kManagerAmbientRates) {
+        SCOPED_TRACE("manager ambient rate " + std::to_string(ambient));
+        cluster::NodePoolConfig pc;
+        pc.servers = 3;
+        pc.seedBase = 50;
+        pc.serverCap = 100.0;
+        pc.manager.oracleUtilities = true;
+        if (ambient > 0.0)
+            pc.manager.faults.setAmbientRate(ambient);
+        pc.seedWorkloadCorpus = false;
+        pc.faults.seed = 1;
+        // NodeCrash windows are keyed on the node's 1-based runAll()
+        // attempt counter: node 1 crashes on its first attempt only.
+        pc.faults.schedule.push_back(
+            FaultWindow{FaultKind::NodeCrash, 1, 2, 1});
+        cluster::NodePool pool(pc);
+        for (std::size_t s = 0; s < pool.size(); ++s)
+            pool[s].manager->addApp(workload("stream"));
 
-    pool.runAll(toTicks(1.0));
-    core::Telemetry tel = pool.aggregateTelemetry();
-    EXPECT_EQ(tel.counter("fault.node_crash"), 1u);
-    EXPECT_EQ(tel.counter("degraded.node_isolated"), 1u);
-    // The crashed node sat the interval out; the others advanced.
-    EXPECT_EQ(pool[1].server->now(), 0u);
-    EXPECT_EQ(pool[0].server->now(), toTicks(1.0));
-    EXPECT_EQ(pool[2].server->now(), toTicks(1.0));
-    // Each node's step telemetry lands on its own bus.
-    const core::Telemetry &crashed = pool[1].manager->telemetry();
-    EXPECT_EQ(crashed.counter("fault.node_crash"), 1u);
-    EXPECT_EQ(crashed.counter("degraded.node_isolated"), 1u);
-    EXPECT_EQ(crashed.timer("cluster.node_step").count, 0u);
-    for (std::size_t s : {0u, 2u}) {
-        const core::Telemetry &ok = pool[s].manager->telemetry();
-        EXPECT_EQ(ok.timer("cluster.node_step").count, 1u) << s;
-        EXPECT_EQ(ok.counter("fault.node_crash"), 0u) << s;
-        EXPECT_EQ(ok.counter("fault.node_exception"), 0u) << s;
-        EXPECT_EQ(ok.counter("degraded.node_isolated"), 0u) << s;
+        pool.runAll(toTicks(1.0));
+        core::Telemetry tel = pool.aggregateTelemetry();
+        EXPECT_EQ(tel.counter("fault.node_crash"), 1u);
+        EXPECT_EQ(tel.counter("degraded.node_isolated"), 1u);
+        // The crashed node sat the interval out; the others advanced.
+        EXPECT_EQ(pool[1].server->now(), 0u);
+        EXPECT_EQ(pool[0].server->now(), toTicks(1.0));
+        EXPECT_EQ(pool[2].server->now(), toTicks(1.0));
+        // Each node's step telemetry lands on its own bus.
+        const core::Telemetry &crashed = pool[1].manager->telemetry();
+        EXPECT_EQ(crashed.counter("fault.node_crash"), 1u);
+        EXPECT_EQ(crashed.counter("degraded.node_isolated"), 1u);
+        EXPECT_EQ(crashed.timer("cluster.node_step").count, 0u);
+        for (std::size_t s : {0u, 2u}) {
+            const core::Telemetry &ok = pool[s].manager->telemetry();
+            EXPECT_EQ(ok.timer("cluster.node_step").count, 1u) << s;
+            EXPECT_EQ(ok.counter("fault.node_crash"), 0u) << s;
+            EXPECT_EQ(ok.counter("fault.node_exception"), 0u) << s;
+            EXPECT_EQ(ok.counter("degraded.node_isolated"), 0u) << s;
+        }
+
+        pool.runAll(toTicks(1.0)); // attempt 2: healthy again
+        tel = pool.aggregateTelemetry();
+        EXPECT_EQ(tel.counter("fault.node_crash"), 1u);
+        EXPECT_EQ(tel.counter("degraded.node_restarted"), 1u);
+        EXPECT_EQ(pool[1].server->now(), toTicks(1.0)); // one behind
+        EXPECT_EQ(pool[0].server->now(), toTicks(2.0));
     }
-
-    pool.runAll(toTicks(1.0)); // attempt 2: healthy again
-    tel = pool.aggregateTelemetry();
-    EXPECT_EQ(tel.counter("fault.node_crash"), 1u);
-    EXPECT_EQ(tel.counter("degraded.node_restarted"), 1u);
-    EXPECT_EQ(pool[1].server->now(), toTicks(1.0)); // lags one interval
-    EXPECT_EQ(pool[0].server->now(), toTicks(2.0));
 }
 
 TEST(Faults, ConsecutiveCrashesBackOffExponentially)
 {
-    cluster::NodePoolConfig pc;
-    pc.servers = 2;
-    pc.seedBase = 60;
-    pc.serverCap = 100.0;
-    pc.manager.oracleUtilities = true;
-    pc.seedWorkloadCorpus = false;
-    pc.faults.seed = 2;
-    // Node 0 crashes on attempts 1 and 2 (streak of two).
-    pc.faults.schedule.push_back(FaultWindow{FaultKind::NodeCrash, 1, 3, 0});
-    cluster::NodePool pool(pc);
-    for (std::size_t s = 0; s < pool.size(); ++s)
-        pool[s].manager->addApp(workload("kmeans"));
+    for (double ambient : kManagerAmbientRates) {
+        SCOPED_TRACE("manager ambient rate " + std::to_string(ambient));
+        cluster::NodePoolConfig pc;
+        pc.servers = 2;
+        pc.seedBase = 60;
+        pc.serverCap = 100.0;
+        pc.manager.oracleUtilities = true;
+        if (ambient > 0.0)
+            pc.manager.faults.setAmbientRate(ambient);
+        pc.seedWorkloadCorpus = false;
+        pc.faults.seed = 2;
+        // Node 0 crashes on attempts 1 and 2 (streak of two).
+        pc.faults.schedule.push_back(
+            FaultWindow{FaultKind::NodeCrash, 1, 3, 0});
+        cluster::NodePool pool(pc);
+        for (std::size_t s = 0; s < pool.size(); ++s)
+            pool[s].manager->addApp(workload("kmeans"));
 
-    // Attempt 1: crash (streak 1, retry immediately).  Attempt 2:
-    // crash again (streak 2, cooldown 1).  Attempt 3: skipped.
-    // Attempt 4: healthy run.
-    for (int i = 0; i < 4; ++i)
-        pool.runAll(toTicks(0.5));
-    core::Telemetry tel = pool.aggregateTelemetry();
-    EXPECT_EQ(tel.counter("fault.node_crash"), 2u);
-    EXPECT_EQ(tel.counter("degraded.node_isolated"), 2u);
-    EXPECT_EQ(tel.counter("degraded.node_skipped"), 1u);
-    EXPECT_EQ(tel.counter("degraded.node_restarted"), 1u);
-    EXPECT_EQ(pool[0].server->now(), toTicks(0.5)); // one good interval
-    EXPECT_EQ(pool[1].server->now(), toTicks(2.0)); // all four
+        // Attempt 1: crash (streak 1, retry immediately).  Attempt 2:
+        // crash again (streak 2, cooldown 1).  Attempt 3: skipped.
+        // Attempt 4: healthy run.
+        for (int i = 0; i < 4; ++i)
+            pool.runAll(toTicks(0.5));
+        core::Telemetry tel = pool.aggregateTelemetry();
+        EXPECT_EQ(tel.counter("fault.node_crash"), 2u);
+        EXPECT_EQ(tel.counter("degraded.node_isolated"), 2u);
+        EXPECT_EQ(tel.counter("degraded.node_skipped"), 1u);
+        EXPECT_EQ(tel.counter("degraded.node_restarted"), 1u);
+        EXPECT_EQ(pool[0].server->now(), toTicks(0.5)); // one good run
+        EXPECT_EQ(pool[1].server->now(), toTicks(2.0)); // all four
+    }
 }
 
 TEST(Faults, CrashBackoffShiftClampedForHugeStreaks)
 {
-    cluster::NodePoolConfig pc;
-    pc.servers = 1;
-    pc.seedBase = 61;
-    pc.serverCap = 100.0;
-    pc.manager.oracleUtilities = true;
-    pc.seedWorkloadCorpus = false;
-    pc.faults.seed = 3;
-    // Node 0 crashes on every attempt, forever.
-    pc.faults.schedule.push_back(
-        FaultWindow{FaultKind::NodeCrash, 1, maxTick, 0});
-    cluster::NodePool pool(pc);
-    pool[0].manager->addApp(workload("stream"));
+    for (double ambient : kManagerAmbientRates) {
+        SCOPED_TRACE("manager ambient rate " + std::to_string(ambient));
+        cluster::NodePoolConfig pc;
+        pc.servers = 1;
+        pc.seedBase = 61;
+        pc.serverCap = 100.0;
+        pc.manager.oracleUtilities = true;
+        if (ambient > 0.0)
+            pc.manager.faults.setAmbientRate(ambient);
+        pc.seedWorkloadCorpus = false;
+        pc.faults.seed = 3;
+        // Node 0 crashes on every attempt, forever.
+        pc.faults.schedule.push_back(
+            FaultWindow{FaultKind::NodeCrash, 1, maxTick, 0});
+        cluster::NodePool pool(pc);
+        pool[0].manager->addApp(workload("stream"));
 
-    // A node that has been flapping for ages: the naive
-    // `1 << (streak - 2)` backoff is UB once the streak passes the
-    // width of int.  The shift amount must be clamped so the cooldown
-    // stays at the 8-interval cap.
-    pool[0].crashStreak = 1000;
-    pool.runAll(toTicks(0.5));
-    EXPECT_EQ(pool.aggregateTelemetry().counter("fault.node_crash"), 1u);
-    EXPECT_EQ(pool[0].crashStreak, 1001);
-    EXPECT_EQ(pool[0].cooldown, 8);
+        // A node that has been flapping for ages: the naive
+        // `1 << (streak - 2)` backoff is UB once the streak passes the
+        // width of int.  The shift amount must be clamped so the
+        // cooldown stays at the 8-interval cap.
+        pool[0].crashStreak = 1000;
+        pool.runAll(toTicks(0.5));
+        EXPECT_EQ(pool.aggregateTelemetry().counter("fault.node_crash"),
+                  1u);
+        EXPECT_EQ(pool[0].crashStreak, 1001);
+        EXPECT_EQ(pool[0].cooldown, 8);
 
-    // The streak itself saturates instead of eventually overflowing.
-    pool[0].crashStreak = 1 << 20;
-    pool[0].cooldown = 0;
-    pool.runAll(toTicks(0.5));
-    EXPECT_EQ(pool[0].crashStreak, 1 << 20);
-    EXPECT_EQ(pool[0].cooldown, 8);
+        // The streak itself saturates instead of eventually
+        // overflowing.
+        pool[0].crashStreak = 1 << 20;
+        pool[0].cooldown = 0;
+        pool.runAll(toTicks(0.5));
+        EXPECT_EQ(pool[0].crashStreak, 1 << 20);
+        EXPECT_EQ(pool[0].cooldown, 8);
+    }
 }
 
 TEST(Faults, AmbientConfiguredManagerRunsToCompletion)
 {
-    // Under the psm_tests_ambient_faults ctest job PSM_FAULT_RATE is
-    // set, so this default-configured manager rolls ambient faults of
-    // every kind; in a clean environment it is a plain run.  Either
-    // way the control plane must reach the horizon without crashing,
-    // and every injected fault must surface a degradation action.
+    // A manager rolling ambient faults of every kind must reach the
+    // horizon without crashing, and every injected fault must surface
+    // a degradation action.
     sim::Server server;
     server.attachEsd(esd::leadAcidUps());
     server.setCap(90.0);
     core::ManagerConfig cfg;
     cfg.policy = core::PolicyKind::AppResEsdAware;
     cfg.oracleUtilities = true;
+    cfg.faults.setAmbientRate(0.02);
     core::ServerManager manager(server, cfg);
+    // faults.seed == 0 derives the roll seed from the manager seed,
+    // so the ambient schedule is reproducible too.
+    EXPECT_EQ(manager.faultInjector().config().seed,
+              manager.config().seed);
+    // A plan comes only from the config: a default manager rolls none.
+    sim::Server plain;
+    EXPECT_FALSE(core::ServerManager(plain).faultInjector().enabled());
     manager.addApp(workload("stream"));
     manager.addApp(workload("kmeans"));
     manager.run(toTicks(10.0));
     EXPECT_EQ(server.now(), toTicks(10.0));
 
-    if (manager.faultInjector().enabled()) {
-        std::uint64_t faults = 0, degraded = 0;
-        for (const auto &[name, value] :
-             manager.telemetry().counters()) {
-            if (name.rfind("fault.", 0) == 0)
-                faults += value;
-            if (name.rfind("degraded.", 0) == 0)
-                degraded += value;
-        }
-        if (faults > 0) {
-            EXPECT_GT(degraded, 0u);
+    std::uint64_t faults = 0, degraded = 0;
+    for (const auto &[name, value] : manager.telemetry().counters()) {
+        if (name.rfind("fault.", 0) == 0)
+            faults += value;
+        if (name.rfind("degraded.", 0) == 0)
+            degraded += value;
+    }
+    EXPECT_GT(faults, 0u);
+    EXPECT_GT(degraded, 0u);
+}
+
+// --- Cluster replay under ambient faults ------------------------------------
+
+/** The fault.* / degraded.* counters and physics of one replay. */
+struct FaultedReplay
+{
+    cluster::ClusterResult result;
+    std::map<std::string, std::uint64_t> counters;
+};
+
+/**
+ * bench_faults' scenario at 8 nodes: a Flat Equal(Ours) replay of a
+ * load-following diurnal cap trace (4 intervals of 5 s) with @p rate
+ * as the ambient rate of both the per-server and the pool fault plan.
+ */
+FaultedReplay
+replayUnderAmbientFaults(double rate)
+{
+    cluster::ClusterConfig cfg;
+    cfg.policy = cluster::ClusterPolicy::EqualOurs;
+    cfg.servers = 8;
+    if (rate > 0.0) {
+        cfg.manager.faults.setAmbientRate(rate);
+        cfg.faults.setAmbientRate(rate);
+    }
+    cluster::ClusterManager cm(cfg);
+    cm.populateDefault();
+    cluster::TraceConfig tc;
+    tc.points = 4;
+    tc.interval = toTicks(5.0);
+    cluster::PowerTrace caps = cluster::loadFollowingCaps(
+        cluster::generateDiurnalDemand(tc), cm.uncappedDemandEstimate(),
+        0.25);
+
+    FaultedReplay run;
+    run.result = cm.replay(caps);
+    for (const auto &[name, value] : cm.aggregateTelemetry().counters()) {
+        if (name.rfind("fault.", 0) == 0 ||
+            name.rfind("degraded.", 0) == 0)
+            run.counters.emplace(name, value);
+    }
+    return run;
+}
+
+TEST(Faults, AmbientClusterReplayDegradesGracefully)
+{
+    FaultedReplay clean = replayUnderAmbientFaults(0.0);
+    FaultedReplay faulted = replayUnderAmbientFaults(0.02);
+    EXPECT_TRUE(clean.counters.empty());
+
+    // The faulted replay completed, and faults actually fired.
+    EXPECT_EQ(faulted.result.duration, clean.result.duration);
+    std::uint64_t faults = 0;
+    for (const auto &[name, value] : faulted.counters)
+        if (name.rfind("fault.", 0) == 0)
+            faults += value;
+    EXPECT_GT(faults, 0u);
+
+    // Every fault kind that fired has its recovery action.
+    const std::pair<const char *, const char *> recovery[] = {
+        {"fault.meter_stale", "degraded.meter_fallback"},
+        {"fault.meter_nan", "degraded.meter_fallback"},
+        {"fault.esd_loss", "degraded.esd_unavailable"},
+        {"fault.esd_fade", "degraded.esd_capacity"},
+        {"fault.app_kill", "degraded.app_reaped"},
+        {"fault.node_crash", "degraded.node_isolated"},
+        {"fault.node_exception", "degraded.node_isolated"},
+        {"fault.actuation_stuck", "degraded.knobs_to_rapl"},
+    };
+    for (const auto &[fault, action] : recovery) {
+        if (faulted.counters.count(fault) > 0) {
+            EXPECT_GT(faulted.counters.count(action), 0u)
+                << fault << " fired without " << action;
         }
     }
+
+    // Bounded loss: at least half the clean replay's utility.
+    EXPECT_GE(faulted.result.aggregatePerf,
+              0.5 * clean.result.aggregatePerf);
 }
 
 // --- Determinism across thread widths ---------------------------------------
@@ -535,6 +602,12 @@ TEST(Faults, PoolFaultScheduleIsThreadWidthInvariant)
 
     auto serial = runPool(1);
     auto wide = runPool(4);
+
+    // The cluster replay under ambient faults on both plans, too.
+    util::ThreadPool::configureGlobal(1);
+    FaultedReplay replay_serial = replayUnderAmbientFaults(0.02);
+    util::ThreadPool::configureGlobal(4);
+    FaultedReplay replay_wide = replayUnderAmbientFaults(0.02);
     util::ThreadPool::configureGlobal(0); // restore the default
 
     // Something actually faulted, and the schedule (every fault and
@@ -542,6 +615,10 @@ TEST(Faults, PoolFaultScheduleIsThreadWidthInvariant)
     EXPECT_FALSE(serial.first.empty());
     EXPECT_EQ(serial.first, wide.first);
     EXPECT_DOUBLE_EQ(serial.second, wide.second);
+    EXPECT_FALSE(replay_serial.counters.empty());
+    EXPECT_EQ(replay_serial.counters, replay_wide.counters);
+    EXPECT_EQ(replay_serial.result.totalEnergy,
+              replay_wide.result.totalEnergy);
 }
 
 } // namespace

@@ -2,7 +2,8 @@
  * @file
  * Tests for the latency-critical (interactive) application class:
  * profile validation and library, open-loop request-queue determinism
- * and its M/M/1 closed-form cross-check, bit-identical replay across
+ * and its M/M/1 closed-form cross-check, the SLO-aware allocator's
+ * home turf on bench_slo's cap sweep, bit-identical replay across
  * thread widths, checked cluster-configuration
  * errors, and the v2 wire fields (app class + SLO).
  */
@@ -115,21 +116,29 @@ TEST(RequestQueue, ArrivalsAccumulateWhileServiceIsStalled)
 TEST(RequestQueue, AgreesWithLatencyModelAtLowUtilization)
 {
     // At a constant heartbeat rate the queue is exactly M/M/1;
-    // perf::LatencyModel is its closed form.  bench_slo --check
-    // enforces a tighter tolerance over longer runs.
-    perf::AppProfile p = perf::interactiveLibrary()[1];
-    const double mu = 500.0;
-    const double rho = 0.4;
-    p.offeredLoad = rho * mu;
-    p.sloP99 = perf::LatencyModel::p99(mu, p.offeredLoad);
-    p.validate();
+    // perf::LatencyModel is its closed form.  rho 0.3 and 0.5 are
+    // bench_slo's agreement points (its golden shows them at the
+    // report's 1200 s); here 300 s must already agree within 15%.
+    struct Point
+    {
+        double rho;
+        double tolerance;
+    };
+    for (Point pt : {Point{0.3, 0.15}, Point{0.4, 0.2}, Point{0.5, 0.15}}) {
+        SCOPED_TRACE("rho " + std::to_string(pt.rho));
+        perf::AppProfile p = perf::interactiveLibrary()[1];
+        const double mu = 500.0;
+        p.offeredLoad = pt.rho * mu;
+        p.sloP99 = perf::LatencyModel::p99(mu, p.offeredLoad);
+        p.validate();
 
-    sim::RequestQueue q(p, 12345);
-    q.advance(0, toTicks(300.0), mu * p.hbPerRequest);
-    ASSERT_GT(q.completed(), 10000u);
-    EXPECT_NEAR(q.p99(), p.sloP99, 0.2 * p.sloP99);
-    double mean = perf::LatencyModel::meanSojourn(mu, p.offeredLoad);
-    EXPECT_NEAR(q.meanResponse(), mean, 0.2 * mean);
+        sim::RequestQueue q(p, 12345);
+        q.advance(0, toTicks(300.0), mu * p.hbPerRequest);
+        ASSERT_GT(q.completed(), 10000u);
+        EXPECT_NEAR(q.p99(), p.sloP99, pt.tolerance * p.sloP99);
+        double mean = perf::LatencyModel::meanSojourn(mu, p.offeredLoad);
+        EXPECT_NEAR(q.meanResponse(), mean, pt.tolerance * mean);
+    }
 }
 
 /**
@@ -328,6 +337,71 @@ TEST(InteractiveSlo, FromProfileOnlyValidForInteractive)
     EXPECT_DOUBLE_EQ(slo.sloP99, ip.sloP99);
 }
 
+/** What one bench_slo cell reports about the two apps. */
+struct SloCell
+{
+    double violationFraction = 0.0; ///< the service's late requests
+    double batchPerf = 0.0;         ///< the batch app's throughput
+};
+
+/** bench_slo's cell: kvstore and stream on one managed server under
+ * a constant cap for 90 s, with oracle utilities. */
+SloCell
+runSloCell(core::PolicyKind kind, Watts cap)
+{
+    sim::Server server;
+    server.setCap(cap);
+    core::ManagerConfig cfg;
+    cfg.policy = kind;
+    cfg.oracleUtilities = true;
+    core::ServerManager manager(server, cfg);
+    int iid = manager.addApp(perf::interactiveLibrary()[1]); // kvstore
+    manager.addApp(perf::workload("stream"));
+    manager.run(toTicks(90.0));
+
+    SloCell cell;
+    for (const core::AppRecord &rec : manager.records()) {
+        if (rec.id == iid)
+            cell.violationFraction = rec.violationFraction();
+        else
+            cell.batchPerf = rec.normalizedPerf(server.now());
+    }
+    return cell;
+}
+
+TEST(InteractiveSlo, AwareAllocatorHoldsItsHomeTurfOnTheSweep)
+{
+    // bench_slo's sweep (tests/golden/bench_slo.txt).  While the SLO is
+    // attainable the SLO-aware allocator is never beaten on violation
+    // fraction by the SLO-blind equal split (2 points of slack).
+    // Where both lose the SLO outright (80 and 85 W) the aware
+    // allocator abandons the hopeless knee by design and must turn the
+    // service's watts into at least as much batch throughput.  And it
+    // strictly wins somewhere (at 90 W: 12.0% late against 99.8%).
+    bool strict_win = false;
+    int slo_lost = 0;
+    for (Watts cap : {75.0, 80.0, 85.0, 90.0, 95.0, 100.0, 105.0, 110.0}) {
+        SCOPED_TRACE("cap " + std::to_string(cap) + " W");
+        SloCell aware = runSloCell(core::PolicyKind::AppResAware, cap);
+        SloCell blind = runSloCell(core::PolicyKind::UtilUnaware, cap);
+        if (aware.violationFraction > 0.5 &&
+            blind.violationFraction > 0.5) {
+            ++slo_lost;
+            EXPECT_GE(aware.batchPerf + 1e-9, blind.batchPerf);
+        } else {
+            EXPECT_LE(aware.violationFraction,
+                      blind.violationFraction + 0.02);
+        }
+        strict_win |=
+            aware.violationFraction + 0.02 < blind.violationFraction ||
+            (aware.violationFraction <=
+                 blind.violationFraction + 1e-9 &&
+             aware.batchPerf > blind.batchPerf + 0.02);
+    }
+    EXPECT_EQ(slo_lost, 2);
+    EXPECT_TRUE(strict_win);
+}
+
 /** Fingerprint of every record's request statistics. */
 std::vector<double>
 recordStats(cluster::NodePool &pool)
@@ -405,20 +479,11 @@ TEST(InteractiveDeterminism, BitIdenticalAcrossWidths)
 TEST(ClusterConfigValidate, ChecksNamesPoliciesAndRanges)
 {
     cluster::ClusterConfig good;
-    good.corpusWorkloads = {"stream", "websearch"};
     good.interactivePerServer = 1;
     std::string err;
     EXPECT_TRUE(good.validate(&err)) << err;
 
-    cluster::ClusterConfig bad = good;
-    bad.corpusWorkloads = {"stream", "webesearch"};
-    ASSERT_FALSE(bad.validate(&err));
-    // The checked error names the offender and lists valid names
-    // (satellite of the fatal()-on-typo corpus-seeding bug).
-    EXPECT_NE(err.find("webesearch"), std::string::npos);
-    EXPECT_NE(err.find("stream"), std::string::npos);
-    EXPECT_NE(err.find("websearch"), std::string::npos);
-
+    // The checked error names the offender and lists valid names.
     cluster::ClusterConfig bad_policy = good;
     bad_policy.managedPolicy = "no-such-policy";
     ASSERT_FALSE(bad_policy.validate(&err));
@@ -435,11 +500,12 @@ TEST(ClusterConfigValidate, ChecksNamesPoliciesAndRanges)
     EXPECT_FALSE(bad_range.validate(&err));
 
     // validate(nullptr) is legal (existence check only).
-    EXPECT_FALSE(bad.validate(nullptr));
+    EXPECT_FALSE(bad_policy.validate(nullptr));
 
     // The constructor defends with the same diagnostic for callers
     // that skipped validate().
-    EXPECT_DEATH(cluster::ClusterManager mgr(bad), "expected one of");
+    EXPECT_DEATH(cluster::ClusterManager mgr(bad_policy),
+                 "expected one of");
 }
 
 TEST(InteractiveCluster, MixedPopulationReplaysUnderEachPolicy)

@@ -325,8 +325,7 @@ TEST(PowerTree, ChangedLeavesReportsExactlyTheChangedGrants)
 
 // --- cluster replays over the tree ---------------------------------
 
-/** A short cap trace with no consecutive duplicates, so the flat and
- * tree paths enqueue the same E1 stream. */
+/** A short cap trace with no consecutive duplicates. */
 PowerTrace
 shortCaps()
 {
@@ -336,28 +335,40 @@ shortCaps()
     return caps;
 }
 
-TEST(ClusterTree, Depth1TreeReplayMatchesFlatReplayBitForBit)
+TEST(ClusterTree, FlatReplayIgnoresTreeFields)
 {
-    auto replayWith = [](Topology topology) {
+    auto replayWith = [](Topology topology, bool tree_fields) {
         ClusterConfig cfg;
         cfg.servers = 4;
         cfg.topology = topology;
-        cfg.treeDepth = 1;
+        if (tree_fields) {
+            cfg.treeDepth = 2;
+            cfg.treeFanout = 2;
+            cfg.oversubscription = 1.25;
+            cfg.leafCapacity = 90.0;
+            cfg.demandAwareSplit = true;
+        }
         ClusterManager cm(cfg);
         cm.populateDefault();
         return cm.replay(shortCaps());
     };
-    ClusterResult flat = replayWith(Topology::Flat);
-    ClusterResult tree = replayWith(Topology::Tree);
-    // The depth-1 uniform tree computes the identical cap/N share,
-    // so the replays are the same simulation: bit-equal energy and
-    // throughput, not merely close.
-    EXPECT_EQ(flat.totalEnergy, tree.totalEnergy);
-    EXPECT_EQ(flat.aggregatePerf, tree.aggregatePerf);
-    EXPECT_EQ(flat.capViolationFraction, tree.capViolationFraction);
-    EXPECT_EQ(flat.allocatorCalls, tree.allocatorCalls);
-    EXPECT_EQ(tree.conservationViolations, 0u);
-    EXPECT_EQ(tree.treeDepth, 1);
+    // A Flat replay is the default depth-1 tree (uniform demand, no
+    // capacities, F = 1) whatever the tree fields say: bit-equal
+    // energy and throughput, not merely close.
+    ClusterResult plain = replayWith(Topology::Flat, false);
+    ClusterResult flat = replayWith(Topology::Flat, true);
+    EXPECT_EQ(flat.totalEnergy, plain.totalEnergy);
+    EXPECT_EQ(flat.aggregatePerf, plain.aggregatePerf);
+    EXPECT_EQ(flat.capViolationFraction, plain.capViolationFraction);
+    EXPECT_EQ(flat.allocatorCalls, plain.allocatorCalls);
+    EXPECT_EQ(flat.capPushes, plain.capPushes);
+    EXPECT_EQ(flat.conservationViolations, 0u);
+    EXPECT_EQ(flat.treeDepth, 1);
+    EXPECT_EQ(flat.treeNodes, 5u); // the root and four servers
+    // The same fields do shape a Tree replay.
+    ClusterResult tree = replayWith(Topology::Tree, true);
+    EXPECT_EQ(tree.treeDepth, 2);
+    EXPECT_NE(tree.totalEnergy, flat.totalEnergy);
 }
 
 TEST(ClusterTree, DeepReplayConservesCapsAtEveryLevel)
