@@ -26,19 +26,6 @@ clusterPolicyName(ClusterPolicy policy)
     }
 }
 
-std::string
-topologyName(Topology topology)
-{
-    switch (topology) {
-      case Topology::Flat:
-        return "Flat";
-      case Topology::Tree:
-        return "Tree";
-      default:
-        panic("invalid Topology %d", static_cast<int>(topology));
-    }
-}
-
 ClusterConfig::ClusterConfig() : esd(esd::leadAcidUps())
 {
 }
@@ -63,6 +50,15 @@ ClusterConfig::validate(std::string *error) const
     if (interactivePerServer < 0 || interactivePerServer > 2) {
         return fail("interactivePerServer must be 0, 1 or 2 (got " +
                     std::to_string(interactivePerServer) + ")");
+    }
+    if (topology == Topology::Tree) {
+        if (treeDepth < 1)
+            return fail("treeDepth must be at least 1 (got " +
+                        std::to_string(treeDepth) + ")");
+        // Written so that NaN fails too.
+        if (!(oversubscription >= 1.0))
+            return fail("oversubscription must be at least 1 (got " +
+                        std::to_string(oversubscription) + ")");
     }
     return true;
 }
@@ -170,16 +166,10 @@ ClusterManager::buildNodes()
     if (cfg.policy == ClusterPolicy::EqualRapl) {
         pc.manager.policy = core::PolicyKind::UtilUnaware;
     } else {
-        const core::PolicyInfo *info =
-            core::PolicyRegistry::instance().findName(
-                cfg.managedPolicy);
-        if (!info) {
-            fatal("unknown managed policy '%s' (expected one of %s)",
-                  cfg.managedPolicy.c_str(),
-                  core::PolicyRegistry::instance().cliNames()
-                      .c_str());
-        }
-        pc.manager.policy = info->kind;
+        // validate() has already resolved this name.
+        pc.manager.policy = core::PolicyRegistry::instance()
+                                .findName(cfg.managedPolicy)
+                                ->kind;
     }
     pc.seedBase = cfg.seed;
     pc.faults = cfg.faults;
@@ -205,8 +195,7 @@ ClusterManager::replayTree(const PowerTrace &caps)
     PowerTreeConfig tc;
     tc.leaves = cfg.servers;
     if (tree_fields) {
-        tc.depth = std::max(1, cfg.treeDepth);
-        tc.fanout = cfg.treeFanout;
+        tc.depth = cfg.treeDepth;
         tc.leafCap = cfg.leafCapacity;
         tc.oversubscription = cfg.oversubscription;
     }
@@ -214,37 +203,29 @@ ClusterManager::replayTree(const PowerTrace &caps)
 
     std::vector<Joules> last_energy(pool->size(), 0.0);
     std::uint64_t violations = 0;
-    std::uint64_t cap_pushes = 0;
 
     for (Watts cap : caps.values) {
         tel.count(trace::EventId::ClusterCapUpdates);
         if (demand_aware) {
             // Leaf demand := last interval's average draw.  Metered
             // energy is simulated (deterministic), so the resulting
-            // splits replay identically at any thread count.  Only
-            // leaves whose draw moved touch the tree, keeping the
-            // epoch churn proportional to actual change.
+            // splits replay identically at any thread count.
             for (std::size_t s = 0; s < pool->size(); ++s) {
                 Joules e = (*pool)[s].server->meter().totalEnergy();
                 double draw =
                     (e - last_energy[s]) / toSeconds(caps.interval);
                 last_energy[s] = e;
-                if (draw > 0.0 && draw != tree.leafDemand(s))
+                if (draw > 0.0)
                     tree.setLeafDemand(s, draw);
             }
         }
         tree.setRootCap(cap);
         tree.resolve();
-        // Only leaves whose grant changed pay an E1: untouched
-        // sibling subtrees keep their caps, their managers see no
-        // event, and their next interval runs allocator-free.
-        for (std::size_t leaf : tree.changedLeaves()) {
-            auto &node = (*pool)[leaf];
-            if (node.manager->setCapIfChanged(tree.leafGrant(leaf))) {
-                ++cap_pushes;
-                tel.count(trace::EventId::TreeCapPushes);
-            }
-        }
+        // Only leaves whose grant changed pay an E1: an unchanged
+        // server keeps its cap, its manager sees no event, and its
+        // next interval runs allocator-free.
+        for (std::size_t leaf : tree.changedLeaves())
+            (*pool)[leaf].manager->setCap(tree.leafGrant(leaf));
         if (!tree.checkConservation()) {
             ++violations;
             tel.count(trace::EventId::TreeConservationViolations);
@@ -277,12 +258,11 @@ ClusterManager::replayTree(const PowerTrace &caps)
     const PowerTreeStats &ts = tree.stats();
     tel.count(trace::EventId::TreeResolves, ts.resolves);
     tel.count(trace::EventId::TreeNodeVisits, ts.nodeVisits);
-    tel.count(trace::EventId::TreeNodePrunes, ts.nodePrunes);
     tel.count(trace::EventId::TreeGrantChanges, ts.grantChanges);
     result.treeDepth = tree.depth();
     result.treeNodes = tree.nodeCount();
     result.treeResolveVisits = ts.nodeVisits;
-    result.capPushes = cap_pushes;
+    result.capPushes = ts.grantChanges;
     result.conservationViolations = violations;
     return result;
 }

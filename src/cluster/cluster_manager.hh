@@ -64,10 +64,10 @@ std::string clusterPolicyName(ClusterPolicy policy);
  * Both route every cap through a PowerTree, which pushes grants only
  * to servers whose share actually changed.  Flat is the paper's
  * private cloud: the default depth-1 tree over uniform demands, whose
- * split is the equal cap/N share; the `tree*`, `oversubscription`,
- * `leafCapacity` and `demandAwareSplit` fields are ignored.  Tree
- * builds the hierarchy from those fields — per-level capacities and
- * oversubscription, epoch-cached subtree summaries and, optionally,
+ * split is the equal cap/N share; the `treeDepth`,
+ * `oversubscription`, `leafCapacity` and `demandAwareSplit` fields
+ * are ignored.  Tree builds the hierarchy from those fields —
+ * per-level capacities and oversubscription and, optionally,
  * demand-aware splits.
  */
 enum class Topology
@@ -75,9 +75,6 @@ enum class Topology
     Flat,
     Tree,
 };
-
-/** Printable topology name. */
-std::string topologyName(Topology topology);
 
 /** Cluster configuration. */
 struct ClusterConfig
@@ -128,10 +125,12 @@ struct ClusterConfig
 
     /**
      * Check the configuration without aborting: servers >= 1,
-     * managedPolicy resolves in the PolicyRegistry and
-     * interactivePerServer is in [0, 2].  On failure returns false
-     * and, when @p error is non-null, fills it with a diagnostic that
-     * lists the valid names — callers with user-supplied
+     * managedPolicy resolves in the PolicyRegistry,
+     * interactivePerServer is in [0, 2] and, for Topology::Tree,
+     * treeDepth >= 1 and oversubscription >= 1.  On failure returns
+     * false and, when @p error is non-null, fills it with a
+     * diagnostic that names the field or lists the valid names —
+     * callers with user-supplied
      * configuration (CLI front ends, the serving layer) should call
      * this and surface the message instead of letting the constructor
      * fatal().
@@ -141,10 +140,9 @@ struct ClusterConfig
     // --- hierarchical topology (Topology::Tree only) -------------
 
     Topology topology = Topology::Flat;
-    /** Tree levels below the root (1 = flat-equivalent). */
+    /** Tree levels below the root (>= 1; 1 = flat-equivalent).  The
+     * fanout is the smallest f with f^depth >= servers. */
     int treeDepth = 1;
-    /** Interior fanout; 0 derives ceil(servers^(1/depth)). */
-    int treeFanout = 0;
     /** Interior oversubscription factor (>= 1; nvPAX's regime). */
     double oversubscription = 1.0;
     /** Per-server circuit capacity (<= 0: uncapped). */

@@ -176,29 +176,4 @@ NodePool::aggregateTelemetry() const
     return cluster;
 }
 
-std::vector<NodePool::NodeSnapshot>
-NodePool::snapshot() const
-{
-    std::vector<NodeSnapshot> out;
-    out.reserve(node_list.size());
-    for (const Node &node : node_list) {
-        NodeSnapshot s;
-        const sim::Server &srv = *node.server;
-        s.now = srv.now();
-        s.cap = srv.cap();
-        for (const sim::Application *app : srv.apps()) {
-            if (!app->finished())
-                ++s.activeApps;
-        }
-        s.freeSockets = srv.freeSockets();
-        s.energy = srv.meter().totalEnergy();
-        if (node.manager) {
-            s.reallocations = node.manager->reallocationCount();
-            s.events = node.manager->eventCount();
-        }
-        out.push_back(s);
-    }
-    return out;
-}
-
 } // namespace psm::cluster

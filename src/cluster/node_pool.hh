@@ -129,23 +129,6 @@ class NodePool
      */
     core::Telemetry aggregateTelemetry() const;
 
-    /** Read-only per-node view for external observers (the serving
-     * layer's telemetry path reads this instead of walking live
-     * control-plane objects). */
-    struct NodeSnapshot
-    {
-        Tick now = 0;
-        Watts cap = 0.0;
-        int activeApps = 0;
-        int freeSockets = 0;
-        std::uint64_t reallocations = 0; ///< allocator passes so far
-        std::uint64_t events = 0;        ///< E1-E4 seen by the loop
-        Joules energy = 0.0;             ///< metered total energy
-    };
-
-    /** Snapshot every node (managed or raw) in index order. */
-    std::vector<NodeSnapshot> snapshot() const;
-
     /** The pool's fault oracle (node-crash rolls). */
     const util::FaultInjector &faultInjector() const
     {

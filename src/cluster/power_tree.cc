@@ -27,17 +27,13 @@ deriveFanout(int leaves, int depth)
     }
 }
 
-/** f^depth, saturating well past any sane leaf count. */
-long long
-coverage(int fanout, int depth)
+/** @p budget clamped by capacity @p cap (<= 0: uncapped), never
+ * negative. */
+Watts
+effectiveBudget(Watts cap, Watts budget)
 {
-    long long cover = 1;
-    for (int d = 0; d < depth; ++d) {
-        cover *= fanout;
-        if (cover > (1LL << 40))
-            return 1LL << 40;
-    }
-    return cover;
+    Watts effective = (cap > 0.0 && cap < budget) ? cap : budget;
+    return effective < 0.0 ? 0.0 : effective;
 }
 
 } // namespace
@@ -47,52 +43,22 @@ PowerTree::PowerTree(const PowerTreeConfig &config) : cfg(config)
     psm_assert(cfg.leaves >= 1);
     psm_assert(cfg.depth >= 1);
     psm_assert(cfg.oversubscription >= 1.0);
-    if (cfg.fanout <= 0)
-        cfg.fanout = deriveFanout(cfg.leaves, cfg.depth);
-    psm_assert(coverage(cfg.fanout, cfg.depth) >= cfg.leaves);
+    derived_fanout = deriveFanout(cfg.leaves, cfg.depth);
 
     leaf_node.resize(static_cast<std::size_t>(cfg.leaves), -1);
     // Worst case one pass-through chain per leaf per level.
     node_list.reserve(static_cast<std::size_t>(cfg.leaves) *
                           static_cast<std::size_t>(cfg.depth) +
                       1);
-    build(0, 0, static_cast<std::size_t>(cfg.leaves), -1);
-
-    // Bottom-up capacity and demand summaries.  Children always have
-    // higher indices than their parent (build() appends the parent
-    // first), so a reverse index walk folds children before parents.
-    for (std::size_t i = node_list.size(); i-- > 0;) {
-        Node &n = node_list[i];
-        if (n.leafIx >= 0)
-            continue;
-        n.capSum = 0.0;
-        n.uncappedChildren = 0;
-        n.demand = 0.0;
-        for (int c : n.children) {
-            const Node &child = node_list[static_cast<std::size_t>(c)];
-            if (child.cap > 0.0)
-                n.capSum += child.cap;
-            else
-                ++n.uncappedChildren;
-            n.demand += child.demand;
-        }
-        n.cap = n.uncappedChildren > 0
-                    ? 0.0
-                    : n.capSum / cfg.oversubscription;
-    }
-
-    level_grants.resize(static_cast<std::size_t>(cfg.depth));
-    level_active.resize(static_cast<std::size_t>(cfg.depth));
+    build(0, 0, static_cast<std::size_t>(cfg.leaves));
 }
 
 int
-PowerTree::build(int level, std::size_t lo, std::size_t hi, int parent)
+PowerTree::build(int level, std::size_t lo, std::size_t hi)
 {
     auto ix = static_cast<int>(node_list.size());
     node_list.emplace_back();
     Node &n = node_list.back();
-    n.parent = parent;
-    n.level = level;
     if (level == cfg.depth) {
         psm_assert(hi - lo == 1);
         n.leafIx = static_cast<int>(lo);
@@ -106,7 +72,7 @@ PowerTree::build(int level, std::size_t lo, std::size_t hi, int parent)
     // (as a pass-through chain) so every leaf sits at the same level.
     std::size_t span = hi - lo;
     auto chunks = std::min<std::size_t>(
-        static_cast<std::size_t>(cfg.fanout), span);
+        static_cast<std::size_t>(derived_fanout), span);
     std::vector<int> children;
     children.reserve(chunks);
     std::size_t base = span / chunks;
@@ -114,7 +80,7 @@ PowerTree::build(int level, std::size_t lo, std::size_t hi, int parent)
     std::size_t at = lo;
     for (std::size_t c = 0; c < chunks; ++c) {
         std::size_t len = base + (c < extra ? 1 : 0);
-        children.push_back(build(level + 1, at, at + len, ix));
+        children.push_back(build(level + 1, at, at + len));
         at += len;
     }
     psm_assert(at == hi);
@@ -130,63 +96,17 @@ PowerTree::setRootCap(Watts cap)
     root_cap = cap;
 }
 
-double
-PowerTree::leafDemand(std::size_t leaf) const
-{
-    return node_list[static_cast<std::size_t>(leaf_node.at(leaf))]
-        .demand;
-}
-
 void
 PowerTree::setLeafDemand(std::size_t leaf, double demand)
 {
-    int ix = leaf_node.at(leaf);
-    node_list[static_cast<std::size_t>(ix)].demand = demand;
-    ++node_list[static_cast<std::size_t>(ix)].epoch;
-    // Resum each ancestor over its children in child order — the same
-    // fold the constructor runs — rather than delta-adjusting.  Float
-    // addition is not associative, so `sum += new - old` drifts by
-    // ulps from a fresh bottom-up fold and incremental resolution
-    // would stop being bit-identical to a rebuilt tree.  Still
-    // O(depth * fanout).  Epochs bump along the whole path even on a
-    // no-op update: a re-asserted demand is cheap to revisit and
-    // keeps "epoch changed iff anything below might have"
-    // conservative.
-    for (int i = node_list[static_cast<std::size_t>(ix)].parent;
-         i >= 0; i = node_list[static_cast<std::size_t>(i)].parent) {
-        Node &n = node_list[static_cast<std::size_t>(i)];
-        n.demand = 0.0;
-        for (int c : n.children)
-            n.demand += node_list[static_cast<std::size_t>(c)].demand;
-        ++n.epoch;
-    }
+    node_list[static_cast<std::size_t>(leaf_node.at(leaf))].demand =
+        demand;
 }
 
 void
 PowerTree::setLeafCap(std::size_t leaf, Watts cap)
 {
-    int ix = leaf_node.at(leaf);
-    node_list[static_cast<std::size_t>(ix)].cap = cap;
-    ++node_list[static_cast<std::size_t>(ix)].epoch;
-    // Resum, as in setLeafDemand(): delta-adjusted capacity sums
-    // would drift by ulps from the constructor's fold.
-    for (int i = node_list[static_cast<std::size_t>(ix)].parent;
-         i >= 0; i = node_list[static_cast<std::size_t>(i)].parent) {
-        Node &n = node_list[static_cast<std::size_t>(i)];
-        n.capSum = 0.0;
-        n.uncappedChildren = 0;
-        for (int c : n.children) {
-            const Node &child = node_list[static_cast<std::size_t>(c)];
-            if (child.cap > 0.0)
-                n.capSum += child.cap;
-            else
-                ++n.uncappedChildren;
-        }
-        n.cap = n.uncappedChildren > 0
-                    ? 0.0
-                    : n.capSum / cfg.oversubscription;
-        ++n.epoch;
-    }
+    node_list[static_cast<std::size_t>(leaf_node.at(leaf))].cap = cap;
 }
 
 Watts
@@ -200,40 +120,50 @@ std::size_t
 PowerTree::resolve()
 {
     ++tree_stats.resolves;
+    tree_stats.nodeVisits += node_list.size();
     changed_leaves.clear();
-    resolveNode(0, root_cap);
-    return changed_leaves.size();
-}
 
-void
-PowerTree::resolveNode(int ix, Watts budget)
-{
-    Node &n = node_list[static_cast<std::size_t>(ix)];
-    Watts effective = (n.cap > 0.0 && n.cap < budget) ? n.cap : budget;
-    if (effective < 0.0)
-        effective = 0.0;
-    if (effective == n.lastBudget && n.epoch == n.lastEpoch) {
-        ++tree_stats.nodePrunes;
-        return;
-    }
-    ++tree_stats.nodeVisits;
-    n.lastBudget = effective;
-    n.lastEpoch = n.epoch;
-    if (n.leafIx >= 0) {
-        if (n.grant != effective) {
-            n.grant = effective;
-            ++tree_stats.grantChanges;
-            changed_leaves.push_back(
-                static_cast<std::size_t>(n.leafIx));
+    // Bottom-up capacity and demand fold.  Children always have
+    // higher indices than their parent, so a reverse index walk folds
+    // children before parents, each in child order.
+    for (std::size_t i = node_list.size(); i-- > 0;) {
+        Node &n = node_list[i];
+        if (n.leafIx >= 0)
+            continue;
+        Watts cap_sum = 0.0;
+        bool uncapped = false;
+        n.demand = 0.0;
+        for (int c : n.children) {
+            const Node &child = node_list[static_cast<std::size_t>(c)];
+            if (child.cap > 0.0)
+                cap_sum += child.cap;
+            else
+                uncapped = true;
+            n.demand += child.demand;
         }
-        return;
+        n.cap = uncapped ? 0.0 : cap_sum / cfg.oversubscription;
     }
-    n.grant = effective;
-    std::vector<Watts> &grants =
-        level_grants[static_cast<std::size_t>(n.level)];
-    splitBudget(n, effective, grants);
-    for (std::size_t c = 0; c < n.children.size(); ++c)
-        resolveNode(n.children[c], grants[c]);
+
+    // Top-down split in index order: every parent's grant is settled
+    // before its children's, and leaves come up in ascending order.
+    node_list[0].grant = effectiveBudget(node_list[0].cap, root_cap);
+    for (const Node &n : node_list) {
+        if (n.leafIx >= 0)
+            continue;
+        splitBudget(n, n.grant, split_grants);
+        for (std::size_t c = 0; c < n.children.size(); ++c) {
+            Node &child =
+                node_list[static_cast<std::size_t>(n.children[c])];
+            Watts grant = effectiveBudget(child.cap, split_grants[c]);
+            if (child.leafIx >= 0 && child.grant != grant) {
+                ++tree_stats.grantChanges;
+                changed_leaves.push_back(
+                    static_cast<std::size_t>(child.leafIx));
+            }
+            child.grant = grant;
+        }
+    }
+    return changed_leaves.size();
 }
 
 void
@@ -270,8 +200,7 @@ PowerTree::splitBudget(const Node &n, Watts budget,
     // Water-fill: proposals proportional to subtree demand; children
     // whose capacity binds are granted their capacity and removed,
     // the residual re-filled over the rest.  At most nc rounds.
-    std::vector<char> &active =
-        level_active[static_cast<std::size_t>(n.level)];
+    std::vector<char> &active = split_active;
     active.assign(nc, 1);
     std::size_t active_count = nc;
     Watts remaining = budget;
@@ -357,24 +286,6 @@ PowerTree::checkConservation(double eps, std::string *why) const
         return fail(os.str());
     }
     return true;
-}
-
-std::vector<PowerTree::LevelSummary>
-PowerTree::levelSummaries() const
-{
-    std::vector<LevelSummary> levels(
-        static_cast<std::size_t>(cfg.depth) + 1);
-    for (std::size_t l = 0; l < levels.size(); ++l)
-        levels[l].level = static_cast<int>(l);
-    for (const Node &n : node_list) {
-        LevelSummary &s = levels[static_cast<std::size_t>(n.level)];
-        ++s.nodes;
-        if (n.cap > 0.0)
-            s.capacity += n.cap;
-        s.granted += n.grant;
-        s.demand += n.demand;
-    }
-    return levels;
 }
 
 } // namespace psm::cluster

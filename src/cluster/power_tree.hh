@@ -1,41 +1,32 @@
 /**
  * @file
  * The PowerTree: a cluster -> rack/PDU -> server power hierarchy with
- * per-level capacities, oversubscription and O(depth * fanout)
- * incremental re-resolution.
+ * per-level capacities and oversubscription, resolved from scratch
+ * on every call.
  *
  * The paper's cluster layer is a flat private cloud: one cap, split
  * across N servers in a single global pass.  Datacenters are not
  * flat — power flows through a tree of feeds, PDUs and rack
  * circuits, each level provisioned for less than the sum of its
- * children (oversubscription), and a cap or demand change in one
- * rack must not force a full re-plan of ten thousand servers.  The
- * nvPAX direction (PAPERS.md) is exactly this constrained
- * hierarchical allocation; FastCap's fairness objective gives the
- * per-level split rule.
+ * children (oversubscription).  The nvPAX direction (PAPERS.md) is
+ * exactly this constrained hierarchical allocation; FastCap's
+ * fairness objective gives the per-level split rule.
  *
- * The tree here keeps, per node, a cached subtree demand summary and
- * an epoch that bumps whenever anything below it changes.  resolve()
- * walks top-down and prunes every subtree whose (budget, epoch) pair
- * matches its cache.  Locality comes from binding capacities: a
- * node pinned at its capacity hands its children the same budgets no
- * matter how the outside wobbles, so in the oversubscribed regime —
- * levels provisioned below peak, exactly when a hierarchy matters —
- * a leaf event re-resolves only the path from that leaf to the root
- * plus the pruned sibling checks along it: O(depth * fanout) node
- * visits instead of a global O(N) pass.  (An unconstrained
- * demand-proportional split renormalizes every share by
- * construction; nothing prunes, and the full walk is the correct
- * cost.)  Grants are deterministic pure functions of (caps,
- * demands) — path updates resum, never delta-adjust, ancestor
- * summaries — so incremental resolution is bit-identical to
- * rebuilding the tree from scratch.
+ * resolve() recomputes the whole tree in two passes: one bottom-up
+ * fold of capacities and demands, then one top-down split that
+ * settles every child and records the leaves whose grant changed.
+ * Every cap-trace interval moves the root cap and demand-aware
+ * splitting moves every leaf's demand, so a full pass is what each
+ * interval costs anyway; no resolution is cached.  Grants are pure
+ * functions of (caps, demands, root cap), and the fold order is fixed
+ * (children in child order), so a long-lived tree and one rebuilt
+ * from the same inputs hand out bit-identical grants.
  *
  * Split rule per interior node: water-filling proportional to child
  * subtree demand, clamped by child capacity, residual redistributed
  * over the unclamped children.  Uniform demands with no binding
- * child capacity split as one exact division (budget / fanout), so a
- * depth-1 tree over N uniform leaves reproduces the paper's flat
+ * child capacity split as one exact division (budget / children), so
+ * a depth-1 tree over N uniform leaves reproduces the paper's flat
  * "Equal" share cap/N bit-for-bit.
  */
 
@@ -59,16 +50,11 @@ struct PowerTreeConfig
     /**
      * Levels of splitting below the root: 1 reproduces the paper's
      * flat cluster (root -> N servers), 3 models cluster -> PDU ->
-     * rack -> server.
+     * rack -> server.  The interior fanout is the smallest f with
+     * f^depth >= leaves; ranges that run out of leaves produce
+     * thinner (or pass-through) interior nodes.
      */
     int depth = 1;
-    /**
-     * Interior fanout; 0 derives the smallest uniform fanout whose
-     * depth-fold power covers the leaves.  Ranges that run out of
-     * leaves produce thinner (or pass-through) interior nodes, so any
-     * (leaves, depth, fanout) combination builds.
-     */
-    int fanout = 0;
     /** Per-leaf circuit capacity (<= 0: uncapped). */
     Watts leafCap = 0.0;
     /**
@@ -81,13 +67,12 @@ struct PowerTreeConfig
     double oversubscription = 1.0;
 };
 
-/** Monotonic work counters (the O(depth) evidence; replays publish
- * them as the `tree.*` telemetry counters). */
+/** Monotonic work counters (replays publish them as the `tree.*`
+ * telemetry counters). */
 struct PowerTreeStats
 {
     std::uint64_t resolves = 0;      ///< resolve() calls
-    std::uint64_t nodeVisits = 0;    ///< splits actually recomputed
-    std::uint64_t nodePrunes = 0;    ///< subtrees skipped via cache
+    std::uint64_t nodeVisits = 0;    ///< node grants computed
     std::uint64_t grantChanges = 0;  ///< leaf grants that changed
 };
 
@@ -104,29 +89,22 @@ class PowerTree
     std::size_t leafCount() const { return leaf_node.size(); }
     std::size_t nodeCount() const { return node_list.size(); }
     int depth() const { return cfg.depth; }
-    int fanout() const { return cfg.fanout; }
+    /** Interior fanout derived from (leaves, depth). */
+    int fanout() const { return derived_fanout; }
 
     /** The dynamic cluster cap the root divides (peak shaving). */
     void setRootCap(Watts cap);
 
-    /**
-     * Update one leaf's demand weight.  O(depth * fanout): resums
-     * the cached subtree summaries and bumps epochs along the
-     * leaf -> root path only.
-     */
+    /** Set one leaf's demand weight (takes effect at resolve()). */
     void setLeafDemand(std::size_t leaf, double demand);
-    double leafDemand(std::size_t leaf) const;
 
-    /**
-     * Re-provision one leaf's circuit capacity (<= 0: uncapped).
-     * O(depth * fanout): ancestor capacities are resummed along the
-     * leaf -> root path only.
-     */
+    /** Re-provision one leaf's circuit capacity (<= 0: uncapped;
+     * takes effect at resolve()). */
     void setLeafCap(std::size_t leaf, Watts cap);
 
     /**
-     * Re-resolve grants top-down, pruning every subtree whose
-     * (budget, epoch) matches the cached resolution.
+     * Recompute every grant: fold capacities and demands bottom-up,
+     * then split budgets top-down.
      * @return Number of leaf grants that changed value (their
      *         indices are in changedLeaves()).
      */
@@ -152,51 +130,32 @@ class PowerTree
 
     const PowerTreeStats &stats() const { return tree_stats; }
 
-    /** Per-level rollup for benches and logs. */
-    struct LevelSummary
-    {
-        int level = 0;          ///< 0 = root
-        std::size_t nodes = 0;
-        Watts capacity = 0.0;   ///< summed capacity (0 if any uncapped)
-        Watts granted = 0.0;    ///< summed grants after last resolve
-        double demand = 0.0;    ///< summed subtree demand
-    };
-    std::vector<LevelSummary> levelSummaries() const;
-
   private:
     struct Node
     {
-        int parent = -1;
-        int level = 0;
         int leafIx = -1;             ///< >= 0 for leaves
         std::vector<int> children;   ///< empty for leaves
-        Watts cap = 0.0;             ///< capacity; <= 0 = uncapped
-        Watts capSum = 0.0;          ///< sum of child caps (interior)
-        int uncappedChildren = 0;    ///< children with cap <= 0
-        double demand = 0.0;         ///< cached subtree demand
-        std::uint64_t epoch = 0;     ///< bumped on any change below
-        // Resolution cache: the (budget, epoch) the grants below
-        // were last computed for.
-        Watts lastBudget = -1.0;
-        std::uint64_t lastEpoch = ~0ULL;
+        /** Capacity (<= 0: uncapped); interior nodes refold it in
+         * every resolve(). */
+        Watts cap = 0.0;
+        double demand = 0.0;         ///< subtree demand
         Watts grant = 0.0;           ///< effective budget received
     };
 
     PowerTreeConfig cfg;
+    int derived_fanout = 1;
+    /** Pre-order: every parent precedes its children. */
     std::vector<Node> node_list;
     std::vector<int> leaf_node;      ///< leaf index -> node index
     Watts root_cap = 0.0;
     std::vector<std::size_t> changed_leaves;
     PowerTreeStats tree_stats;
 
-    // Per-level scratch for splitBudget: resolveNode only descends,
-    // so a node iterating its level's scratch never races a child
-    // using the next level's.  Avoids per-visit allocation.
-    std::vector<std::vector<Watts>> level_grants;
-    std::vector<std::vector<char>> level_active;
+    // splitBudget scratch, reused across calls.
+    std::vector<Watts> split_grants;
+    std::vector<char> split_active;
 
-    int build(int level, std::size_t lo, std::size_t hi, int parent);
-    void resolveNode(int ix, Watts budget);
+    int build(int level, std::size_t lo, std::size_t hi);
     void splitBudget(const Node &n, Watts budget,
                      std::vector<Watts> &out);
 };

@@ -151,17 +151,6 @@ ServerManager::setCap(Watts cap)
 }
 
 bool
-ServerManager::setCapIfChanged(Watts cap)
-{
-    if (cap_ever_pushed && cap == last_pushed_cap)
-        return false;
-    cap_ever_pushed = true;
-    last_pushed_cap = cap;
-    setCap(cap);
-    return true;
-}
-
-bool
 ServerManager::nameActive(const std::string &name) const
 {
     for (const auto &[id, r] : app_records) {

@@ -115,13 +115,18 @@ struct AppRecord
     double requestMeanResponse = 0.0; ///< mean response in seconds
     std::size_t queueDepth = 0;
 
-    /** Fraction of completed requests that missed the SLO. */
+    /**
+     * Fraction of completed requests that missed the SLO; 1 when
+     * requests arrived and none completed (a service that served
+     * nothing missed its SLO, as normalizedPerf() reads 0), 0 before
+     * any request arrives.
+     */
     double violationFraction() const
     {
-        return requestCompletions > 0
-                   ? static_cast<double>(requestSloViolations) /
-                         static_cast<double>(requestCompletions)
-                   : 0.0;
+        if (requestCompletions == 0)
+            return requestArrivals > 0 ? 1.0 : 0.0;
+        return static_cast<double>(requestSloViolations) /
+               static_cast<double>(requestCompletions);
     }
 
     /**
@@ -192,19 +197,6 @@ class ServerManager : private ControlLoop::Delegate
 
     /** Change the server cap (event E1; applied at the next poll). */
     void setCap(Watts cap);
-
-    /**
-     * Change the server cap only when it differs from the last cap
-     * pushed through this entry point.  The hierarchical cluster
-     * layer (PowerTree) re-resolves grants on every event and pushes
-     * the result to every affected leaf; deduplicating here means an
-     * untouched sibling subtree costs its servers no E1 event, no
-     * allocator pass and no actuation — the per-server half of the
-     * O(depth) propagation argument.
-     *
-     * @return true when a cap change was actually enqueued.
-     */
-    bool setCapIfChanged(Watts cap);
 
     /**
      * True while an app of this name occupies a live record — the
@@ -283,8 +275,6 @@ class ServerManager : private ControlLoop::Delegate
     std::size_t realloc_count = 0;
     Tick next_fault_check = 0;
     Tick esd_restore_at = maxTick; ///< pending ESD restoration time
-    Watts last_pushed_cap = 0.0;   ///< setCapIfChanged() dedup state
-    bool cap_ever_pushed = false;
 
     /** Cumulative interactive totals already published as counters. */
     struct InteractivePublished

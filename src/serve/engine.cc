@@ -27,6 +27,18 @@ poolConfig(const EngineConfig &cfg)
     return pc;
 }
 
+/** Applications on @p srv that have not finished. */
+std::uint32_t
+liveApps(const sim::Server &srv)
+{
+    std::uint32_t live = 0;
+    for (const sim::Application *app : srv.apps()) {
+        if (!app->finished())
+            ++live;
+    }
+    return live;
+}
+
 } // namespace
 
 ServeEngine::ServeEngine(const EngineConfig &config)
@@ -279,10 +291,7 @@ ServeEngine::digest() const
             if (app.point)
                 h.f64(app.point->power);
         }
-        for (const sim::Application *app : srv.apps()) {
-            if (!app->finished())
-                ++d.activeApps;
-        }
+        d.activeApps += liveApps(srv);
         d.passes += mgr.reallocationCount();
         d.objective += alloc.objective;
         if (ix == 0)
@@ -308,13 +317,12 @@ ServeEngine::fillSnapshot(StatsSnapshot &snap,
     snap.nodes = static_cast<std::uint32_t>(nodeCount());
     snap.activeApps = 0;
     snap.freeSockets = 0;
-    snap.allocatorPasses = 0;
-    for (const auto &node : pool_.snapshot()) {
-        snap.activeApps += static_cast<std::uint32_t>(node.activeApps);
+    for (const auto &node : pool_) {
+        snap.activeApps += liveApps(*node.server);
         snap.freeSockets +=
-            static_cast<std::uint32_t>(node.freeSockets);
-        snap.allocatorPasses += node.reallocations;
+            static_cast<std::uint32_t>(node.server->freeSockets());
     }
+    snap.allocatorPasses = allocatorPasses();
     snap.simNow = pool_[0].server->now();
     // One dense fold across the pool (plus the service bus when
     // given): every registered counter the cluster touched lands in

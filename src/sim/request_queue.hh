@@ -75,16 +75,6 @@ class RequestQueue
     std::uint64_t completed() const { return done; }
     std::uint64_t sloViolations() const { return violations; }
 
-    /** Fraction of completed requests over their SLO (0 when none
-     * completed yet). */
-    double violationFraction() const
-    {
-        return done > 0
-                   ? static_cast<double>(violations) /
-                         static_cast<double>(done)
-                   : 0.0;
-    }
-
     /** Observed 99th-percentile response time in seconds (0 until a
      * request completes). */
     double p99() const { return response_hist.percentile(99.0); }

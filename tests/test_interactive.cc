@@ -374,10 +374,11 @@ TEST(InteractiveSlo, AwareAllocatorHoldsItsHomeTurfOnTheSweep)
     // bench_slo's sweep (tests/golden/bench_slo.txt).  While the SLO is
     // attainable the SLO-aware allocator is never beaten on violation
     // fraction by the SLO-blind equal split (2 points of slack).
-    // Where both lose the SLO outright (80 and 85 W) the aware
-    // allocator abandons the hopeless knee by design and must turn the
-    // service's watts into at least as much batch throughput.  And it
-    // strictly wins somewhere (at 90 W: 12.0% late against 99.8%).
+    // Where both lose the SLO outright (75 W, where neither completes
+    // a request, and 80 and 85 W) the aware allocator abandons the
+    // hopeless knee by design and must turn the service's watts into
+    // at least as much batch throughput.  And it strictly wins
+    // somewhere (at 90 W: 12.0% late against 99.8%).
     bool strict_win = false;
     int slo_lost = 0;
     for (Watts cap : {75.0, 80.0, 85.0, 90.0, 95.0, 100.0, 105.0, 110.0}) {
@@ -398,7 +399,7 @@ TEST(InteractiveSlo, AwareAllocatorHoldsItsHomeTurfOnTheSweep)
                  blind.violationFraction + 1e-9 &&
              aware.batchPerf > blind.batchPerf + 0.02);
     }
-    EXPECT_EQ(slo_lost, 2);
+    EXPECT_EQ(slo_lost, 3);
     EXPECT_TRUE(strict_win);
 }
 
@@ -498,6 +499,24 @@ TEST(ClusterConfigValidate, ChecksNamesPoliciesAndRanges)
     bad_range.servers = 0;
     bad_range.interactivePerServer = 0;
     EXPECT_FALSE(bad_range.validate(&err));
+
+    // Tree replays refuse what the PowerTree cannot build, naming the
+    // field; NaN is no oversubscription either.  Flat replays ignore
+    // these fields.
+    for (double f : {0.5, std::nan("")}) {
+        cluster::ClusterConfig bad_tree = good;
+        bad_tree.topology = cluster::Topology::Tree;
+        bad_tree.oversubscription = f;
+        ASSERT_FALSE(bad_tree.validate(&err)) << "F = " << f;
+        EXPECT_NE(err.find("oversubscription"), std::string::npos);
+        bad_tree.topology = cluster::Topology::Flat;
+        EXPECT_TRUE(bad_tree.validate(&err)) << err;
+    }
+    cluster::ClusterConfig shallow = good;
+    shallow.topology = cluster::Topology::Tree;
+    shallow.treeDepth = 0;
+    ASSERT_FALSE(shallow.validate(&err));
+    EXPECT_NE(err.find("treeDepth"), std::string::npos);
 
     // validate(nullptr) is legal (existence check only).
     EXPECT_FALSE(bad_policy.validate(nullptr));
@@ -656,6 +675,17 @@ TEST(ManagerInteractive, RecordsTrackQueueAndSloAttainment)
         EXPECT_FALSE(rec.done);
         EXPECT_LE(rec.normalizedPerf(server.now()), 1.0);
         EXPECT_GT(rec.normalizedPerf(server.now()), 0.0);
+
+        // A service that completed none of its requests missed its
+        // SLO outright: violation fraction 1, performance 0.
+        core::AppRecord starved = rec;
+        starved.requestCompletions = 0;
+        starved.requestSloViolations = 0;
+        EXPECT_EQ(starved.violationFraction(), 1.0);
+        EXPECT_EQ(starved.normalizedPerf(server.now()), 0.0);
+        // Before any request arrives there is nothing to miss.
+        starved.requestArrivals = 0;
+        EXPECT_EQ(starved.violationFraction(), 0.0);
     }
     EXPECT_TRUE(found);
     // The interactive.* trace events surfaced on the bus.

@@ -546,10 +546,21 @@ TEST(ServeEngineTest, SnapshotBuiltFromTraceAggregates)
     arrive.workload = 1;
     arrive.node = -1;
     ASSERT_EQ(eng.apply(arrive).status, ReplyStatus::Ok);
-    eng.commit();
+    serve::DecisionDigest digest = eng.commit();
 
     serve::StatsSnapshot snap;
     eng.fillSnapshot(snap);
+    // The cluster-wide fields: one app on one of four sockets, the
+    // allocator passes and node 0's clock the digest also reports.
+    EXPECT_EQ(snap.nodes, 2u);
+    EXPECT_EQ(snap.activeApps, 1u);
+    EXPECT_EQ(snap.activeApps, digest.activeApps);
+    EXPECT_EQ(snap.freeSockets, 3u);
+    EXPECT_GE(snap.allocatorPasses, 1u);
+    EXPECT_EQ(snap.allocatorPasses, digest.passes);
+    EXPECT_EQ(snap.allocatorPasses, eng.allocatorPasses());
+    EXPECT_EQ(snap.simNow, eng.controlPeriod());
+    EXPECT_EQ(snap.simNow, digest.simNow);
     // Registered counters the commit must have touched.
     EXPECT_GE(snap.counters.at("control.polls"), 1u);
     EXPECT_GE(snap.counters.at("manager.reallocations"), 1u);
