@@ -145,10 +145,9 @@ UtilityEstimator::surfaceFromRows(const std::vector<double> &power_row,
 
 std::shared_ptr<const UtilityEstimator>
 profileCorpus(const power::PlatformConfig &config,
-              const std::vector<perf::AppProfile> &profiles,
-              AlsConfig als)
+              const std::vector<perf::AppProfile> &profiles)
 {
-    auto corpus = std::make_shared<UtilityEstimator>(config, als);
+    auto corpus = std::make_shared<UtilityEstimator>(config);
     Profiler exhaustive(config, 0.0);
     Rng no_draws; // a noiseless Profiler draws no random numbers
     for (const perf::AppProfile &p : profiles) {

@@ -128,12 +128,11 @@ class UtilityEstimator
  * seen applications", Section III-A); a repeated name keeps its first
  * profile.  Profiling is noiseless, so the rows depend only on the
  * platform and the profiles, and one corpus can serve every server
- * built on @p config.
+ * built on @p config.  Its estimates fit at the default AlsConfig.
  */
 std::shared_ptr<const UtilityEstimator>
 profileCorpus(const power::PlatformConfig &config,
-              const std::vector<perf::AppProfile> &profiles,
-              AlsConfig als = {});
+              const std::vector<perf::AppProfile> &profiles);
 
 } // namespace psm::cf
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "core/policy_registry.hh"
 #include "perf/perf_model.hh"
 #include "util/logging.hh"
 
@@ -41,12 +40,6 @@ ClusterConfig::validate(std::string *error) const
     if (servers < 1)
         return fail("cluster needs at least one server (servers = " +
                     std::to_string(servers) + ")");
-    if (policy != ClusterPolicy::EqualRapl &&
-        !core::PolicyRegistry::instance().findName(managedPolicy)) {
-        return fail("unknown managed policy '" + managedPolicy +
-                    "' (expected one of " +
-                    core::PolicyRegistry::instance().cliNames() + ")");
-    }
     if (interactivePerServer < 0 || interactivePerServer > 2) {
         return fail("interactivePerServer must be 0, 1 or 2 (got " +
                     std::to_string(interactivePerServer) + ")");
@@ -163,14 +156,9 @@ ClusterManager::buildNodes()
     NodePoolConfig pc;
     pc.servers = cfg.servers;
     pc.manager = cfg.manager;
-    if (cfg.policy == ClusterPolicy::EqualRapl) {
-        pc.manager.policy = core::PolicyKind::UtilUnaware;
-    } else {
-        // validate() has already resolved this name.
-        pc.manager.policy = core::PolicyRegistry::instance()
-                                .findName(cfg.managedPolicy)
-                                ->kind;
-    }
+    pc.manager.policy = cfg.policy == ClusterPolicy::EqualRapl
+                            ? core::PolicyKind::UtilUnaware
+                            : core::PolicyKind::AppResEsdAware;
     pc.seedBase = cfg.seed;
     pc.faults = cfg.faults;
     if (cfg.policy == ClusterPolicy::EqualOurs)

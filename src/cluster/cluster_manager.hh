@@ -81,16 +81,12 @@ struct ClusterConfig
 {
     ClusterPolicy policy = ClusterPolicy::EqualOurs;
     int servers = 10;
-    /** Per-server management template (policy field is overridden). */
-    core::ManagerConfig manager;
     /**
-     * CLI name (PolicyRegistry) of the per-server policy the managed
-     * strategies run.  Equal(RAPL) always pins util-unaware — that IS
-     * the strategy; Equal(Ours) and Consolidation+Migration resolve
-     * this name, so the arena can race rival per-server allocators
-     * under the same cluster-level cap replay.
+     * Per-server management template.  Its policy field is
+     * overridden: Equal(RAPL) runs Util-Unaware and Equal(Ours)
+     * App+Res+ESD-Aware — each IS its strategy.
      */
-    std::string managedPolicy = "app-res-esd-aware";
+    core::ManagerConfig manager;
     /** Battery attached per server for Equal(Ours). */
     esd::BatteryConfig esd;
     /**
@@ -125,12 +121,10 @@ struct ClusterConfig
 
     /**
      * Check the configuration without aborting: servers >= 1,
-     * managedPolicy resolves in the PolicyRegistry,
      * interactivePerServer is in [0, 2] and, for Topology::Tree,
      * treeDepth >= 1 and oversubscription >= 1.  On failure returns
      * false and, when @p error is non-null, fills it with a
-     * diagnostic that names the field or lists the valid names —
-     * callers with user-supplied
+     * diagnostic that names the field — callers with user-supplied
      * configuration (CLI front ends, the serving layer) should call
      * this and surface the message instead of letting the constructor
      * fatal().

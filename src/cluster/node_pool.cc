@@ -62,10 +62,9 @@ NodePool::NodePool(const NodePoolConfig &config)
     // every node runs and the profiles.
     std::shared_ptr<const cf::UtilityEstimator> corpus;
     std::shared_ptr<const core::UtilityCurve> server_average;
-    if (config.managed && config.seedWorkloadCorpus) {
+    if (config.managed) {
         corpus = cf::profileCorpus(power::defaultPlatform(),
-                                   perf::workloadLibrary(),
-                                   config.manager.als);
+                                   perf::workloadLibrary());
         server_average = core::makeServerAverageCurve(*corpus);
     }
     // Nodes share only the corpus, its server-average curve and
@@ -84,8 +83,7 @@ NodePool::NodePool(const NodePoolConfig &config)
                 config.seedBase + static_cast<std::uint64_t>(s);
             node.manager = std::make_unique<core::ServerManager>(
                 *node.server, mc);
-            if (corpus)
-                node.manager->seedCorpus(corpus, server_average);
+            node.manager->seedCorpus(corpus, server_average);
         }
     });
 }

@@ -36,8 +36,10 @@ struct NodePoolConfig
     int servers = 1;
     /**
      * Wrap each server in a ServerManager (the per-server control
-     * plane).  Raw pools (no manager) serve the consolidation
-     * baseline, which never caps a powered server.
+     * plane), seeded with one CF corpus profiled from the workload
+     * library and shared by every manager.  Raw pools (no manager)
+     * serve the consolidation baseline, which never caps a powered
+     * server.
      */
     bool managed = true;
     /** Per-server manager template; node s runs with
@@ -48,9 +50,6 @@ struct NodePoolConfig
     std::optional<esd::BatteryConfig> esd;
     /** Initial per-server cap (<= 0 leaves the server uncapped). */
     Watts serverCap = 0.0;
-    /** Profile one CF corpus from the workload library and share it
-     * with every manager. */
-    bool seedWorkloadCorpus = true;
     /**
      * Pool-level fault plan: only the node-crash rate and NodeCrash
      * schedule entries (target = node index) are consulted here;

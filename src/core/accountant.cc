@@ -30,11 +30,6 @@ eventKindName(EventKind kind)
     return decisionTriggerName(eventTrigger(kind));
 }
 
-Accountant::Accountant(AccountantConfig config) : cfg(config)
-{
-    psm_assert(cfg.driftThreshold > 0.0);
-}
-
 void
 Accountant::notifyCapChange(Watts new_cap)
 {
@@ -129,12 +124,12 @@ Accountant::poll(const sim::Server &server)
         }
         double deviation = std::abs(observed - state.allocated) /
                            state.allocated;
-        if (deviation > cfg.driftThreshold) {
+        if (deviation > driftThreshold) {
             if (state.drift_since == maxTick)
                 state.drift_since = now;
-            bool held = now - state.drift_since >= cfg.driftHold;
+            bool held = now - state.drift_since >= driftHold;
             bool cooled =
-                now - state.last_drift_event >= cfg.driftCooldown;
+                now - state.last_drift_event >= driftCooldown;
             if (held && cooled) {
                 AccountantEvent ev;
                 ev.kind = EventKind::Drift;

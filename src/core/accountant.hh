@@ -51,27 +51,21 @@ struct AccountantEvent
     Watts newCap = 0.0;  ///< for E1
 };
 
-/** Accountant tuning. */
-struct AccountantConfig
-{
-    /** Relative deviation of observed from allocated power that
-     * counts as drift. */
-    double driftThreshold = 0.30;
-    /** Drift must persist this long before E4 fires.  Keep shorter
-     * than the manager's refresh period: every re-allocation resets
-     * the hold timer. */
-    Tick driftHold = toTicks(0.3);
-    /** Refractory period after an E4 for the same application. */
-    Tick driftCooldown = toTicks(2.0);
-};
-
 /**
  * Polling monitor over one server.
  */
 class Accountant
 {
   public:
-    explicit Accountant(AccountantConfig config = {});
+    /** Relative deviation of observed from allocated power that
+     * counts as drift. */
+    static constexpr double driftThreshold = 0.30;
+    /** Drift must persist this long before E4 fires.  Keep shorter
+     * than ControlLoop::refreshPeriod: every re-allocation resets
+     * the hold timer. */
+    static constexpr Tick driftHold = toTicks(0.3);
+    /** Refractory period after an E4 for the same application. */
+    static constexpr Tick driftCooldown = toTicks(2.0);
 
     /** E1: the datacenter pushed a new cap. */
     void notifyCapChange(Watts new_cap);
@@ -103,7 +97,6 @@ class Accountant
     std::vector<AccountantEvent> poll(const sim::Server &server);
 
   private:
-    AccountantConfig cfg;
     bool drift_enabled = true;
     std::vector<AccountantEvent> queued;
 

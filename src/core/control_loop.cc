@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "util/logging.hh"
-
 namespace psm::core
 {
 
@@ -31,13 +29,10 @@ eventKindTraceId(EventKind kind)
 } // namespace
 
 ControlLoop::ControlLoop(sim::Server &server, Coordinator &coordinator,
-                         ControlLoopConfig config, Delegate &delegate,
-                         Telemetry *telemetry)
-    : srv(server), coord(coordinator), cfg(config), delegate(delegate),
-      acct(cfg.accountant), tel(telemetry)
+                         Delegate &delegate, Telemetry *telemetry)
+    : srv(server), coord(coordinator), delegate(delegate),
+      tel(telemetry)
 {
-    if (cfg.controlPeriod == 0)
-        fatal("controlPeriod must be positive");
 }
 
 void
@@ -46,7 +41,7 @@ ControlLoop::maybePoll()
     if (srv.now() < next_control)
         return;
     poll();
-    next_control = srv.now() + cfg.controlPeriod;
+    next_control = srv.now() + controlPeriod;
 }
 
 bool
@@ -87,7 +82,7 @@ ControlLoop::updateCapTrim()
         if (meter_stale_since == maxTick)
             meter_stale_since = meter_now;
         bool watchdog_changed = false;
-        if (meter_now - meter_stale_since >= cfg.meterWatchdog) {
+        if (meter_now - meter_stale_since >= meterStaleLimit) {
             // Staleness watchdog: after a prolonged outage, bleed the
             // trim back toward the open-loop (guard-band only)
             // budget so a stale correction cannot pin the server at a
@@ -113,13 +108,13 @@ ControlLoop::updateCapTrim()
         Watts setpoint = cap - 0.5;
         Watts before = cap_trim;
         if (steady && interval_avg > setpoint) {
-            cap_trim += cfg.trimGain * (interval_avg - setpoint);
+            cap_trim += trimGain * (interval_avg - setpoint);
         } else if (interval_avg < setpoint) {
             // Headroom: hand it back.  In Time mode the OFF slots
             // legitimately sit far below the cap, so only decay
             // there; in Space mode run the full symmetric loop.
             if (coord.mode() == CoordinationMode::Space) {
-                cap_trim -= cfg.trimGain *
+                cap_trim -= trimGain *
                             std::min(setpoint - interval_avg, 2.0);
             } else {
                 cap_trim *= 0.95;
@@ -164,7 +159,7 @@ ControlLoop::poll()
         if (!need_realloc)
             trigger = DecisionTrigger::Refresh;
         need_realloc = true;
-        next_refresh = srv.now() + cfg.refreshPeriod;
+        next_refresh = srv.now() + refreshPeriod;
     }
 
     if (delegate.onCalibrationsDue()) {

@@ -27,23 +27,6 @@
 namespace psm::core
 {
 
-/** Tuning of the reactive layer. */
-struct ControlLoopConfig
-{
-    /** Accountant poll / decision period. */
-    Tick controlPeriod = toTicks(0.1);
-    /** Gain of the integral cap-adherence trim loop. */
-    double trimGain = 0.5;
-    /** Spatial-mode steady-state refresh period (RAPL limit and trim
-     * updates without a triggering event). */
-    Tick refreshPeriod = toTicks(0.5);
-    /** How long the meter may stay unreadable before the staleness
-     * watchdog starts bleeding the integral trim back toward the
-     * open-loop budget. */
-    Tick meterWatchdog = toTicks(1.0);
-    AccountantConfig accountant;
-};
-
 /**
  * Per-server reactive loop.  The server, coordinator and delegate
  * must outlive it.
@@ -70,8 +53,19 @@ class ControlLoop
     };
 
     ControlLoop(sim::Server &server, Coordinator &coordinator,
-                ControlLoopConfig config, Delegate &delegate,
-                Telemetry *telemetry = nullptr);
+                Delegate &delegate, Telemetry *telemetry = nullptr);
+
+    /** Accountant poll / decision period. */
+    static constexpr Tick controlPeriod = toTicks(0.1);
+    /** Gain of the integral cap-adherence trim loop. */
+    static constexpr double trimGain = 0.5;
+    /** Spatial-mode steady-state refresh period (RAPL limit and trim
+     * updates without a triggering event). */
+    static constexpr Tick refreshPeriod = toTicks(0.5);
+    /** How long the meter may stay unreadable before the staleness
+     * watchdog starts bleeding the integral trim back toward the
+     * open-loop budget. */
+    static constexpr Tick meterStaleLimit = toTicks(1.0);
 
     Accountant &accountant() { return acct; }
 
@@ -108,7 +102,6 @@ class ControlLoop
   private:
     sim::Server &srv;
     Coordinator &coord;
-    ControlLoopConfig cfg;
     Delegate &delegate;
     Accountant acct;
     Telemetry *tel;

@@ -61,6 +61,8 @@ struct Directive
 struct CoordinatorConfig
 {
     Tick dutyPeriod = toTicks(2.0); ///< full ON/OFF cycle length
+
+    bool operator==(const CoordinatorConfig &) const = default;
 };
 
 /**

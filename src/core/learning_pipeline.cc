@@ -6,14 +6,14 @@ namespace psm::core
 {
 
 LearningPipeline::LearningPipeline(sim::Server &server,
-                                   LearningConfig config,
+                                   bool oracle_utilities,
+                                   std::uint64_t seed,
                                    Telemetry *telemetry)
-    : srv(server), cfg(config), tel(telemetry), rng(cfg.seed),
-      profiler(server.platform(), cfg.measurementNoise),
-      sampler(server.platform(), cfg.sampling)
+    : srv(server), oracle(oracle_utilities), rng_seed(seed),
+      tel(telemetry), rng(seed),
+      profiler(server.platform(), measurementNoise),
+      sampler(server.platform(), sampling)
 {
-    if (cfg.sampleFraction <= 0.0 || cfg.sampleFraction > 1.0)
-        fatal("sampleFraction must lie in (0, 1]");
 }
 
 std::shared_ptr<const UtilityCurve>
@@ -68,13 +68,13 @@ LearningPipeline::startCalibration(int id)
     if (tel)
         tel->count(trace::EventId::LearningCalibrationsStarted);
 
-    if (cfg.oracleUtilities) {
+    if (oracle) {
         // Oracle: exhaustive, instantaneous, noiseless re-profiling
         // at the application's current phase.
         sim::Application &app = srv.app(id);
         const sim::Phase &phase = app.currentPhase();
         cf::Profiler exhaustive(srv.platform(), 0.0);
-        Rng oracle_rng(cfg.seed ^ 0x04ac1eULL);
+        Rng oracle_rng(rng_seed ^ 0x04ac1eULL);
         std::vector<double> power_row;
         std::vector<double> hb_row;
         // measureAll lacks phase scaling; measure per column instead.
@@ -101,10 +101,10 @@ LearningPipeline::startCalibration(int id)
     // Online sparse sampling: choose the settings now, charge the
     // measurement wall-clock, deliver the surface when it elapses.
     a.surface.reset();
-    a.pending_cols = sampler.select(cfg.sampleFraction, rng);
+    a.pending_cols = sampler.select(sampleFraction, rng);
     a.calibration_ready =
         srv.now() + static_cast<Tick>(a.pending_cols.size()) *
-                        cfg.calibrationPerSample;
+                        calibrationPerSample;
     // The application runs conservatively while being profiled.
     srv.app(id).setKnobs(srv.platform().minSetting());
     return false;
@@ -125,7 +125,7 @@ LearningPipeline::finishCalibration(int id)
 
     if (!cf_corpus) {
         cf_corpus = std::make_shared<const cf::UtilityEstimator>(
-            srv.platform(), cfg.als);
+            srv.platform());
     }
     // Leave-one-out: never let an application predict itself.
     cf::FitOutcome outcome;

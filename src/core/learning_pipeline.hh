@@ -41,23 +41,6 @@
 namespace psm::core
 {
 
-/** Tuning of the learning layer. */
-struct LearningConfig
-{
-    /** Fraction of knob settings measured online (Fig. 7's 10%). */
-    double sampleFraction = 0.10;
-    /** Use exhaustive ground-truth utilities instead of CF. */
-    bool oracleUtilities = false;
-    /** Relative measurement noise of online profiling. */
-    double measurementNoise = 0.02;
-    /** Wall-clock cost of measuring one knob setting online. */
-    Tick calibrationPerSample = toTicks(0.018);
-
-    cf::AlsConfig als;
-    cf::SamplingStrategy sampling = cf::SamplingStrategy::Stratified;
-    std::uint64_t seed = 7;
-};
-
 /**
  * The server-average curve over @p corpus: every corpus surface
  * averaged cell-wise into one application-agnostic frontier (the
@@ -76,10 +59,23 @@ makeServerAverageCurve(const cf::UtilityEstimator &corpus);
 class LearningPipeline
 {
   public:
-    LearningPipeline(sim::Server &server, LearningConfig config,
-                     Telemetry *telemetry = nullptr);
+    /**
+     * @param oracle_utilities Calibrate by exhaustive ground-truth
+     *        profiling instead of sparse sampling and CF.
+     * @param seed Seed of the sampling and measurement draws.
+     */
+    LearningPipeline(sim::Server &server, bool oracle_utilities,
+                     std::uint64_t seed, Telemetry *telemetry = nullptr);
 
-    const LearningConfig &config() const { return cfg; }
+    /** Fraction of knob settings measured online (Fig. 7's 10%). */
+    static constexpr double sampleFraction = 0.10;
+    /** Relative measurement noise of online profiling. */
+    static constexpr double measurementNoise = 0.02;
+    /** Wall-clock cost of measuring one knob setting online. */
+    static constexpr Tick calibrationPerSample = toTicks(0.018);
+    /** How the online sampling budget is spread. */
+    static constexpr cf::SamplingStrategy sampling =
+        cf::SamplingStrategy::Stratified;
 
     /**
      * Install the collaborative filtering corpus ("previously seen
@@ -181,7 +177,8 @@ class LearningPipeline
 
   private:
     sim::Server &srv;
-    LearningConfig cfg;
+    bool oracle;
+    std::uint64_t rng_seed;
     Telemetry *tel;
     Rng rng;
     cf::Profiler profiler;

@@ -50,31 +50,6 @@ AppRecord::normalizedPerf(Tick now) const
     return (beats / elapsed) / uncappedRate;
 }
 
-LearningConfig
-ServerManager::learningConfig(const ManagerConfig &cfg)
-{
-    LearningConfig lc;
-    lc.sampleFraction = cfg.sampleFraction;
-    lc.oracleUtilities = cfg.oracleUtilities;
-    lc.measurementNoise = cfg.measurementNoise;
-    lc.calibrationPerSample = cfg.calibrationPerSample;
-    lc.als = cfg.als;
-    lc.sampling = cfg.sampling;
-    lc.seed = cfg.seed;
-    return lc;
-}
-
-ControlLoopConfig
-ServerManager::controlConfig(const ManagerConfig &cfg)
-{
-    ControlLoopConfig cc;
-    cc.controlPeriod = cfg.controlPeriod;
-    cc.trimGain = cfg.trimGain;
-    cc.refreshPeriod = cfg.refreshPeriod;
-    cc.accountant = cfg.accountant;
-    return cc;
-}
-
 ManagerConfig
 ServerManager::normalizedConfig(ManagerConfig cfg)
 {
@@ -86,9 +61,9 @@ ServerManager::normalizedConfig(ManagerConfig cfg)
 ServerManager::ServerManager(sim::Server &server, ManagerConfig config)
     : srv(server), cfg(normalizedConfig(std::move(config))),
       injector(cfg.faults), coord(cfg.coordinator),
-      pipeline(server, learningConfig(cfg), &tel),
+      pipeline(server, cfg.oracleUtilities, cfg.seed, &tel),
       selector(server.platform(), cfg.allocator, &tel),
-      control(server, coord, controlConfig(cfg), *this, &tel),
+      control(server, coord, *this, &tel),
       actuator(server, coord, control.accountant(), &tel)
 {
     coord.setTelemetry(&tel);
@@ -104,7 +79,7 @@ void
 ServerManager::seedCorpus(const std::vector<perf::AppProfile> &profiles)
 {
     pipeline.seedCorpus(
-        cf::profileCorpus(srv.platform(), profiles, cfg.als));
+        cf::profileCorpus(srv.platform(), profiles));
 }
 
 void
@@ -139,7 +114,7 @@ ServerManager::addApp(const perf::AppProfile &profile)
     control.accountant().notifyArrival(id);
     if (policyAppAware(cfg.policy)) {
         if (pipeline.startCalibration(id))
-            last_realloc_latency = cfg.controlPeriod;
+            last_realloc_latency = ControlLoop::controlPeriod;
     }
     return id;
 }
@@ -204,7 +179,7 @@ ServerManager::onDrift(int app_id)
     if (!policyAppAware(cfg.policy))
         return false;
     if (pipeline.startCalibration(app_id))
-        last_realloc_latency = cfg.controlPeriod;
+        last_realloc_latency = ControlLoop::controlPeriod;
     return true;
 }
 
@@ -215,7 +190,7 @@ ServerManager::onCalibrationsDue()
     if (finished.empty())
         return false;
     last_realloc_latency =
-        pipeline.lastCalibrationLatency() + cfg.controlPeriod;
+        pipeline.lastCalibrationLatency() + ControlLoop::controlPeriod;
     return true;
 }
 
@@ -329,7 +304,7 @@ ServerManager::maybeInjectFaults()
     // the schedule replays identically at any thread count.
     if (now < next_fault_check)
         return;
-    next_fault_check = now + cfg.controlPeriod;
+    next_fault_check = now + ControlLoop::controlPeriod;
 
     if (srv.esdInstalled() && srv.esdAvailable()) {
         if (injector.inject(util::FaultKind::EsdLoss, now)) {

@@ -47,22 +47,18 @@
 namespace psm::core
 {
 
-/** Configuration of the per-server management framework. */
+/**
+ * Configuration of the per-server management framework: the settings
+ * a bench, tool or workload varies.  The tuning every caller runs at
+ * one value is a constant of the layer that reads it
+ * (LearningPipeline, ControlLoop, Accountant).
+ */
 struct ManagerConfig
 {
     PolicyKind policy = PolicyKind::AppResAware;
 
-    /** Fraction of knob settings measured online (Fig. 7's 10%). */
-    double sampleFraction = 0.10;
     /** Use exhaustive ground-truth utilities instead of CF. */
     bool oracleUtilities = false;
-    /** Relative measurement noise of online profiling. */
-    double measurementNoise = 0.02;
-    /** Wall-clock cost of measuring one knob setting online. */
-    Tick calibrationPerSample = toTicks(0.018);
-
-    /** Accountant poll / decision period. */
-    Tick controlPeriod = toTicks(0.1);
 
     /**
      * Guard band: fraction of the dynamic budget withheld to absorb
@@ -70,17 +66,9 @@ struct ManagerConfig
      * straight into cap overshoot.
      */
     double budgetGuard = 0.02;
-    /** Gain of the integral cap-adherence trim loop. */
-    double trimGain = 0.5;
-    /** Spatial-mode steady-state refresh period (RAPL limit and trim
-     * updates without a triggering event). */
-    Tick refreshPeriod = toTicks(0.5);
 
     CoordinatorConfig coordinator;
     AllocatorConfig allocator;
-    cf::AlsConfig als;
-    cf::SamplingStrategy sampling = cf::SamplingStrategy::Stratified;
-    AccountantConfig accountant;
 
     /**
      * Fault plan for this server (disabled by default);
@@ -178,7 +166,7 @@ class ServerManager : private ControlLoop::Delegate
 
     /**
      * Share a corpus already profiled by cf::profileCorpus on this
-     * server's platform with config().als — how a NodePool seeds
+     * server's platform — how a NodePool seeds
      * every node from one profiling pass — and, when given, its
      * makeServerAverageCurve() (null builds one for this node).
      */
@@ -301,8 +289,6 @@ class ServerManager : private ControlLoop::Delegate
     /** Roll and apply injected faults (once per control period). */
     void maybeInjectFaults();
 
-    static LearningConfig learningConfig(const ManagerConfig &cfg);
-    static ControlLoopConfig controlConfig(const ManagerConfig &cfg);
     static ManagerConfig normalizedConfig(ManagerConfig cfg);
 };
 

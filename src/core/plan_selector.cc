@@ -177,11 +177,10 @@ PlanSelector::selectUtilityAware(const PlanInputs &in) const
     // The planning allocator (temporal/ESD plans) keeps the
     // configured reservation behaviour; the spatial optimization is
     // the policy's own: registry policies with a planner factory
-    // (FastCap, CuttleSys, out-of-tree rivals) replace the DP
-    // entirely, the rest run the built-in DP with reservation
-    // toggled per policy — RAPL-enforced grants can clock-modulate
-    // below any frontier point, so their curve minima are not hard
-    // minima.
+    // (FastCap, CuttleSys) replace the DP entirely, the rest run the
+    // built-in DP with reservation toggled per policy — RAPL-enforced
+    // grants can clock-modulate below any frontier point, so their
+    // curve minima are not hard minima.
     const PolicyInfo &info =
         PolicyRegistry::instance().infoFor(in.policy);
     PowerAllocator planner(alloc_cfg);

@@ -106,9 +106,8 @@ struct PolicyInfo
 };
 
 /**
- * The process-wide policy table.  Built-ins register on first use;
- * out-of-tree policies may add() themselves at startup (registration
- * is not thread-safe — do it before spinning up managers).
+ * The process-wide policy table, filled with the built-in policies on
+ * first use and read-only after that.
  */
 class PolicyRegistry
 {
@@ -138,15 +137,15 @@ class PolicyRegistry
     /** "util-unaware|server-res-aware|..." for usage strings. */
     std::string cliNames() const;
 
+  private:
+    PolicyRegistry();
+
     /**
      * Register a policy.  The kind and both names must be unused;
      * panics otherwise (a duplicate registration is a programming
      * error, not user input).
      */
     void add(PolicyInfo info);
-
-  private:
-    PolicyRegistry();
 
     std::vector<PolicyInfo> entries;
 };

@@ -111,6 +111,8 @@ struct AllocatorConfig
      * curve minimum is not a real hardware minimum.
      */
     bool reserveMinima = true;
+
+    bool operator==(const AllocatorConfig &) const = default;
 };
 
 /**

@@ -21,7 +21,6 @@ poolConfig(const EngineConfig &cfg)
     pc.manager = cfg.manager;
     pc.seedBase = cfg.seedBase;
     pc.serverCap = cfg.serverCap;
-    pc.seedWorkloadCorpus = cfg.seedCorpus;
     if (cfg.esd)
         pc.esd = esd::leadAcidUps();
     return pc;
@@ -42,8 +41,7 @@ liveApps(const sim::Server &srv)
 } // namespace
 
 ServeEngine::ServeEngine(const EngineConfig &config)
-    : cfg(config), pool_(poolConfig(config)),
-      period(config.manager.controlPeriod)
+    : cfg(config), pool_(poolConfig(config))
 {
 }
 
@@ -55,6 +53,10 @@ ServeEngine::~ServeEngine()
 bool
 ServeEngine::startCapture(const std::string &path)
 {
+    if (const char *setting = unrecordedSetting(cfg)) {
+        warn("cannot capture: a capture does not record %s", setting);
+        return false;
+    }
     auto writer = std::make_unique<CaptureWriter>();
     if (!writer->open(path, cfg)) {
         warn("cannot open capture file %s", path.c_str());
@@ -162,7 +164,7 @@ ServeEngine::apply(const EventRequest &ev)
 ApplyOutcome
 ServeEngine::applyAdvance(const EventRequest &ev)
 {
-    if (!(ev.value > 0.0) || ev.value > cfg.maxAdvance)
+    if (!(ev.value > 0.0) || ev.value > maxAdvance)
         return {ReplyStatus::BadRequest, -1, -1};
     pool_.runAll(toTicks(ev.value));
     return {ReplyStatus::Ok, -1, -1};
@@ -256,7 +258,7 @@ ServeEngine::applyKill(const EventRequest &ev)
 DecisionDigest
 ServeEngine::commit()
 {
-    pool_.runAll(period);
+    pool_.runAll(core::ControlLoop::controlPeriod);
     DecisionDigest d = digest();
     if (capture_)
         capture_->commit(d, surfaceEpochSum());

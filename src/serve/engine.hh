@@ -8,7 +8,8 @@
  * E2 arrivals (with a most-free-sockets routing rule when the client
  * does not pin a node), E4-provoking phase changes, external E3
  * kills, and explicit clock advances.  commit() runs one control
- * period, so however many events were applied since the last commit,
+ * period (ControlLoop::controlPeriod, the period every node polls
+ * at), so however many events were applied since the last commit,
  * the Accountant's next poll folds them into ONE reallocate() pass —
  * the coalescing the batching stage above exploits.
  *
@@ -49,10 +50,6 @@ struct EngineConfig
     /** Attach a lead-acid UPS to every node. */
     bool esd = false;
     std::uint64_t seedBase = 7;
-    /** Seed each manager's CF corpus from the workload library. */
-    bool seedCorpus = true;
-    /** Longest single Advance a client may request, in seconds. */
-    double maxAdvance = 600.0;
 };
 
 /** What applying one event did (before any commit). */
@@ -91,9 +88,6 @@ class ServeEngine
     /** Allocator passes so far, cluster-wide. */
     std::uint64_t allocatorPasses() const;
 
-    /** The control period commit() advances by. */
-    Tick controlPeriod() const { return period; }
-
     int nodeCount() const
     {
         return static_cast<int>(pool_.size());
@@ -125,8 +119,10 @@ class ServeEngine
      * — the capture replays against a FRESH engine built from this
      * config.
      *
-     * @return false on I/O failure (the engine keeps running
-     *         uncaptured).
+     * @return false, opening no file, when the config sets what a
+     *         capture does not record (unrecordedSetting()), and
+     *         false on I/O failure; the engine keeps running
+     *         uncaptured.
      */
     bool startCapture(const std::string &path);
 
@@ -139,7 +135,6 @@ class ServeEngine
   private:
     EngineConfig cfg;
     cluster::NodePool pool_;
-    Tick period;
     std::unique_ptr<CaptureWriter> capture_;
 
     core::ServerManager &managerAt(int ix);

@@ -65,6 +65,13 @@ std::string appClassName(AppClass cls);
 constexpr double maxSloP99 = 3600.0;
 
 /**
+ * Longest single Advance a client may request, in seconds.  The
+ * engine answers BadRequest to a longer one, and to one that is not
+ * positive.
+ */
+constexpr double maxAdvance = 600.0;
+
+/**
  * Largest node count an engine accepts: a sanity bound, twice the
  * 2048-server tree of README's cluster example.  A capture Config and
  * psm-served's --nodes both refuse more, so a corrupt or hostile

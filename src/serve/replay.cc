@@ -24,7 +24,7 @@ constexpr std::size_t kRecordHeaderSize = 5; ///< type + length
 constexpr std::uint32_t kMaxRecordLength = 64u << 20;
 
 /** Bump when the Config payload layout changes. */
-constexpr std::uint8_t kConfigVersion = 2;
+constexpr std::uint8_t kConfigVersion = 3;
 
 /** Record types inside a capture. */
 enum class CaptureRecord : std::uint8_t
@@ -101,6 +101,19 @@ digestLine(const DecisionDigest &d, std::uint64_t epoch_sum)
 
 } // namespace
 
+const char *
+unrecordedSetting(const EngineConfig &cfg)
+{
+    const core::ManagerConfig &m = cfg.manager;
+    if (m.faults.enabled())
+        return "manager.faults";
+    if (m.allocator != core::AllocatorConfig{})
+        return "manager.allocator";
+    if (m.coordinator != core::CoordinatorConfig{})
+        return "manager.coordinator";
+    return nullptr;
+}
+
 std::vector<std::uint8_t>
 encodeCaptureConfig(const EngineConfig &cfg)
 {
@@ -110,19 +123,10 @@ encodeCaptureConfig(const EngineConfig &cfg)
     w.putF64(cfg.serverCap);
     w.putU8(cfg.esd ? 1 : 0);
     w.putU64(cfg.seedBase);
-    w.putU8(cfg.seedCorpus ? 1 : 0);
-    w.putF64(cfg.maxAdvance);
     const core::ManagerConfig &m = cfg.manager;
     w.putU8(static_cast<std::uint8_t>(m.policy));
-    w.putF64(m.sampleFraction);
     w.putU8(m.oracleUtilities ? 1 : 0);
-    w.putF64(m.measurementNoise);
-    w.putU64(m.calibrationPerSample);
-    w.putU64(m.controlPeriod);
     w.putF64(m.budgetGuard);
-    w.putF64(m.trimGain);
-    w.putU64(m.refreshPeriod);
-    w.putU8(static_cast<std::uint8_t>(m.sampling));
     w.putU64(m.seed);
     w.putU64(fingerprint(w.bytes().data(), w.bytes().size()));
     return w.take();
@@ -153,18 +157,9 @@ decodeCaptureConfig(const std::vector<std::uint8_t> &payload,
     cfg.serverCap = c.f64();
     const std::uint8_t esd = c.u8();
     cfg.seedBase = c.u64();
-    const std::uint8_t seed_corpus = c.u8();
-    cfg.maxAdvance = c.f64();
     const std::uint8_t policy = c.u8();
-    m.sampleFraction = c.f64();
     const std::uint8_t oracle = c.u8();
-    m.measurementNoise = c.f64();
-    m.calibrationPerSample = c.u64();
-    m.controlPeriod = c.u64();
     m.budgetGuard = c.f64();
-    m.trimGain = c.f64();
-    m.refreshPeriod = c.u64();
-    const std::uint8_t sampling = c.u8();
     m.seed = c.u64();
     if (!c.good())
         return fail("Config fields truncated");
@@ -182,39 +177,17 @@ decodeCaptureConfig(const std::vector<std::uint8_t> &payload,
     if (!info)
         return fail("unregistered policy wire id " +
                     std::to_string(static_cast<int>(policy)));
-    if (sampling > static_cast<std::uint8_t>(
-                       cf::SamplingStrategy::Stratified))
-        return fail("invalid sampling strategy " +
-                    std::to_string(static_cast<int>(sampling)));
-    // Values the engine's constructors or its first decision would
+    // Values a CapChange may not carry or the first decision would
     // abort on; the comparisons are written so that NaN fails them.
-    if (!(m.sampleFraction > 0.0 && m.sampleFraction <= 1.0))
-        return fail("sampleFraction must lie in (0, 1]");
-    if (!(std::isfinite(m.measurementNoise) &&
-          m.measurementNoise >= 0.0))
-        return fail("measurementNoise must be finite and >= 0");
-    if (m.controlPeriod == 0)
-        return fail("controlPeriod must be positive");
     if (!validCap(cfg.serverCap))
         return fail("serverCap must be finite and >= 0");
-    // A NaN maxAdvance lets every Advance through the engine's bound.
-    if (!(std::isfinite(cfg.maxAdvance) && cfg.maxAdvance > 0.0))
-        return fail("maxAdvance must be finite and > 0");
-    // Either one NaN makes the first allocation's budget NaN.
+    // A NaN guard band makes the first allocation's budget NaN.
     if (!std::isfinite(m.budgetGuard))
         return fail("budgetGuard must be finite");
-    if (!std::isfinite(m.trimGain))
-        return fail("trimGain must be finite");
-    if (info->kind == core::PolicyKind::ServerResAware &&
-        seed_corpus == 0)
-        return fail("policy " + info->cliName +
-                    " needs the seeded corpus");
     cfg.nodes = static_cast<int>(nodes);
     cfg.esd = esd != 0;
-    cfg.seedCorpus = seed_corpus != 0;
     m.policy = info->kind;
     m.oracleUtilities = oracle != 0;
-    m.sampling = static_cast<cf::SamplingStrategy>(sampling);
     out = cfg;
     return true;
 }

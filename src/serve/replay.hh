@@ -12,13 +12,14 @@
  *   [u64 magic "PSMTRLOG"] [u32 version 1]
  *   repeated: [u8 type] [u32 length] [length bytes payload]
  *
- *   Config (1) — the engine's scalar configuration surface: node
- *                count, caps, policy, seeds, control period and the
- *                tuning scalars every runner (daemon CLI, benches,
- *                tests) actually sets.  Nested sub-configs that no
- *                runner touches ride on their defaults; an FNV-1a
- *                fingerprint over the encoded surface guards against
- *                version drift.
+ *   Config (1) — version 3: node count, server cap, ESD flag, seed
+ *                base, policy, oracle flag, guard band and manager
+ *                seed, then an FNV-1a fingerprint over those bytes
+ *                that guards against version drift.  The allocator,
+ *                coordinator and fault plan are not recorded: a
+ *                replay rebuilds them at their defaults, so
+ *                ServeEngine::startCapture refuses a config that sets
+ *                one (unrecordedSetting()).
  *   Event (2)  — one applied EventRequest, encoded as the EVENT frame
  *                payload, then the ApplyOutcome the original run
  *                observed (status u8, node i32, app i32).
@@ -89,13 +90,22 @@ class CaptureWriter
     std::ofstream out;
 };
 
+/**
+ * The first setting of @p cfg a Config record does not hold and a
+ * replay would therefore rebuild differently: "manager.faults" when
+ * the fault plan is enabled, "manager.allocator" or
+ * "manager.coordinator" when either differs from its default.  Null
+ * when the record holds the whole config.
+ */
+const char *unrecordedSetting(const EngineConfig &cfg);
+
 std::vector<std::uint8_t> encodeCaptureConfig(const EngineConfig &cfg);
 /**
- * Decode and validate a Config payload.  Enum bytes (policy,
- * sampling) are checked against the live registry/enum range — a
- * capture recorded by a newer build with policies this build does
- * not know fails here rather than being cast blindly.  On failure,
- * @p error (when non-null) gets the reason.
+ * Decode and validate a Config payload.  The policy byte is checked
+ * against the live registry — a capture recorded by a newer build
+ * with policies this build does not know fails here rather than
+ * being cast blindly.  On failure, @p error (when non-null) gets the
+ * reason.
  */
 bool decodeCaptureConfig(const std::vector<std::uint8_t> &payload,
                          EngineConfig &out,
@@ -140,7 +150,7 @@ bool readCapture(const std::string &path, Capture &out,
 /**
  * The scripted run psm-replay --self-test captures: four arrivals, a
  * cap change, an advance, a phase change and a kill (8 events) over 5
- * commits.  On psm-replay's 2-node config it captures 880 bytes.
+ * commits.  On psm-replay's 2-node config it captures 822 bytes.
  */
 void scriptedRun(ServeEngine &engine);
 

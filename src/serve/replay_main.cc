@@ -72,13 +72,11 @@ dump(const std::string &path)
         return 1;
     }
     std::printf("config: nodes=%d cap=%.1fW esd=%d seedBase=%llu "
-                "policy=%d controlPeriod=%llu\n",
+                "policy=%d\n",
                 cap.config.nodes, cap.config.serverCap,
                 cap.config.esd ? 1 : 0,
                 static_cast<unsigned long long>(cap.config.seedBase),
-                static_cast<int>(cap.config.manager.policy),
-                static_cast<unsigned long long>(
-                    cap.config.manager.controlPeriod));
+                static_cast<int>(cap.config.manager.policy));
     std::size_t ix = 0;
     for (const Capture::Step &step : cap.steps) {
         ++ix;

@@ -123,7 +123,7 @@ main(int argc, char **argv)
             cfg.engine.esd = true;
         else if (arg == "--queue")
             cfg.maxQueue = static_cast<std::size_t>(parseCount(
-                arg, next(), 0, std::numeric_limits<long>::max()));
+                arg, next(), 1, std::numeric_limits<long>::max()));
         else if (arg == "--batch")
             cfg.maxBatch = static_cast<std::size_t>(parseCount(
                 arg, next(), 1, std::numeric_limits<long>::max()));

@@ -17,10 +17,7 @@ namespace psm::serve
 ServeService::ServeService(const ServiceConfig &config)
     : cfg(config), eng(config.engine), reactor(*this)
 {
-    if (cfg.maxQueue == 0)
-        cfg.maxQueue = 1;
-    if (cfg.maxBatch == 0)
-        cfg.maxBatch = 1;
+    psm_assert(cfg.maxQueue >= 1 && cfg.maxBatch >= 1);
 }
 
 ServeService::~ServeService()

@@ -45,9 +45,9 @@ namespace psm::serve
 struct ServiceConfig
 {
     EngineConfig engine;
-    /** Admission bound: EVENTs queued beyond this are shed. */
+    /** Admission bound (>= 1): EVENTs queued beyond this are shed. */
     std::size_t maxQueue = 256;
-    /** Most events coalesced into one allocator epoch. */
+    /** Most events coalesced into one allocator epoch (>= 1). */
     std::size_t maxBatch = 64;
     /** Server name sent in HELLO-ACK. */
     std::string name = "psm-served";

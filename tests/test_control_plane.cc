@@ -128,10 +128,8 @@ TEST(Telemetry, DumpsContainTheirContent)
 TEST(LearningPipeline, OracleCalibrationIsImmediate)
 {
     sim::Server server;
-    LearningConfig lc;
-    lc.oracleUtilities = true;
     Telemetry tel;
-    LearningPipeline pipe(server, lc, &tel);
+    LearningPipeline pipe(server, true, 7, &tel);
     pipe.seedCorpus(cf::profileCorpus(server.platform(), workloadLibrary()));
     ASSERT_NE(pipe.serverAverageCurve(), nullptr);
 
@@ -150,9 +148,8 @@ TEST(LearningPipeline, OracleCalibrationIsImmediate)
 TEST(LearningPipeline, OnlineCalibrationChargesWallClock)
 {
     sim::Server server;
-    LearningConfig lc;
     Telemetry tel;
-    LearningPipeline pipe(server, lc, &tel);
+    LearningPipeline pipe(server, false, 7, &tel);
     pipe.seedCorpus(cf::profileCorpus(server.platform(), workloadLibrary()));
 
     int id = server.admit(workload("kmeans"));
@@ -177,7 +174,8 @@ TEST(LearningPipeline, OnlineCalibrationChargesWallClock)
     EXPECT_EQ(tel.counter("learning.calibrations_finished"), 1u);
     // One fit of both models, each running every sweep.
     EXPECT_EQ(tel.counter("learning.als_fits"), 1u);
-    EXPECT_EQ(tel.counter("learning.als_sweeps"), 2 * lc.als.iterations);
+    EXPECT_EQ(tel.counter("learning.als_sweeps"),
+              2 * cf::AlsConfig{}.iterations);
     EXPECT_EQ(tel.timer("learning.als_fit").count, 1u);
 }
 
@@ -187,10 +185,8 @@ TEST(LearningPipeline, SurfaceEpochTracksRecalibrationsAndRearrivals)
     // on every surface install, and only then (tracking and
     // departures change no surface; the cache keys on names).
     sim::Server server;
-    LearningConfig lc;
-    lc.oracleUtilities = true;
     Telemetry tel;
-    LearningPipeline pipe(server, lc, &tel);
+    LearningPipeline pipe(server, true, 7, &tel);
     pipe.seedCorpus(cf::profileCorpus(server.platform(), workloadLibrary()));
 
     std::uint64_t e0 = pipe.surfaceEpoch();
@@ -619,7 +615,7 @@ TEST(ControlLoop, EventLogKeepsTheNewestEvents)
     sim::Server server;
     Coordinator coord;
     IdleDelegate delegate;
-    ControlLoop loop(server, coord, ControlLoopConfig{}, delegate);
+    ControlLoop loop(server, coord, delegate);
     auto capOf = [](std::size_t i) {
         return 10.0 + static_cast<double>(i);
     };
@@ -642,7 +638,7 @@ TEST(ControlLoop, EventLogKeepsTheNewestEvents)
 
     for (std::size_t i = first; i < first + 3; ++i)
         loop.accountant().notifyCapChange(capOf(i));
-    while (server.now() < ControlLoopConfig{}.controlPeriod)
+    while (server.now() < ControlLoop::controlPeriod)
         server.step();
     loop.maybePoll();
     expectNewest(first + 3);

@@ -415,10 +415,7 @@ TEST(Accountant, DetectsSustainedDrift)
 {
     sim::Server server;
     int id = server.admit(workload("kmeans"));
-    AccountantConfig cfg;
-    cfg.driftThreshold = 0.3;
-    cfg.driftHold = toTicks(0.2);
-    Accountant acc(cfg);
+    Accountant acc;
     acc.notifyArrival(id);
     acc.poll(server);
     // Allocate far less than the app actually draws (~24 W).
@@ -453,9 +450,7 @@ TEST(Accountant, DriftDetectionCanBeDisabled)
 {
     sim::Server server;
     int id = server.admit(workload("kmeans"));
-    AccountantConfig cfg;
-    cfg.driftHold = toTicks(0.1);
-    Accountant acc(cfg);
+    Accountant acc;
     acc.notifyArrival(id);
     acc.poll(server);
     acc.setAllocatedPower(id, 1.0);

@@ -191,17 +191,15 @@ TEST(Faults, MeterFaultFallsBackThenWatchdogThenRecovers)
     server.admit(workload("kmeans"));
     core::Coordinator coord;
     core::Telemetry tel;
-    core::ControlLoopConfig cc;
-    cc.controlPeriod = toTicks(0.1);
-    cc.meterWatchdog = toTicks(0.3);
     RecordingDelegate delegate;
-    core::ControlLoop loop(server, coord, cc, delegate, &tel);
+    core::ControlLoop loop(server, coord, delegate, &tel);
 
     FaultPlanConfig fc;
     fc.seed = 5;
-    // The meter is unreadable for sim-time [0.5 s, 1.5 s).
+    // The meter is unreadable for sim-time [0.5 s, 2.0 s), longer
+    // than ControlLoop::meterStaleLimit (1 s).
     fc.schedule.push_back(FaultWindow{FaultKind::MeterNan,
-                                      toTicks(0.5), toTicks(1.5), -1});
+                                      toTicks(0.5), toTicks(2.0), -1});
     FaultInjector inj(fc);
     loop.setFaultInjector(&inj);
 
@@ -217,13 +215,13 @@ TEST(Faults, MeterFaultFallsBackThenWatchdogThenRecovers)
     EXPECT_EQ(tel.counter("fault.meter_nan"), 0u);
     EXPECT_EQ(loop.meterStaleSince(), maxTick);
 
-    runFor(0.6); // ~1.05 s: inside the outage, past the watchdog
+    runFor(1.3); // ~1.75 s: inside the outage, past the watchdog
     EXPECT_GT(tel.counter("fault.meter_nan"), 0u);
     EXPECT_GT(tel.counter("degraded.meter_fallback"), 0u);
     EXPECT_NE(loop.meterStaleSince(), maxTick);
     EXPECT_GT(tel.counter("degraded.meter_watchdog"), 0u);
 
-    runFor(0.8); // past 1.5 s: readings are back
+    runFor(0.8); // past 2.0 s: readings are back
     EXPECT_GE(tel.counter("degraded.meter_recovered"), 1u);
     EXPECT_EQ(loop.meterStaleSince(), maxTick);
 }
@@ -337,7 +335,6 @@ TEST(Faults, NodeCrashIsolatesThenRestarts)
         pc.manager.oracleUtilities = true;
         if (ambient > 0.0)
             pc.manager.faults.setAmbientRate(ambient);
-        pc.seedWorkloadCorpus = false;
         pc.faults.seed = 1;
         // NodeCrash windows are keyed on the node's 1-based runAll()
         // attempt counter: node 1 crashes on its first attempt only.
@@ -388,7 +385,6 @@ TEST(Faults, ConsecutiveCrashesBackOffExponentially)
         pc.manager.oracleUtilities = true;
         if (ambient > 0.0)
             pc.manager.faults.setAmbientRate(ambient);
-        pc.seedWorkloadCorpus = false;
         pc.faults.seed = 2;
         // Node 0 crashes on attempts 1 and 2 (streak of two).
         pc.faults.schedule.push_back(
@@ -423,7 +419,6 @@ TEST(Faults, CrashBackoffShiftClampedForHugeStreaks)
         pc.manager.oracleUtilities = true;
         if (ambient > 0.0)
             pc.manager.faults.setAmbientRate(ambient);
-        pc.seedWorkloadCorpus = false;
         pc.faults.seed = 3;
         // Node 0 crashes on every attempt, forever.
         pc.faults.schedule.push_back(
@@ -579,7 +574,6 @@ TEST(Faults, PoolFaultScheduleIsThreadWidthInvariant)
         pc.seedBase = 77;
         pc.serverCap = 90.0;
         pc.manager.oracleUtilities = true;
-        pc.seedWorkloadCorpus = false;
         pc.manager.faults.meterNanRate = 0.05;
         pc.manager.faults.appKillRate = 0.02;
         pc.faults.nodeCrashRate = 0.2;

@@ -429,7 +429,6 @@ mixedPoolRun()
     cluster::NodePoolConfig pc;
     pc.servers = 3;
     pc.manager.oracleUtilities = true;
-    pc.seedWorkloadCorpus = false;
     pc.seedBase = 5;
     pc.serverCap = 95.0;
     cluster::NodePool pool(pc);
@@ -484,13 +483,6 @@ TEST(ClusterConfigValidate, ChecksNamesPoliciesAndRanges)
     std::string err;
     EXPECT_TRUE(good.validate(&err)) << err;
 
-    // The checked error names the offender and lists valid names.
-    cluster::ClusterConfig bad_policy = good;
-    bad_policy.managedPolicy = "no-such-policy";
-    ASSERT_FALSE(bad_policy.validate(&err));
-    EXPECT_NE(err.find("no-such-policy"), std::string::npos);
-    EXPECT_NE(err.find("app-res-esd-aware"), std::string::npos);
-
     cluster::ClusterConfig bad_range = good;
     bad_range.interactivePerServer = 3;
     EXPECT_FALSE(bad_range.validate(&err));
@@ -519,12 +511,12 @@ TEST(ClusterConfigValidate, ChecksNamesPoliciesAndRanges)
     EXPECT_NE(err.find("treeDepth"), std::string::npos);
 
     // validate(nullptr) is legal (existence check only).
-    EXPECT_FALSE(bad_policy.validate(nullptr));
+    EXPECT_FALSE(shallow.validate(nullptr));
 
     // The constructor defends with the same diagnostic for callers
     // that skipped validate().
-    EXPECT_DEATH(cluster::ClusterManager mgr(bad_policy),
-                 "expected one of");
+    EXPECT_DEATH(cluster::ClusterManager mgr(shallow),
+                 "treeDepth must be at least 1");
 }
 
 TEST(InteractiveCluster, MixedPopulationReplaysUnderEachPolicy)

@@ -15,6 +15,7 @@
 
 #include "core/policy.hh"
 #include "core/policy_registry.hh"
+#include "net/frame.hh"
 #include "serve/replay.hh"
 
 namespace psm::core
@@ -120,27 +121,47 @@ TEST(PolicyRegistry, CaptureConfigRoundTripsEveryPolicy)
 
 TEST(PolicyRegistry, CaptureConfigRefusesVersionOne)
 {
-    // Version 1 carried one more byte (the dense-DP flag) before the
-    // manager seed.  Rebuild that layout from a current record, stamp
-    // version 1 and re-seal the FNV-1a fingerprint, so only the
-    // version check can reject it.
-    std::vector<std::uint8_t> bytes =
-        serve::encodeCaptureConfig(serve::EngineConfig{});
-    ASSERT_GT(bytes.size(), 17u);
-    bytes.insert(bytes.end() - 16, 0);
-    bytes[0] = 1;
-    serve::Fnv1a h;
-    h.bytes(bytes.data(), bytes.size() - 8);
-    for (std::size_t i = 0; i < 8; ++i)
-        bytes[bytes.size() - 8 + i] =
-            static_cast<std::uint8_t>(h.value() >> (8 * i));
+    // Versions 1 and 2 carried nine fields that are constants since
+    // version 3, and version 1 one byte more (the dense-DP flag)
+    // before the manager seed.  Write each old layout at its default
+    // values and seal its FNV-1a fingerprint, so only the version
+    // check can reject it.
+    for (std::uint8_t version : {1, 2}) {
+        net::WireWriter w;
+        w.putU8(version);
+        w.putU32(1);       // nodes
+        w.putF64(100.0);   // serverCap
+        w.putU8(0);        // esd
+        w.putU64(7);       // seedBase
+        w.putU8(1);        // seedCorpus
+        w.putF64(600.0);   // maxAdvance
+        w.putU8(static_cast<std::uint8_t>(PolicyKind::AppResAware));
+        w.putF64(0.10);    // sampleFraction
+        w.putU8(0);        // oracleUtilities
+        w.putF64(0.02);    // measurementNoise
+        w.putU64(toTicks(0.018)); // calibrationPerSample
+        w.putU64(toTicks(0.1));   // controlPeriod
+        w.putF64(0.02);    // budgetGuard
+        w.putF64(0.5);     // trimGain
+        w.putU64(toTicks(0.5));   // refreshPeriod
+        w.putU8(static_cast<std::uint8_t>(
+            cf::SamplingStrategy::Stratified));
+        if (version == 1)
+            w.putU8(0);    // denseDp
+        w.putU64(7);       // seed
+        serve::Fnv1a h;
+        h.bytes(w.bytes().data(), w.bytes().size());
+        w.putU64(h.value());
 
-    serve::EngineConfig decoded;
-    std::string error;
-    EXPECT_FALSE(serve::decodeCaptureConfig(bytes, decoded, &error));
-    EXPECT_NE(error.find("unsupported Config version"),
-              std::string::npos)
-        << error;
+        serve::EngineConfig decoded;
+        std::string error;
+        EXPECT_FALSE(
+            serve::decodeCaptureConfig(w.bytes(), decoded, &error))
+            << "version " << int{version};
+        EXPECT_NE(error.find("unsupported Config version"),
+                  std::string::npos)
+            << error;
+    }
 }
 
 TEST(PolicyRegistry, CaptureConfigRejectsUnregisteredPolicy)
@@ -158,28 +179,13 @@ TEST(PolicyRegistry, CaptureConfigRejectsUnregisteredPolicy)
     EXPECT_NE(error.find("200"), std::string::npos) << error;
 }
 
-TEST(PolicyRegistry, CaptureConfigRejectsInvalidSampling)
-{
-    serve::EngineConfig cfg;
-    cfg.manager.sampling = static_cast<cf::SamplingStrategy>(9);
-    std::vector<std::uint8_t> bytes = serve::encodeCaptureConfig(cfg);
-    serve::EngineConfig decoded;
-    std::string error;
-    EXPECT_FALSE(serve::decodeCaptureConfig(bytes, decoded, &error));
-    EXPECT_NE(error.find("sampling"), std::string::npos) << error;
-}
-
 TEST(PolicyRegistry, CaptureConfigRefusesFieldsThatAbortTheReplay)
 {
     // Each record is sealed by the encoder, so only the field check
-    // can refuse it.  Each used to decode, then abort or run away in
-    // the replay: LearningPipeline and ControlLoop fatal(),
-    // cf::Profiler's assert, PlanSelector's fatal() on the first
-    // Server+Res-Aware decision without a corpus, the allocator's
-    // `dynamic_budget >= 0` assert on a NaN guard band or trim, a
-    // NaN maxAdvance that lets any Advance through (1e300 s reaches
-    // toTicks out of range), and a node count past serve::maxNodes
-    // that sizes the pool's node vector before one server is built.
+    // can refuse it.  Each used to decode, then abort in the replay:
+    // the allocator's `dynamic_budget >= 0` assert on a NaN guard
+    // band, and a node count past serve::maxNodes that sizes the
+    // pool's node vector before one server is built.
     constexpr double nan = std::numeric_limits<double>::quiet_NaN();
     constexpr double inf = std::numeric_limits<double>::infinity();
     using Engine = serve::EngineConfig;
@@ -189,34 +195,11 @@ TEST(PolicyRegistry, CaptureConfigRefusesFieldsThatAbortTheReplay)
         void (*set)(Engine &);
     };
     const Case cases[] = {
-        {"sampleFraction",
-         [](Engine &c) { c.manager.sampleFraction = 0.0; }},
-        {"sampleFraction",
-         [](Engine &c) { c.manager.sampleFraction = 1.5; }},
-        {"sampleFraction",
-         [](Engine &c) { c.manager.sampleFraction = nan; }},
-        {"measurementNoise",
-         [](Engine &c) { c.manager.measurementNoise = -1.0; }},
-        {"measurementNoise",
-         [](Engine &c) { c.manager.measurementNoise = nan; }},
-        {"controlPeriod",
-         [](Engine &c) { c.manager.controlPeriod = 0; }},
-        {"corpus",
-         [](Engine &c) {
-             c.manager.policy = PolicyKind::ServerResAware;
-             c.seedCorpus = false;
-         }},
         {"budgetGuard", [](Engine &c) { c.manager.budgetGuard = nan; }},
         {"budgetGuard", [](Engine &c) { c.manager.budgetGuard = inf; }},
-        {"trimGain", [](Engine &c) { c.manager.trimGain = nan; }},
-        {"trimGain", [](Engine &c) { c.manager.trimGain = -inf; }},
         {"serverCap", [](Engine &c) { c.serverCap = nan; }},
         {"serverCap", [](Engine &c) { c.serverCap = inf; }},
         {"serverCap", [](Engine &c) { c.serverCap = -1.0; }},
-        {"maxAdvance", [](Engine &c) { c.maxAdvance = nan; }},
-        {"maxAdvance", [](Engine &c) { c.maxAdvance = inf; }},
-        {"maxAdvance", [](Engine &c) { c.maxAdvance = 0.0; }},
-        {"maxAdvance", [](Engine &c) { c.maxAdvance = -1.0; }},
         {"nodes", [](Engine &c) { c.nodes = serve::maxNodes + 1; }},
         // Encodes as 2^32 - 1, which an int cast wraps back to -1.
         {"nodes", [](Engine &c) { c.nodes = -1; }},
@@ -234,8 +217,6 @@ TEST(PolicyRegistry, CaptureConfigRefusesFieldsThatAbortTheReplay)
 
     // The bounds themselves are valid.
     serve::EngineConfig edge;
-    edge.manager.sampleFraction = 1.0;
-    edge.manager.measurementNoise = 0.0;
     edge.serverCap = 0.0;
     edge.nodes = serve::maxNodes;
     serve::EngineConfig decoded;

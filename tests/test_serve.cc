@@ -559,7 +559,7 @@ TEST(ServeEngineTest, SnapshotBuiltFromTraceAggregates)
     EXPECT_GE(snap.allocatorPasses, 1u);
     EXPECT_EQ(snap.allocatorPasses, digest.passes);
     EXPECT_EQ(snap.allocatorPasses, eng.allocatorPasses());
-    EXPECT_EQ(snap.simNow, eng.controlPeriod());
+    EXPECT_EQ(snap.simNow, core::ControlLoop::controlPeriod);
     EXPECT_EQ(snap.simNow, digest.simNow);
     // Registered counters the commit must have touched.
     EXPECT_GE(snap.counters.at("control.polls"), 1u);
@@ -718,7 +718,7 @@ TEST(ServeReplay, OnlyPrefixesEndingOnARecordAreRead)
 {
     const std::string path = caseCapturePath();
     const std::vector<std::uint8_t> bytes = recordScriptedRun(path);
-    ASSERT_EQ(bytes.size(), 880u);
+    ASSERT_EQ(bytes.size(), 822u);
 
     // Walk the records by their own [u8 type][u32 length] headers
     // after the 12-byte file header; the first is the Config, and
@@ -756,12 +756,12 @@ TEST(ServeReplay, SingleByteChangesAreReadOrRefused)
 {
     const std::string path = caseCapturePath();
     const std::vector<std::uint8_t> bytes = recordScriptedRun(path);
-    ASSERT_EQ(bytes.size(), 880u);
+    ASSERT_EQ(bytes.size(), 822u);
     // The file header, then the Config payload after its 5-byte
     // record header: FNV-1a changes whenever one folded byte does,
     // so no change in either may read.
     auto guarded = [](std::size_t at) {
-        return at < 12 || (at >= 17 && at < 17 + 106);
+        return at < 12 || (at >= 17 && at < 17 + 48);
     };
 
     Rng rng(24);
@@ -883,6 +883,49 @@ TEST(ServeReplay, ArrivalSloAboveTheWireBoundIsRefused)
         EXPECT_TRUE(res.ok) << res.firstMismatch;
         EXPECT_EQ(res.commits, 1u);
     }
+    std::remove(path.c_str());
+}
+
+TEST(ServeReplay, CaptureRefusesSettingsItsConfigCannotRecord)
+{
+    // The Config record holds no fault plan, allocator or coordinator
+    // setting, and a replay rebuilds each at its default, so a run
+    // that sets one would not replay: the engine refuses to capture
+    // it and opens no file.
+    const std::string path = caseCapturePath();
+    std::remove(path.c_str());
+    using Engine = serve::EngineConfig;
+    struct Case
+    {
+        const char *setting; ///< what unrecordedSetting() names
+        void (*set)(Engine &);
+    };
+    const Case cases[] = {
+        {"manager.faults",
+         [](Engine &c) { c.manager.faults.setAmbientRate(0.05); }},
+        {"manager.allocator",
+         [](Engine &c) { c.manager.allocator.granularity = 1.0; }},
+        {"manager.coordinator",
+         [](Engine &c) {
+             c.manager.coordinator.dutyPeriod = toTicks(0.5);
+         }},
+    };
+    for (const Case &k : cases) {
+        Engine cfg = smallEngine(2);
+        k.set(cfg);
+        const char *setting = serve::unrecordedSetting(cfg);
+        ASSERT_NE(setting, nullptr) << k.setting;
+        EXPECT_STREQ(setting, k.setting);
+        ServeEngine eng(cfg);
+        EXPECT_FALSE(eng.startCapture(path)) << k.setting;
+        EXPECT_FALSE(std::ifstream(path).is_open()) << k.setting;
+    }
+
+    // The defaults are what a replay rebuilds, so they capture.
+    EXPECT_EQ(serve::unrecordedSetting(smallEngine(2)), nullptr);
+    ServeEngine eng(smallEngine(2));
+    EXPECT_TRUE(eng.startCapture(path));
+    eng.stopCapture();
     std::remove(path.c_str());
 }
 
